@@ -76,8 +76,8 @@ def _generate_rows(cfg: SyntheticConfig, start: int, stop: int):
 def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
     """Generate the configured dataset (labels, logits, probs, features).
 
-    The features channel carries the logits, for neighbor-criterion
-    experiments.
+    The features channel is the logits array itself (not a copy), for
+    neighbor-criterion experiments.
     """
     labels = np.empty(cfg.n_samples, dtype=np.int64)
     logits = np.empty((cfg.n_samples, cfg.n_classes))
@@ -87,7 +87,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
         labels[start:stop], logits[start:stop], probs[start:stop] = \
             _generate_rows(cfg, start, stop)
     return ProbabilityDataset(probs=probs, labels=labels, logits=logits,
-                              features=logits.copy())
+                              features=logits)
 
 
 def measure_top1_accuracy(dataset: ProbabilityDataset) -> float:

@@ -86,6 +86,16 @@ def integers(key, counters, upper):
     return np.minimum(idx, upper - 1)
 
 
-def permutation(key, n):
-    """Deterministic permutation of range(n): argsort of raw stream values."""
-    return np.argsort(raw(key, np.arange(n)), kind="stable")
+def permutation(key, n, size=None):
+    """First ``size`` entries (all n by default) of a deterministic
+    permutation of range(n): the stable argsort of raw stream values.
+
+    splitmix64 is a bijection, so the raw values of one stream at distinct
+    counters are distinct and any sort gives the stable order.  A prefix
+    therefore needs only a partition plus a sort of the prefix.
+    """
+    values = raw(key, np.arange(n))
+    if size is None or size >= n:
+        return np.argsort(values)
+    head = np.argpartition(values, size - 1)[:size]
+    return head[np.argsort(values[head])]

@@ -5,7 +5,10 @@ source, estimates unlabeled scores, calibrates a threshold per requested
 method and calibration mode, and evaluates coverage and set size on the
 test pool.  All per-trial randomness comes from counter-based streams keyed
 by (base_seed, trial_index, purpose), so trials can run on any number of
-workers and still produce byte-identical output.
+workers and still produce byte-identical output.  Score tables do not
+depend on the trial (a randomized score's factor u only enters as
+A + B * u), so each data source is scored once per experiment and a trial
+only gathers rows of its tables.
 
 Methods:
 
@@ -33,9 +36,8 @@ from .dataio import load_dataset, write_results
 from .dataset import ProbabilityDataset
 from .errors import ConfigurationError, DataError, SemicpError
 from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
-from .scores import ScoreSpec, score_all_labels_batch, score_components_batch
-from .unlabeled import (EstimatorSpec, build_labeled_records, estimate_scores,
-                        pseudo_labels)
+from .scores import ScoreSpec
+from .unlabeled import EstimatorSpec, ScoreTables, estimate_scores
 
 METHOD_KINDS = ("standard", "semicp", "oracle")
 CALIBRATION_MODES = ("marginal", "interpolation", "group_conditional",
@@ -135,94 +137,106 @@ class ExperimentConfig:
 
 @dataclass
 class _Context:
-    main: ProbabilityDataset
-    labeled: ProbabilityDataset
-    test: ProbabilityDataset
-    shared_labeled: bool  # labeled pool drawn from the main dataset
-    shared_test: bool     # test pool drawn from the main dataset
+    """Score tables of the data sources, built once per experiment.
+
+    ``labeled`` and ``test`` are the ``main`` tables themselves when their
+    pools are drawn from the main dataset.
+    """
+    main: ScoreTables
+    labeled: ScoreTables
+    test: ScoreTables
+
+    @property
+    def shared_labeled(self) -> bool:
+        return self.labeled is self.main
+
+    @property
+    def shared_test(self) -> bool:
+        return self.test is self.main
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
     src = config.source
     if src.synthetic is not None:
-        main = generate_synthetic(src.synthetic)
-        ctx = _Context(main, main, main, True, True)
+        main = labeled = test = generate_synthetic(src.synthetic)
     else:
         labeled = load_dataset(src.labeled_file)
         main = labeled if src.unlabeled_file is None else load_dataset(src.unlabeled_file)
-        shared_labeled = src.unlabeled_file is None
-        if src.test_file is None:
-            test, shared_test = main, True
-        else:
-            test, shared_test = load_dataset(src.test_file), False
-        ctx = _Context(main, labeled, test, shared_labeled, shared_test)
-    _validate_context(config, ctx)
-    return ctx
+        test = main if src.test_file is None else load_dataset(src.test_file)
+    _validate_sources(config, main, labeled, test)
+    tables = ScoreTables(main, config.score)
+    return _Context(
+        tables,
+        tables if labeled is main else ScoreTables(labeled, config.score),
+        tables if test is main else ScoreTables(test, config.score))
 
 
-def _validate_context(config: ExperimentConfig, ctx: _Context):
-    need_main = config.N + (config.n if ctx.shared_labeled else 0) \
-        + (config.test_size if ctx.shared_test else 0)
-    if len(ctx.main) < need_main:
+def _validate_sources(config: ExperimentConfig, main: ProbabilityDataset,
+                      labeled: ProbabilityDataset, test: ProbabilityDataset):
+    need_main = config.N + (config.n if labeled is main else 0) \
+        + (config.test_size if test is main else 0)
+    if len(main) < need_main:
         raise ConfigurationError(
-            f"infeasible partition: source has {len(ctx.main)} samples but "
+            f"infeasible partition: source has {len(main)} samples but "
             f"each trial needs {need_main}")
-    if not ctx.shared_labeled and len(ctx.labeled) < config.n:
+    if labeled is not main and len(labeled) < config.n:
         raise ConfigurationError(
-            f"infeasible partition: labeled file has {len(ctx.labeled)} "
+            f"infeasible partition: labeled file has {len(labeled)} "
             f"samples but n={config.n}")
-    if not ctx.shared_test and len(ctx.test) < config.test_size:
+    if test is not main and len(test) < config.test_size:
         raise ConfigurationError(
-            f"infeasible partition: test file has {len(ctx.test)} samples "
+            f"infeasible partition: test file has {len(test)} samples "
             f"but test_size={config.test_size}")
-    if any(m.kind == "oracle" for m in config.methods) and not ctx.main.fully_labeled:
+    if any(m.kind == "oracle" for m in config.methods) and not main.fully_labeled:
         raise ConfigurationError(
             "the oracle method needs true labels on the unlabeled pool source")
-    if not ctx.labeled.fully_labeled:
+    if not labeled.fully_labeled:
         raise DataError("the labeled pool source contains unlabeled rows")
-    if not ctx.test.fully_labeled:
+    if not test.fully_labeled:
         raise DataError("coverage evaluation needs labels on the test source")
-    if ctx.labeled.n_classes != ctx.main.n_classes \
-            or ctx.test.n_classes != ctx.main.n_classes:
+    if labeled.n_classes != main.n_classes or test.n_classes != main.n_classes:
         raise DataError("data sources disagree on the number of classes")
     if config.calibration.mode == "group_conditional" \
             and config.calibration.group_rule == "external_column":
         col = config.calibration.external_column
-        for ds in (ctx.main, ctx.labeled, ctx.test):
+        for ds in (main, labeled, test):
             if ds.features is None or ds.features.shape[1] <= col:
                 raise ConfigurationError(
                     f"external_column group rule needs feature column {col}")
 
 
 def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int):
+    """Row indices of the trial's labeled, unlabeled and test pools: the
+    leading entries of per-source permutations."""
     n, big_n, t = config.n, config.N, config.test_size
+
+    def head(tag, tables, size):
+        return rng.permutation(rng.stream(config.base_seed, trial_index, tag),
+                               len(tables.dataset), size)
+
     if ctx.shared_labeled and ctx.shared_test:
-        perm = rng.permutation(rng.stream(config.base_seed, trial_index,
-                                          _TAG_SPLIT_MAIN), len(ctx.main))
-        return perm[:n], perm[n:n + big_n], perm[n + big_n:n + big_n + t]
-    lab = rng.permutation(rng.stream(config.base_seed, trial_index,
-                                     _TAG_SPLIT_LABELED), len(ctx.labeled))[:n]
-    perm = rng.permutation(rng.stream(config.base_seed, trial_index,
-                                      _TAG_SPLIT_MAIN), len(ctx.main))
+        perm = head(_TAG_SPLIT_MAIN, ctx.main, n + big_n + t)
+        return perm[:n], perm[n:n + big_n], perm[n + big_n:]
+    lab = head(_TAG_SPLIT_LABELED, ctx.labeled, n)
     if ctx.shared_test:
-        return lab, perm[:big_n], perm[big_n:big_n + t]
-    tst = rng.permutation(rng.stream(config.base_seed, trial_index,
-                                     _TAG_SPLIT_TEST), len(ctx.test))[:t]
-    return lab, perm[:big_n], tst
+        perm = head(_TAG_SPLIT_MAIN, ctx.main, big_n + t)
+        return lab, perm[:big_n], perm[big_n:]
+    return (lab, head(_TAG_SPLIT_MAIN, ctx.main, big_n),
+            head(_TAG_SPLIT_TEST, ctx.test, t))
 
 
-def _group_ids(ds: ProbabilityDataset, rule: str, n_groups: int,
-               external_column: int) -> np.ndarray:
-    if rule == "pseudo_label":
-        return pseudo_labels(ds.probs) % n_groups
-    if rule == "true_label":
-        if not ds.fully_labeled:
-            raise DataError("true_label group rule needs labels")
-        return ds.labels % n_groups
-    ids = ds.features[:, external_column]
+def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
+    """Group of each row under the plan's rule; ``class_ids`` are the class
+    labels of the rows that the method may see."""
+    g = plan.n_groups
+    if plan.group_rule == "pseudo_label":
+        return tables.hats[rows] % g
+    if plan.group_rule == "true_label":
+        return class_ids % g
+    ids = tables.dataset.features[rows, plan.external_column]
     out = np.rint(ids).astype(np.int64)
-    if np.any(out < 0) or np.any(out >= n_groups):
-        raise DataError(f"external group column holds ids outside 0..{n_groups - 1}")
+    if np.any(out < 0) or np.any(out >= g):
+        raise DataError(f"external group column holds ids outside 0..{g - 1}")
     return out
 
 
@@ -251,16 +265,38 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None):
         raise type(exc)(f"trial {trial_index}: {exc}") from exc
 
 
+@dataclass
+class _Pools:
+    """One trial's row indices into the context's sources, and the labels
+    of its labeled and test pools."""
+    ctx: _Context
+    lab: np.ndarray
+    unlab: np.ndarray
+    test: np.ndarray
+    lab_labels: np.ndarray = field(init=False)
+    test_labels: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.lab_labels = self.ctx.labeled.dataset.labels[self.lab]
+        self.test_labels = self.ctx.test.dataset.labels[self.test]
+
+    def unlabeled_class_ids(self, method: MethodSpec, pool: ScoredPool):
+        """Class membership of the unlabeled scores as the method may see
+        it: pseudo-labels, or true labels for the oracle (which unmasks
+        them)."""
+        if not pool.unlabeled_scores.size:
+            return np.empty(0, dtype=np.int64)
+        if method.kind == "oracle":
+            return self.ctx.main.dataset.labels[self.unlab]
+        return self.ctx.main.hats[self.unlab]
+
+
 def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     if ctx is None:
         ctx = _build_context(config)
     spec = config.score
     trial_seed = int(rng.stream(config.base_seed, trial_index))
-
-    lab_idx, unlab_idx, test_idx = _split_indices(config, ctx, trial_index)
-    lab_ds = ctx.labeled.subset(lab_idx)
-    unlab_ds = ctx.main.subset(unlab_idx)
-    test_ds = ctx.test.subset(test_idx)
+    pools = _Pools(ctx, *_split_indices(config, ctx, trial_index))
 
     u_lab = u_unlab = u_test = None
     if spec.randomized:
@@ -271,23 +307,18 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
         u_test = rng.uniforms(rng.stream(config.base_seed, trial_index,
                                          _TAG_U_TEST), np.arange(config.test_size))
 
-    records = build_labeled_records(lab_ds, spec)
+    records = ctx.labeled.records(pools.lab)
     if spec.randomized:
         lab_scores = records.true_a + records.true_b * u_lab
     else:
         lab_scores = records.true_scores
-    test_scores = score_all_labels_batch(test_ds.probs, spec, u_test)
+    test_scores = ctx.test.all_labels(pools.test, u_test)
+    pseudo = ctx.main.queries(pools.unlab)
 
     oracle_scores = None
     if any(m.kind == "oracle" for m in config.methods) and config.N:
-        a, b = score_components_batch(unlab_ds.probs, spec)
-        det = a + b
-        rows = np.arange(len(unlab_ds))
-        if spec.randomized:
-            oracle_scores = a[rows, unlab_ds.labels] \
-                + b[rows, unlab_ds.labels] * u_unlab
-        else:
-            oracle_scores = det[rows, unlab_ds.labels]
+        oracle_scores = ctx.main.at(
+            pools.unlab, ctx.main.dataset.labels[pools.unlab], u_unlab)
 
     results = {}
     for position, method in enumerate(config.methods):
@@ -300,29 +331,28 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
             # variants in one run are not artificially correlated
             rm_stream = rng.stream(config.base_seed, trial_index,
                                    _TAG_RANDOM_MATCH, position)
-            est = estimate_scores(unlab_ds, records, spec, method.estimator,
+            est = estimate_scores(pseudo, records, spec, method.estimator,
                                   stream_key=rm_stream, u=u_unlab)
             pool = ScoredPool(lab_scores, est)
-        mask, per_group = _calibrate_and_predict(
-            config, method, pool, lab_ds, unlab_ds, test_ds, test_scores)
-        cov = float(np.mean(mask[np.arange(len(test_ds)), test_ds.labels]))
+        mask, per_group = _calibrate_and_predict(config, method, pool, pools,
+                                                 test_scores)
+        hits = mask[np.arange(config.test_size), pools.test_labels]
         results[method.name] = TrialResult(
             method=method.name,
             trial_index=trial_index,
             trial_seed=trial_seed,
-            coverage=cov,
+            coverage=float(np.mean(hits)),
             avg_size=avg_size(mask),
             per_group_coverage=per_group,
         )
     return results
 
 
-def _calibrate_and_predict(config, method, pool, lab_ds, unlab_ds, test_ds,
-                           test_scores):
+def _calibrate_and_predict(config, method, pool, pools, test_scores):
     """Threshold(s) for one method and the resulting test membership mask."""
     plan = config.calibration
     alpha = config.alpha
-    k = test_ds.n_classes
+    k = test_scores.shape[1]
     per_group = None
 
     if plan.mode == "marginal":
@@ -333,50 +363,44 @@ def _calibrate_and_predict(config, method, pool, lab_ds, unlab_ds, test_ds,
         mask = test_scores <= thr.value
     elif plan.mode == "group_conditional":
         g = plan.n_groups
+        ctx = pools.ctx
         assignment = GroupAssignment(
-            group_of_labeled=_group_ids(lab_ds, plan.group_rule, g,
-                                        plan.external_column),
-            group_of_unlabeled=_group_ids(unlab_ds, plan.group_rule, g,
-                                          plan.external_column)
+            group_of_labeled=_group_ids(ctx.labeled, pools.lab,
+                                        pools.lab_labels, plan),
+            group_of_unlabeled=_group_ids(
+                ctx.main, pools.unlab,
+                pools.unlabeled_class_ids(method, pool), plan)
             if pool.unlabeled_scores.size else np.empty(0, dtype=np.int64),
             n_groups=g,
             test_rule=plan.group_rule,
         )
         cond = conditional_thresholds(pool, assignment, alpha)
-        test_groups = _group_ids(test_ds, plan.group_rule, g, plan.external_column)
+        test_groups = _group_ids(ctx.test, pools.test, pools.test_labels, plan)
         cutoffs = np.array([_cutoff(t) for t in cond.per_group])
         mask = test_scores <= cutoffs[test_groups][:, None]
-        per_group = _per_group_coverage(mask, test_ds.labels, test_groups, g)
+        per_group = _per_group_coverage(mask, pools.test_labels, test_groups, g)
     elif plan.mode == "class_conditional":
         assignment = GroupAssignment(
-            group_of_labeled=lab_ds.labels,
-            group_of_unlabeled=_unlabeled_class_ids(method, unlab_ds, pool),
+            group_of_labeled=pools.lab_labels,
+            group_of_unlabeled=pools.unlabeled_class_ids(method, pool),
             n_groups=k,
             test_rule="pseudo_label",
         )
         cond = conditional_thresholds(pool, assignment, alpha)
         mask = _mask_from_class_thresholds(test_scores, cond.per_group)
-        per_group = _per_group_coverage(mask, test_ds.labels, test_ds.labels, k)
+        per_group = _per_group_coverage(mask, pools.test_labels,
+                                        pools.test_labels, k)
     else:  # clustercp
-        lab_by_class = _per_class_split(pool.labeled_scores, lab_ds.labels, k)
-        unlab_ids = _unlabeled_class_ids(method, unlab_ds, pool)
-        unlab_by_class = _per_class_split(pool.unlabeled_scores, unlab_ids, k)
+        lab_by_class = _per_class_split(pool.labeled_scores, pools.lab_labels, k)
+        unlab_by_class = _per_class_split(
+            pool.unlabeled_scores, pools.unlabeled_class_ids(method, pool), k)
         clustered = clustercp_thresholds(
             lab_by_class, unlab_by_class, alpha, plan.n_clusters,
             plan.min_class_count, seed=_CLUSTERCP_KMEANS_SEED)
         mask = _mask_from_class_thresholds(test_scores, clustered.per_class)
-        per_group = _per_group_coverage(mask, test_ds.labels, test_ds.labels, k)
+        per_group = _per_group_coverage(mask, pools.test_labels,
+                                        pools.test_labels, k)
     return mask, per_group
-
-
-def _unlabeled_class_ids(method, unlab_ds, pool):
-    """Class membership of unlabeled scores: pseudo-labels by default, true
-    labels for the oracle (which unmasks them)."""
-    if not pool.unlabeled_scores.size:
-        return np.empty(0, dtype=np.int64)
-    if method.kind == "oracle":
-        return unlab_ds.labels
-    return pseudo_labels(unlab_ds.probs)
 
 
 def _per_group_coverage(mask, labels, groups, n_groups):
@@ -482,6 +506,14 @@ SWEEP_AXES = ("n", "N", "test_size", "alpha", "trials", "accuracy", "score",
 
 def apply_sweep_value(config: ExperimentConfig, axis: str, value):
     """A copy of the config with one sweep axis applied."""
+    try:
+        return _apply_sweep_value(config, axis, value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"bad value {value!r} for sweep axis {axis!r}: {exc}") from None
+
+
+def _apply_sweep_value(config: ExperimentConfig, axis: str, value):
     if axis in ("n", "N", "test_size", "trials"):
         return replace(config, **{axis: int(value)})
     if axis == "alpha":
@@ -621,25 +653,32 @@ def _calibration_from_dict(doc: dict) -> CalibrationPlan:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_config(path))
 
 
 def sweep_from_config(path):
     """(config, axis, values) from a config file carrying a sweep section."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_config(path)
+    config = config_from_dict(doc)
     sweep = doc.get("sweep")
     if not sweep:
         raise ConfigurationError("config has no 'sweep' section")
-    config = config_from_dict(doc)
+    if not isinstance(sweep, dict) or not isinstance(sweep.get("axis"), str) \
+            or not isinstance(sweep.get("values"), list):
+        raise ConfigurationError(
+            "sweep section must be an object with a string 'axis' and a "
+            "list of 'values'")
     return config, sweep["axis"], sweep["values"]
 
 

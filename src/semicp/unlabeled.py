@@ -16,6 +16,12 @@ gap between true and pseudo score is observable:
   matched on deterministic pseudo scores, but all three score terms are
   re-evaluated at the unlabeled sample's own random factor u
 
+The estimators read only gathered values (:class:`PseudoScores` for the
+unlabeled samples, :class:`LabeledRecords` for the labeled ones), so a data
+source is scored once into :class:`ScoreTables` and each pool drawn from it
+only gathers rows.  Given a dataset instead of :class:`PseudoScores`, an
+estimator scores it first.
+
 Nearest-neighbor matching on pseudo scores uses binary search over a sorted
 copy, so estimating N samples against n records costs O((n+N) log n).
 Distance ties are broken by the smaller original record index.  Alternative
@@ -88,9 +94,11 @@ class LabeledRecords:
 
     Scores are stored in affine form (value = a + b * u) at both the true
     and the pseudo label, so randomized estimators can re-evaluate them at
-    an arbitrary random factor.  ``pseudo_scores``/``true_scores``/``biases``
-    are the deterministic (u = 1) values; matching always uses these.
-    ``sort_order`` sorts records by (pseudo score, original index).
+    an arbitrary random factor; records gathered from deterministic
+    :class:`ScoreTables` leave the affine parts None.
+    ``pseudo_scores``/``true_scores``/``biases`` are the deterministic
+    (u = 1) values; matching always uses these.  ``sort_order`` sorts
+    records by (pseudo score, original index).
     """
 
     pseudo_scores: np.ndarray
@@ -119,29 +127,120 @@ class LabeledRecords:
         return float(self.biases.mean())
 
 
+class ScoreTables:
+    """Score tables of one dataset, computed once so that every pool drawn
+    from it only gathers rows.
+
+    A deterministic spec keeps the single (m, K) table A + B; a randomized
+    spec keeps A and B, so a score at random factor u is A + B * u.  Both
+    keep the pseudo-labels and the confidences.  The tables take one or two
+    times the memory of ``dataset.probs``.
+    """
+
+    def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec,
+                 affine: bool = None):
+        """``affine`` keeps A and B apart even for a deterministic spec
+        (default: only for a randomized one)."""
+        self.dataset = dataset
+        a, b = score_components_batch(dataset.probs, spec)
+        if spec.randomized if affine is None else affine:
+            self.a, self.b = a, b
+        else:
+            a += b  # a is a fresh array for every score kind
+            self.a, self.b = a, None
+        self.hats = pseudo_labels(dataset.probs)
+        self.confidences = dataset.probs.max(axis=1)
+
+    def at(self, rows, labels, u=None) -> np.ndarray:
+        """Score of each row at one label; ``u`` (one draw per row) is
+        required by affine tables and ignored otherwise."""
+        if self.b is None:
+            return self.a[rows, labels]
+        return self.a[rows, labels] + self.b[rows, labels] * u
+
+    def all_labels(self, rows, u=None) -> np.ndarray:
+        """Scores of every label of the rows; ``u`` is one draw per row, and
+        without it affine tables give the deterministic (u = 1) scores."""
+        if self.b is None:
+            return self.a[rows]
+        b = self.b[rows]
+        return self.a[rows] + (b if u is None else b * u[:, None])
+
+    def _parts(self, rows, labels):
+        """(A, B, A + B) at one label per row; A and B are None when the
+        table holds only the sum."""
+        if self.b is None:
+            return None, None, self.a[rows, labels]
+        a, b = self.a[rows, labels], self.b[rows, labels]
+        return a, b, a + b
+
+    def records(self, rows) -> LabeledRecords:
+        """Labeled records of the given (fully labeled) rows."""
+        hats = self.hats[rows]
+        true_a, true_b, true = self._parts(rows, self.dataset.labels[rows])
+        pseudo_a, pseudo_b, pseudo = self._parts(rows, hats)
+        ds = self.dataset
+        return LabeledRecords(
+            pseudo_scores=pseudo, true_scores=true, biases=true - pseudo,
+            pseudo_labels=hats, confidences=self.confidences[rows],
+            true_a=true_a, true_b=true_b, pseudo_a=pseudo_a, pseudo_b=pseudo_b,
+            score_vectors=self.all_labels(rows),
+            logit_vectors=None if ds.logits is None else ds.logits[rows],
+            feature_vectors=None if ds.features is None else ds.features[rows])
+
+    def queries(self, rows) -> "PseudoScores":
+        """Estimator input for the given unlabeled rows."""
+        a, b, det = self._parts(rows, self.hats[rows])
+        return PseudoScores(det, a, b, self, rows)
+
+
+@dataclass
+class PseudoScores:
+    """Unlabeled samples' scores at their pseudo-labels: with the labeled
+    records, everything an estimator reads.
+
+    ``det`` is the deterministic (u = 1) score and ``a``/``b`` are its
+    affine parts (affine tables only), for ``rows`` of ``tables``.
+    """
+
+    det: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    tables: ScoreTables
+    rows: np.ndarray
+
+    def __len__(self):
+        return self.det.shape[0]
+
+    def vectors(self, kind: str) -> np.ndarray:
+        """Query vectors for a non-pseudo-score neighbor criterion."""
+        if kind == "confidence":
+            return self.tables.confidences[self.rows][:, None]
+        if kind == "score_vector":
+            return self.tables.all_labels(self.rows)
+        channel = {"logit": self.tables.dataset.logits,
+                   "feature": self.tables.dataset.features}[kind]
+        if channel is None:
+            raise InputError(f"neighbor criterion {kind!r} needs the "
+                             f"{kind}s channel")
+        return channel[self.rows]
+
+
 def build_labeled_records(labeled: ProbabilityDataset, spec: ScoreSpec) -> LabeledRecords:
     """Score a fully labeled dataset and index it for matching."""
     if len(labeled) == 0:
         raise EstimationError("labeled calibration set is empty")
     if not labeled.fully_labeled:
         raise InputError("labeled dataset has rows without labels")
-    a, b = score_components_batch(labeled.probs, spec)
-    det = a + b
-    rows = np.arange(len(labeled))
-    hats = pseudo_labels(labeled.probs)
-    ys = labeled.labels
-    return LabeledRecords(
-        pseudo_scores=det[rows, hats],
-        true_scores=det[rows, ys],
-        biases=det[rows, ys] - det[rows, hats],
-        pseudo_labels=hats,
-        confidences=labeled.probs.max(axis=1),
-        true_a=a[rows, ys], true_b=b[rows, ys],
-        pseudo_a=a[rows, hats], pseudo_b=b[rows, hats],
-        score_vectors=det,
-        logit_vectors=labeled.logits,
-        feature_vectors=labeled.features,
-    )
+    return ScoreTables(labeled, spec, affine=True).records(np.arange(len(labeled)))
+
+
+def _pseudo(unlabeled, spec: ScoreSpec) -> PseudoScores:
+    """Estimator input: ``unlabeled`` itself when it is already gathered
+    :class:`PseudoScores`, otherwise the scores of a whole dataset."""
+    if isinstance(unlabeled, PseudoScores):
+        return unlabeled
+    return ScoreTables(unlabeled, spec).queries(np.arange(len(unlabeled)))
 
 
 def _match_sorted_1d(sorted_vals, sort_order, queries):
@@ -182,30 +281,25 @@ def _knn_bruteforce(dist2_fn, n_records, queries_count, k):
     return out
 
 
-def _query_channel(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                   spec: ScoreSpec, kind: str):
-    """Per-query and per-record vectors for a neighbor criterion."""
+def _record_vectors(records: LabeledRecords, kind: str):
+    """Per-record vectors for a non-pseudo-score neighbor criterion."""
     if kind == "confidence":
-        return unlabeled.probs.max(axis=1)[:, None], records.confidences[:, None]
+        return records.confidences[:, None]
     if kind == "score_vector":
-        a, b = score_components_batch(unlabeled.probs, spec)
-        return a + b, records.score_vectors
-    if kind == "logit":
-        if unlabeled.logits is None or records.logit_vectors is None:
-            raise InputError("neighbor criterion 'logit' needs the logits channel")
-        return unlabeled.logits, records.logit_vectors
-    if kind == "feature":
-        if unlabeled.features is None or records.feature_vectors is None:
-            raise InputError("neighbor criterion 'feature' needs the features channel")
-        return unlabeled.features, records.feature_vectors
-    raise ConfigurationError(f"unknown neighbor criterion {kind!r}")
+        return records.score_vectors
+    vectors = {"logit": records.logit_vectors,
+               "feature": records.feature_vectors}[kind]
+    if vectors is None:
+        raise InputError(f"neighbor criterion {kind!r} needs the {kind}s channel")
+    return vectors
 
 
-def neighbor_match(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                   spec: ScoreSpec,
+def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
                    criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
     """Matched record indices per unlabeled sample.
 
+    ``unlabeled`` is a :class:`ProbabilityDataset` or :class:`PseudoScores`;
+    the same holds for the estimators below.
     Returns shape (N,) for k = 1 and (N, k) otherwise, ordered nearest
     first.  Ties are broken by the smaller original record index.
     """
@@ -214,15 +308,17 @@ def neighbor_match(unlabeled: ProbabilityDataset, records: LabeledRecords,
     if criterion.k > len(records):
         raise ConfigurationError(
             f"k={criterion.k} exceeds the {len(records)} labeled records")
+    pseudo = _pseudo(unlabeled, spec)
     if criterion.kind == "pseudo_score" and criterion.k == 1:
-        queries = deterministic_pseudo_scores(unlabeled, spec)
-        return _match_sorted_1d(records.sorted_pseudo, records.sort_order, queries)
+        return _match_sorted_1d(records.sorted_pseudo, records.sort_order,
+                                pseudo.det)
 
     if criterion.kind == "pseudo_score":
-        q = deterministic_pseudo_scores(unlabeled, spec)[:, None]
+        q = pseudo.det[:, None]
         r = records.pseudo_scores[:, None]
     else:
-        q, r = _query_channel(unlabeled, records, spec, criterion.kind)
+        q = pseudo.vectors(criterion.kind)
+        r = _record_vectors(records, criterion.kind)
     q = np.asarray(q, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if q.shape[1] != r.shape[1]:
@@ -236,26 +332,21 @@ def neighbor_match(unlabeled: ProbabilityDataset, records: LabeledRecords,
     return matched[:, 0] if criterion.k == 1 else matched
 
 
-def deterministic_pseudo_scores(unlabeled: ProbabilityDataset,
-                                spec: ScoreSpec) -> np.ndarray:
+def deterministic_pseudo_scores(unlabeled, spec: ScoreSpec) -> np.ndarray:
     """Deterministic (u = 1) score of each sample at its pseudo-label."""
-    a, b = score_components_batch(unlabeled.probs, spec)
-    det = a + b
-    return det[np.arange(len(unlabeled)), pseudo_labels(unlabeled.probs)]
+    return _pseudo(unlabeled, spec).det
 
 
-def naive_scores(unlabeled: ProbabilityDataset, spec: ScoreSpec, u=None) -> np.ndarray:
+def naive_scores(unlabeled, spec: ScoreSpec, u=None) -> np.ndarray:
     """Pseudo score of each unlabeled sample, uncorrected."""
-    a, b = score_components_batch(unlabeled.probs, spec)
-    hats = pseudo_labels(unlabeled.probs)
-    rows = np.arange(len(unlabeled))
+    pseudo = _pseudo(unlabeled, spec)
     if spec.randomized:
         if u is None:
             raise ConfigurationError("randomized spec requires u factors")
-        return a[rows, hats] + b[rows, hats] * np.asarray(u, dtype=np.float64)
+        return pseudo.a + pseudo.b * np.asarray(u, dtype=np.float64)
     if u is not None:
         raise ConfigurationError("u factors supplied for a deterministic spec")
-    return a[rows, hats] + b[rows, hats]
+    return pseudo.det
 
 
 def _require_deterministic(spec: ScoreSpec, name: str):
@@ -265,8 +356,7 @@ def _require_deterministic(spec: ScoreSpec, name: str):
             "randomized specs")
 
 
-def nnm_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
-               spec: ScoreSpec,
+def nnm_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
                criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
     """Nearest-neighbor-matched scores: pseudo score + matched record bias.
 
@@ -274,16 +364,16 @@ def nnm_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
     biases is added instead.
     """
     _require_deterministic(spec, "nnm")
-    matched = neighbor_match(unlabeled, records, spec, criterion)
+    pseudo = _pseudo(unlabeled, spec)
+    matched = neighbor_match(pseudo, records, spec, criterion)
     if criterion.k == 1:
         bias = records.biases[matched]
     else:
         bias = records.biases[matched].mean(axis=1)
-    return deterministic_pseudo_scores(unlabeled, spec) + bias
+    return pseudo.det + bias
 
 
-def debias_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                  spec: ScoreSpec) -> np.ndarray:
+def debias_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec) -> np.ndarray:
     """Pseudo scores shifted by the global mean labeled bias."""
     _require_deterministic(spec, "debias")
     if len(records) == 0:
@@ -291,8 +381,8 @@ def debias_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
     return deterministic_pseudo_scores(unlabeled, spec) + records.mean_bias()
 
 
-def random_match_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                        spec: ScoreSpec, stream_key) -> np.ndarray:
+def random_match_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
+                        stream_key) -> np.ndarray:
     """Pseudo scores corrected by a uniformly drawn record's bias.
 
     Draws are independent per unlabeled sample, with replacement, indexed by
@@ -301,12 +391,12 @@ def random_match_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
     _require_deterministic(spec, "random_match")
     if len(records) == 0:
         raise EstimationError("cannot match against an empty labeled set")
-    draws = rng.integers(stream_key, np.arange(len(unlabeled)), len(records))
-    return deterministic_pseudo_scores(unlabeled, spec) + records.biases[draws]
+    det = deterministic_pseudo_scores(unlabeled, spec)
+    draws = rng.integers(stream_key, np.arange(det.shape[0]), len(records))
+    return det + records.biases[draws]
 
 
-def nnm_r_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                 spec: ScoreSpec, u,
+def nnm_r_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec, u,
                  criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
     """Randomized nearest-neighbor-matched scores.
 
@@ -321,11 +411,9 @@ def nnm_r_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
     u = np.asarray(u, dtype=np.float64)
     if u.shape[0] != len(unlabeled):
         raise InputError("one random factor per unlabeled sample is required")
-    matched = neighbor_match(unlabeled, records, spec, criterion)
-    a, b = score_components_batch(unlabeled.probs, spec)
-    rows = np.arange(len(unlabeled))
-    hats = pseudo_labels(unlabeled.probs)
-    own = a[rows, hats] + b[rows, hats] * u
+    pseudo = _pseudo(unlabeled, spec)
+    matched = neighbor_match(pseudo, records, spec, criterion)
+    own = pseudo.a + pseudo.b * u
     # evaluated as S(xj, yj, u) - S(xj, yhat_j, u) so that u = 1 reproduces
     # the deterministic biases bit for bit
     correction = (records.true_a[matched] + records.true_b[matched] * u) - \
@@ -333,12 +421,12 @@ def nnm_r_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
     return own + correction
 
 
-def estimate_scores(unlabeled: ProbabilityDataset, records: LabeledRecords,
-                    spec: ScoreSpec, estimator: EstimatorSpec,
-                    stream_key=None, u=None) -> np.ndarray:
+def estimate_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
+                    estimator: EstimatorSpec, stream_key=None, u=None) -> np.ndarray:
     """Dispatch to the requested estimator (runner entry point)."""
     if len(unlabeled) == 0:
         return np.empty(0, dtype=np.float64)
+    unlabeled = _pseudo(unlabeled, spec)
     if estimator.kind == "naive":
         return naive_scores(unlabeled, spec, u if spec.randomized else None)
     if estimator.kind == "debias":

@@ -187,3 +187,46 @@ def test_shipped_configs_parse_and_run_briefly(tmp_path):
         cfg = R.load_config(p)
         summaries = R.run_experiment(cfg)
         assert set(summaries) == {"standard", "semicp", "oracle"}
+
+
+SWEEP_DOC = {
+    "version": "v1", "n": 5, "N": 10, "test_size": 20, "trials": 2,
+    "data": {"synthetic": {"classes": 3, "samples": 100, "seed": 1}},
+    "sweep": {"axis": "n", "values": [5]},
+}
+BAD_CONFIG_FILES = {
+    "missing": None,
+    "not_json": "{not json",
+    "not_an_object": "[1, 2]",
+    "bad_value": json.dumps({**SWEEP_DOC, "n": "many"}),
+}
+BAD_SWEEP_SECTIONS = {
+    "no_values": {"axis": "n"},
+    "bad_values": {"axis": "n", "values": ["x"]},
+    "not_an_object": ["n", 5],
+}
+
+
+def _exit_code_and_stderr(tmp_path, capsys, command, content):
+    cfg_path = tmp_path / "cfg.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    code = main([command, "--config", str(cfg_path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_bad_config_file_exits_2_with_one_line(tmp_path, capsys, command, case):
+    code, err = _exit_code_and_stderr(tmp_path, capsys, command,
+                                      BAD_CONFIG_FILES[case])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_SECTIONS))
+def test_bad_sweep_section_exits_2_with_one_line(tmp_path, capsys, case):
+    content = json.dumps({**SWEEP_DOC, "sweep": BAD_SWEEP_SECTIONS[case]})
+    code, err = _exit_code_and_stderr(tmp_path, capsys, "sweep", content)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicp import rng
 
@@ -49,3 +51,16 @@ def test_permutation_is_a_permutation():
     assert np.array_equal(np.sort(perm), np.arange(5000))
     other = rng.permutation(rng.stream(3, 3), 5000)
     assert not np.array_equal(perm, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3000),
+       extra=st.integers(1, 50))
+def test_permutation_prefix_equals_stable_argsort_prefix(seed, n, extra):
+    key = rng.stream(seed, 7)
+    full = np.argsort(rng.raw(key, np.arange(n)), kind="stable")
+    for size in (0, 1, n - 1, n, n + extra):
+        got = rng.permutation(key, n, size)
+        assert got.dtype == full.dtype
+        assert np.array_equal(got, full[:size]), size
+    assert np.array_equal(rng.permutation(key, n), full)

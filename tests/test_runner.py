@@ -278,3 +278,208 @@ def test_class_threshold_broadcast_uses_candidate_label():
                        [0.3, 0.3, 2.0]])
     mask = _mask_from_class_thresholds(scores, thresholds)
     assert mask.tolist() == [[True, False, True], [False, True, True]]
+
+
+# --- byte-identity guard -------------------------------------------------
+#
+# sha256 of json.dumps(results_records(...), sort_keys=True) for a small
+# config matrix, pinned from the implementation that rescored every trial
+# pool from its probabilities.  Any change to the scoring, splitting or
+# estimation arithmetic shows up here as a digest mismatch.
+
+_ALL_DET = (
+    MethodSpec("standard", "standard"),
+    MethodSpec("nnm", "semicp", EstimatorSpec("nnm")),
+    MethodSpec("nnm_k3", "semicp", EstimatorSpec("nnm", k=3)),
+    MethodSpec("naive", "semicp", EstimatorSpec("naive")),
+    MethodSpec("debias", "semicp", EstimatorSpec("debias")),
+    MethodSpec("random_match", "semicp", EstimatorSpec("random_match")),
+    MethodSpec("nnm_score_vector", "semicp",
+               EstimatorSpec("nnm", criterion="score_vector")),
+    MethodSpec("nnm_confidence", "semicp",
+               EstimatorSpec("nnm", criterion="confidence")),
+    MethodSpec("nnm_logit", "semicp", EstimatorSpec("nnm", criterion="logit")),
+    MethodSpec("nnm_feature", "semicp",
+               EstimatorSpec("nnm", criterion="feature")),
+    MethodSpec("oracle", "oracle"),
+)
+_ALL_RAND = (
+    MethodSpec("standard", "standard"),
+    MethodSpec("nnm_r", "semicp", EstimatorSpec("nnm_r")),
+    MethodSpec("naive", "semicp", EstimatorSpec("naive")),
+    MethodSpec("nnm_r_score_vector", "semicp",
+               EstimatorSpec("nnm_r", criterion="score_vector")),
+    MethodSpec("oracle", "oracle"),
+)
+_MODES = {
+    "interpolation": CalibrationPlan(mode="interpolation"),
+    "group_pseudo": CalibrationPlan(mode="group_conditional", n_groups=3),
+    "class_conditional": CalibrationPlan(mode="class_conditional"),
+    "clustercp": CalibrationPlan(mode="clustercp", n_clusters=2),
+}
+_TRUE_LABEL = CalibrationPlan(mode="group_conditional", n_groups=3,
+                              group_rule="true_label")
+_NO_SEMICP = (MethodSpec("standard", "standard"), MethodSpec("oracle", "oracle"))
+
+
+def _matrix_config(**kw):
+    args = dict(source=synth_source(n_classes=6, n_samples=1500, signal=2.0,
+                                    seed=21),
+                n=40, N=300, test_size=150, trials=3, base_seed=13)
+    args.update(kw)
+    return ExperimentConfig(**args)
+
+
+def _synthetic_matrix():
+    out = {}
+    for kind in ("thr", "aps", "raps", "saps"):
+        out[f"{kind}_marginal"] = _matrix_config(score=ScoreSpec(kind),
+                                                 methods=_ALL_DET)
+    for kind in ("aps", "raps", "saps"):
+        out[f"{kind}_r_marginal"] = _matrix_config(
+            score=ScoreSpec(kind, randomized=True), methods=_ALL_RAND)
+    for tag, spec, methods in (("aps", ScoreSpec("aps"), _ALL_DET[:6] + _ALL_DET[-1:]),
+                               ("raps_r", ScoreSpec("raps", randomized=True),
+                                _ALL_RAND)):
+        for mode, plan in _MODES.items():
+            out[f"{tag}_{mode}"] = _matrix_config(score=spec, methods=methods,
+                                                  calibration=plan)
+        out[f"{tag}_group_true_label"] = _matrix_config(
+            score=spec, methods=_NO_SEMICP, calibration=_TRUE_LABEL)
+    return out
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    from semicp.dataio import save_dataset
+    from semicp.datagen import generate_synthetic
+    root = tmp_path_factory.mktemp("matrix")
+    paths = {}
+    for name, rows, signal, seed in (("lab", 200, 1.5, 61), ("pool", 900, 2.0, 62),
+                                     ("test", 400, 2.0, 63)):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=5, n_samples=rows, signal=signal, seed=seed))
+        paths[name] = str(root / f"{name}.csv")
+        save_dataset(ds, paths[name])
+    grouped = generate_synthetic(SyntheticConfig(
+        n_classes=5, n_samples=700, signal=2.0, seed=64))
+    grouped.features = (np.arange(700) % 3).astype(float)[:, None]
+    paths["grouped"] = str(root / "grouped.csv")
+    save_dataset(grouped, paths["grouped"])
+    return paths
+
+
+def _file_matrix(paths):
+    separate = DataSource(labeled_file=paths["lab"],
+                          unlabeled_file=paths["pool"], test_file=paths["test"])
+    pool_test = DataSource(labeled_file=paths["lab"], unlabeled_file=paths["pool"])
+    single = DataSource(labeled_file=paths["grouped"])
+    base = dict(n=30, N=250, test_size=120, trials=3, base_seed=29)
+    return {
+        "files_separate_aps_marginal": ExperimentConfig(
+            source=separate, score=ScoreSpec("aps"), methods=_ALL_DET[:6]
+            + _ALL_DET[-1:], **base),
+        "files_separate_raps_r_group": ExperimentConfig(
+            source=separate, score=ScoreSpec("raps", randomized=True),
+            methods=_ALL_RAND, calibration=_MODES["group_pseudo"], **base),
+        "files_separate_thr_class": ExperimentConfig(
+            source=separate, calibration=_MODES["class_conditional"], **base),
+        "files_pool_test_thr_clustercp": ExperimentConfig(
+            source=pool_test, calibration=_MODES["clustercp"], **base),
+        "files_single_saps_external": ExperimentConfig(
+            source=single, score=ScoreSpec("saps"),
+            calibration=CalibrationPlan(mode="group_conditional", n_groups=3,
+                                        group_rule="external_column"), **base),
+    }
+
+
+def _records_digest(config):
+    import hashlib
+    records = results_records(config, run_experiment(config))
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+PINNED_DIGESTS = {
+    "aps_class_conditional":
+        "6be3706faee9fa1f1a0207f003e1d9996f27bdd79debba42cfbb23ae75276327",
+    "aps_clustercp":
+        "c00659e063ba725b92586452b3be83eab94315f98b77b98c1e31264429a70903",
+    "aps_group_pseudo":
+        "5030ec44914efef6b1a3c005855135019d099585505f9f52d8a28099401d8a7d",
+    "aps_group_true_label":
+        "f103c929478ecb9081c5c01c9642f7f21b909cce8a24d7d3b1bafe661338b960",
+    "aps_interpolation":
+        "3d08a9ec4a68605b6d0b95b037fa23e14fe10ac9feed64b1bc75d965e9eac0f4",
+    "aps_marginal":
+        "c740815d7409582fea3ee78cb475c85f2e60bb9d16513d96f9e7f277c3811158",
+    "aps_r_marginal":
+        "0ac6e4b09a01b595f8f0c20496dada78427587afc4f828de7ba5a993b671a1e0",
+    "files_pool_test_thr_clustercp":
+        "6ba92781a09797dd0d28fabbcca0031608fe46deb4e965dee5d809a81dabe0ff",
+    "files_separate_aps_marginal":
+        "c953ee1ef45392dcf5d7b159efc7aef39882abce7ce409ea0752aa6cf69b7de8",
+    "files_separate_raps_r_group":
+        "4d357cc53cdfc5167fab9dcccd02bb74582deb4018193d6ada9207c54f807f8b",
+    "files_separate_thr_class":
+        "5272680eeecf13a2e4722dbe5c3b9ad5d936c66965428f6b6a54916d8174218c",
+    "files_single_saps_external":
+        "9e15d1a7fb7172520ccfcbc92920ae78a7e22cbca7b74aab255352d91b3b97e3",
+    "raps_marginal":
+        "878ccc4fc552e895a028ec60bf4c4423ebb8250897fcf9156389202f24ed3d52",
+    "raps_r_class_conditional":
+        "c07b7606e6c8fbcaf09ee36c96038f5ffdbf9bbf9ca0d21c62b22f9dd88dc07a",
+    "raps_r_clustercp":
+        "4a37a36186d81db01c1771cd310463e7069626c372c3032634881f28da5b7b32",
+    "raps_r_group_pseudo":
+        "8b6bc45e13ec3ecb6872abfbe4e3a95240f2ff296e3b3e55e88237428a1d16f5",
+    "raps_r_group_true_label":
+        "33735a19c29c5798e8252ae72086216005c563da5fe3c0e934b9c2ac37c0a9ac",
+    "raps_r_interpolation":
+        "a80b8879e9c55421213476f0e3b7175b48157a82e96482c8227a29610e265fa1",
+    "raps_r_marginal":
+        "da0c5e289787e20ede200f667e7d4a83d58d1b2284c5a5c9e49b81341ce5b45f",
+    "saps_marginal":
+        "23ed2ac5c59eaea812b19de3de6b5f23093157236607583e1d1ae23e7fb809bc",
+    "saps_r_marginal":
+        "e278060ad9ae1e62b27e5343ef1b56e184d59bab2d70728a744ea118cd512850",
+    "thr_marginal":
+        "5061d7f21e16d585032f1b2bfe2a75c57b948bbb6049d233ac039672e5c87a4d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_results_records_byte_identical_to_pinned(name, matrix_files):
+    configs = {**_synthetic_matrix(), **_file_matrix(matrix_files)}
+    assert set(configs) == set(PINNED_DIGESTS)
+    assert _records_digest(configs[name]) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("plan", [
+    CalibrationPlan(),
+    CalibrationPlan(mode="interpolation"),
+    CalibrationPlan(mode="group_conditional", n_groups=3),
+    CalibrationPlan(mode="group_conditional", n_groups=3, group_rule="true_label"),
+    CalibrationPlan(mode="class_conditional"),
+    CalibrationPlan(mode="clustercp", n_clusters=2),
+], ids=lambda plan: f"{plan.mode}-{plan.group_rule}")
+def test_standard_and_semicp_never_read_unlabeled_pool_labels(plan, matrix_files,
+                                                              tmp_path):
+    from semicp.dataio import load_dataset, save_dataset
+    hidden = load_dataset(matrix_files["pool"])
+    hidden.labels[:] = -1
+    hidden_path = tmp_path / "pool_hidden.csv"
+    save_dataset(hidden, hidden_path)
+    methods = (MethodSpec("standard", "standard"),
+               MethodSpec("semicp", "semicp"),
+               MethodSpec("random_match", "semicp", EstimatorSpec("random_match")))
+    outputs = []
+    for pool in (matrix_files["pool"], str(hidden_path)):
+        config = ExperimentConfig(
+            source=DataSource(labeled_file=matrix_files["lab"],
+                              unlabeled_file=pool,
+                              test_file=matrix_files["test"]),
+            n=30, N=250, test_size=120, trials=3, base_seed=31,
+            score=ScoreSpec("aps"), methods=methods, calibration=plan)
+        outputs.append(json.dumps(results_records(config, run_experiment(config)),
+                                  sort_keys=True))
+    assert outputs[0] == outputs[1]
