@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -23,8 +24,8 @@ from .calibration import (ScoredPool, Threshold, epsilon_bias, prediction_mask,
                           semicp_threshold)
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, \
     generate_synthetic, measure_top1_accuracy
-from .dataio import load_dataset, load_threshold, save_dataset, save_threshold, \
-    write_results
+from .dataio import check_writable, load_dataset, load_threshold, \
+    save_dataset, save_threshold, write_prediction_sets, write_results
 from .errors import ConfigurationError, SemicpError, exit_code_for
 from .metrics import avg_size, coverage
 from .scores import ScoreSpec
@@ -119,7 +120,13 @@ def _cmd_gen(args) -> int:
         raise ConfigurationError("gen requires --out")
     prior = None
     if args.prior:
-        prior = tuple(float(x) for x in args.prior.split(","))
+        try:
+            prior = tuple(float(x) for x in args.prior.split(","))
+        except ValueError:
+            prior = None
+        if prior is None or not all(map(math.isfinite, prior)):
+            raise ConfigurationError(f"--prior must be comma-separated finite "
+                                     f"numbers, got {args.prior!r}")
     cfg = SyntheticConfig(n_classes=args.classes, n_samples=args.samples,
                           signal=args.signal, noise_sigma=args.noise_sigma,
                           temperature=args.temperature, prior=prior,
@@ -192,6 +199,9 @@ def _cmd_predict(args) -> int:
     test = load_dataset(args.test)
     if args.threshold_file:
         threshold = load_threshold(args.threshold_file)
+    elif not math.isfinite(args.threshold):
+        raise ConfigurationError(f"--threshold must be finite, got "
+                                 f"{args.threshold}")
     else:
         threshold = Threshold(value=args.threshold, include_all=False,
                               level_index=0, pool_size=0, alpha=0.0)
@@ -206,14 +216,7 @@ def _cmd_predict(args) -> int:
         cov = coverage(mask[labeled_rows], test.labels[labeled_rows])
         print(f"coverage={cov:.6g} (over {int(labeled_rows.sum())} labeled rows)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index,label,set_size,covered,classes\n")
-            for i in range(len(test)):
-                classes = np.nonzero(mask[i])[0]
-                label = int(test.labels[i])
-                covered = "" if label < 0 else str(int(mask[i, label]))
-                fh.write(f"{i},{label},{classes.size},{covered},"
-                         f"{'|'.join(str(c) for c in classes)}\n")
+        write_prediction_sets(mask, test.labels, args.out)
         print(f"wrote prediction sets to {args.out}")
     return 0
 
@@ -285,6 +288,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            check_writable(args.out)
         return _COMMANDS[args.command](args)
     except SemicpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,13 @@ Dataset CSV contract (version v1)::
   softmax at temperature 1.
 * ``f_*`` columns are an optional feature vector of dimension ``features``.
 * Floats are written with 17 significant digits, so save -> load is exact.
+* Blank and whitespace-only lines are skipped.  Row numbers in error
+  messages count the lines after the header, blank lines included.
+
+The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
+``READ_CHUNK`` characters each) and each chunk is validated as one array;
+only when that fails are the chunk's rows walked one by one, to name the
+first bad row.  Rows are written in blocks, one ``%`` format per block.
 
 Results files carry one record per (method, configuration) with the fields
 method, score, n, N, alpha, trials, cov_gap, over_cov_gap, under_cov_gap,
@@ -21,6 +28,10 @@ field with the histogram encoded as '|'-joined bin counts.
 """
 
 import json
+import math
+import os
+import re
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,43 +46,87 @@ RESULT_FIELDS = ("method", "score", "n", "N", "alpha", "trials", "cov_gap",
                  "over_cov_gap", "under_cov_gap", "avg_size", "improvement",
                  "histogram", "mean_coverage", "group_cov_gap")
 
+# rows formatted per write by save_dataset
+WRITE_BLOCK = 1024
+# characters read per np.loadtxt call by load_dataset (then up to the end of
+# the line); bounds the text and line objects a load holds at once
+READ_CHUNK = 1 << 20
+
+# a line holding only whitespace; \S and \s follow str.isspace
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+_ASCII_SPACES = [c for c in map(chr, range(128)) if c.isspace() and c != "\n"]
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _output(path):
+    """Open ``path`` for writing; a failure to open or write is a DataError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write output: {exc}") from None
+
+
+def check_writable(path):
+    """Raise DataError now, not after the work, if ``path`` cannot be written.
+
+    Opens the file for appending, which leaves an existing file as it is,
+    and removes it again when it did not exist before.
+    """
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise DataError(f"cannot write output: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def save_dataset(dataset: ProbabilityDataset, path):
     k = dataset.n_classes
+    channels = [dataset.probs]
     cols = ["label"] + [f"p_{j}" for j in range(k)]
     if dataset.logits is not None:
+        channels.append(dataset.logits)
         cols += [f"z_{j}" for j in range(k)]
     feat_dim = 0 if dataset.features is None else dataset.features.shape[1]
+    if feat_dim:
+        channels.append(dataset.features)
     cols += [f"f_{j}" for j in range(feat_dim)]
+    # "%.17g" formats a float exactly like format(v, ".17g")
+    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    n = len(dataset)
+    with _output(path) as fh:
         fh.write(f"#semicp,v1,K={k},features={feat_dim}\n")
         fh.write(",".join(cols) + "\n")
-        for i in range(len(dataset)):
-            parts = [str(int(dataset.labels[i]))]
-            parts += [_fmt(v) for v in dataset.probs[i]]
-            if dataset.logits is not None:
-                parts += [_fmt(v) for v in dataset.logits[i]]
-            if dataset.features is not None:
-                parts += [_fmt(v) for v in dataset.features[i]]
-            fh.write(",".join(parts) + "\n")
+        for start in range(0, n, WRITE_BLOCK):
+            stop = min(start + WRITE_BLOCK, n)
+            block = np.hstack([dataset.labels[start:stop, None]]
+                              + [c[start:stop] for c in channels])
+            fh.write((row * (stop - start)) % tuple(block.ravel().tolist()))
 
 
 def _parse_magic(line: str, path):
     if not line.startswith(MAGIC_PREFIX):
         raise DataError(f"{path}: missing '#semicp,v1' magic line")
+    malformed = DataError(f"{path}: malformed magic line {line.strip()!r}")
     k = feat = None
-    for part in line[len(MAGIC_PREFIX):].strip().split(","):
-        if part.startswith("K="):
-            k = int(part[2:])
-        elif part.startswith("features="):
-            feat = int(part[9:])
+    try:
+        for part in line[len(MAGIC_PREFIX):].strip().split(","):
+            if part.startswith("K="):
+                k = int(part[2:])
+            elif part.startswith("features="):
+                feat = int(part[9:])
+    except ValueError:
+        raise malformed from None
     if k is None or feat is None or k < 2 or feat < 0:
-        raise DataError(f"{path}: malformed magic line {line.strip()!r}")
+        raise malformed
     return k, feat
 
 
@@ -81,6 +136,8 @@ def load_dataset(path) -> ProbabilityDataset:
         return _load_dataset(path)
     except OSError as exc:
         raise DataError(f"cannot read dataset: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _load_dataset(path) -> ProbabilityDataset:
@@ -101,57 +158,106 @@ def _load_dataset(path) -> ProbabilityDataset:
         if header != expected:
             raise DataError(f"{path}: header {header} does not match the "
                             f"declared channels {expected}")
+        n_probs = k if have_probs else 0
+        table = _read_rows(fh, path, k, len(expected), n_probs)
 
-        n_cols = len(expected)
-        labels, probs, logits, features = [], [], [], []
-        for row_idx, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
-                raise DataError(f"{path} row {row_idx}: expected {n_cols} "
-                                f"columns, got {len(parts)}")
-            try:
-                values = [float(v) for v in parts]
-            except ValueError as exc:
-                raise DataError(f"{path} row {row_idx}: {exc}") from None
-            if not all(np.isfinite(values)):
-                raise DataError(f"{path} row {row_idx}: non-finite value")
-            label = int(values[0])
-            if label != values[0] or not -1 <= label < k:
-                raise DataError(f"{path} row {row_idx}: label {values[0]} "
-                                f"outside {{-1, 0..{k - 1}}}")
-            pos = 1
-            if have_probs:
-                row = np.array(values[pos:pos + k])
-                if np.any(row < 0) or abs(row.sum() - 1.0) > PROB_SUM_TOL:
-                    raise DataError(f"{path} row {row_idx}: invalid probability "
-                                    f"row (sum={row.sum():.8f})")
-                probs.append(row)
-                pos += k
-            if have_logits:
-                logits.append(np.array(values[pos:pos + k]))
-                pos += k
-            if feat_dim:
-                features.append(np.array(values[pos:pos + feat_dim]))
-            labels.append(label)
-
-    if not labels:
-        raise DataError(f"{path}: no data rows")
-    logit_arr = np.vstack(logits) if have_logits else None
+    pos = 1 + n_probs
+    logits = table[:, pos:pos + k] if have_logits else None
     if have_probs:
-        prob_arr = np.vstack(probs)
+        probs = table[:, 1:pos]
     else:
-        z = logit_arr - logit_arr.max(axis=1, keepdims=True)
+        z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
-        prob_arr = e / e.sum(axis=1, keepdims=True)
+        probs = e / e.sum(axis=1, keepdims=True)
     return ProbabilityDataset(
-        probs=prob_arr,
-        labels=np.array(labels, dtype=np.int64),
-        logits=logit_arr,
-        features=np.vstack(features) if feat_dim else None,
+        probs=probs,
+        labels=table[:, 0].astype(np.int64),
+        logits=logits,
+        features=table[:, -feat_dim:] if feat_dim else None,
     )
+
+
+def _read_rows(fh, path, k, n_cols, n_probs):
+    """The rest of ``fh`` as one (rows, n_cols) array, parsed and checked one
+    chunk of whole lines at a time."""
+    tables = []
+    rows_before = 0  # lines after the header that precede the chunk
+    while text := fh.read(READ_CHUNK):
+        text += fh.readline()
+        lines = _blank_lines_emptied(text).split("\n")
+        if any(lines):
+            try:
+                table = np.loadtxt(lines, delimiter=",", dtype=np.float64,
+                                   ndmin=2, comments=None)
+            except ValueError as exc:
+                raise _first_bad_row(path, lines, rows_before, k, n_cols,
+                                     n_probs, exc) from None
+            if table.shape[1] != n_cols or _row_problem(table, k, n_probs):
+                raise _first_bad_row(path, lines, rows_before, k, n_cols,
+                                     n_probs)
+            tables.append(table)
+        rows_before += text.count("\n")
+    if not tables:
+        raise DataError(f"{path}: no data rows")
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
+def _blank_lines_emptied(text):
+    """``text`` with whitespace-only lines made empty: loadtxt skips empty
+    lines but not whitespace-only ones."""
+    # the regex pass is needed only when the text holds other whitespace
+    # than newlines
+    if not text.isascii() or any(c in text for c in _ASCII_SPACES):
+        return _BLANK_LINE.sub("", text)
+    return text
+
+
+def _row_problem(table, k, n_probs):
+    """The contract breach of the first bad row of ``table``, or None.
+
+    Checked per row in this order: finite values, the label, and the
+    probability columns (nonnegative, summing to 1).
+    """
+    finite = np.isfinite(table).all(axis=1)
+    labels = table[:, 0]
+    label_ok = (labels == np.trunc(labels)) & (labels >= -1) & (labels < k)
+    probs = table[:, 1:1 + n_probs]
+    sums = probs.sum(axis=1)
+    bad = ~(finite & label_ok)
+    if n_probs:
+        bad |= (probs < 0).any(axis=1) | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        return "non-finite value"
+    if not label_ok[i]:
+        return f"label {labels[i]} outside {{-1, 0..{k - 1}}}"
+    return f"invalid probability row (sum={sums[i]:.8f})"
+
+
+def _first_bad_row(path, lines, rows_before, k, n_cols, n_probs,
+                   parse_error=None):
+    """A DataError naming the first bad row of a chunk, found by walking its
+    lines in order.  Only called once the chunk's array parse or check has
+    failed."""
+    for row_idx, line in enumerate(lines, start=rows_before + 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            return DataError(f"{path} row {row_idx}: expected {n_cols} "
+                             f"columns, got {len(parts)}")
+        try:
+            values = np.array([[float(v) for v in parts]])
+        except ValueError as exc:
+            return DataError(f"{path} row {row_idx}: {exc}")
+        problem = _row_problem(values, k, n_probs)
+        if problem:
+            return DataError(f"{path} row {row_idx}: {problem}")
+    # float() accepts a few spellings loadtxt does not, such as "1_000"
+    return DataError(f"{path}: unreadable data rows ({parse_error})")
 
 
 def _ordered_record(record: dict) -> dict:
@@ -170,14 +276,14 @@ def write_results(records, path, fmt: str = "json"):
     records = [_ordered_record(r) for r in records]
     if fmt == "json":
         payload = {"schema": "semicp-results-v1", "results": records}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(path) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         return
     if fmt != "csv":
         raise DataError(f"unknown results format {fmt!r}")
     columns = list(RESULT_FIELDS)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(",".join(columns) + "\n")
         for rec in records:
             cells = []
@@ -194,15 +300,38 @@ def write_results(records, path, fmt: str = "json"):
             fh.write(",".join(cells) + "\n")
 
 
+def write_prediction_sets(mask, labels, path):
+    """One row per sample: index, label, set size, covered, '|'-joined classes."""
+    with _output(path) as fh:
+        fh.write("index,label,set_size,covered,classes\n")
+        for i in range(len(labels)):
+            classes = np.nonzero(mask[i])[0]
+            label = int(labels[i])
+            covered = "" if label < 0 else str(int(mask[i, label]))
+            fh.write(f"{i},{label},{classes.size},{covered},"
+                     f"{'|'.join(str(c) for c in classes)}\n")
+
+
 def save_threshold(threshold: Threshold, path, extra: dict = None):
     payload = threshold.to_dict()
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def load_threshold(path) -> Threshold:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Threshold.from_dict(json.load(fh))
+    """Read a threshold file written by save_threshold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            threshold = Threshold.from_dict(json.load(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read threshold file: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: threshold file lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:  # not JSON, or a field of a wrong type
+        raise DataError(f"{path}: invalid threshold file ({exc})") from None
+    if not threshold.include_all and not math.isfinite(threshold.value):
+        raise DataError(f"{path}: threshold value must be finite")
+    return threshold

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from semicp import runner
 from semicp.cli import main
 from semicp.calibration import conformal_quantile
 from semicp.dataio import load_dataset
@@ -230,3 +231,84 @@ def test_bad_sweep_section_exits_2_with_one_line(tmp_path, capsys, case):
     code, err = _exit_code_and_stderr(tmp_path, capsys, "sweep", content)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n0,0.25,0.75\n1,0.5,0.5\n"
+RUN_DOC = {**SWEEP_DOC, "n": 5, "N": 10, "test_size": 20}
+
+
+def _data_file(tmp_path, content=DATA):
+    path = tmp_path / "data.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _threshold_file(tmp_path, content):
+    path = tmp_path / "thr.json"
+    if content is not None:
+        path.write_text(content)
+    return ["predict", "--test", _data_file(tmp_path),
+            "--threshold-file", str(path)]
+
+
+def _config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(RUN_DOC))
+    return str(path)
+
+
+def _unwritable(tmp_path):
+    return str(tmp_path / "no_such_dir" / "out")
+
+
+# (argv builder, exit code) for every input error the CLI maps to one line
+CLI_ERRORS = {
+    "magic_K_not_int": (lambda t: ["calibrate", "--labeled", _data_file(
+        t, DATA.replace("K=2", "K=abc"))], 3),
+    "dataset_not_utf8": (lambda t: ["calibrate", "--labeled", _data_file(
+        t, DATA.encode() + b"\xff,0.5,0.5\n")], 3),
+    "threshold_file_missing": (lambda t: _threshold_file(t, None), 3),
+    "threshold_file_bad_json": (lambda t: _threshold_file(t, "{oops"), 3),
+    "threshold_file_no_include_all": (
+        lambda t: _threshold_file(t, '{"value": 0.5}'), 3),
+    "gen_out_unwritable": (lambda t: ["gen", "--classes", "3", "--samples",
+                                      "10", "--out", _unwritable(t)], 3),
+    "calibrate_out_unwritable": (lambda t: ["calibrate", "--labeled",
+                                            _data_file(t), "--out",
+                                            _unwritable(t)], 3),
+    "predict_out_unwritable": (lambda t: ["predict", "--test", _data_file(t),
+                                          "--threshold", "0.5", "--out",
+                                          _unwritable(t)], 3),
+    "run_out_unwritable": (lambda t: ["run", "--config", _config_file(t),
+                                      "--out", _unwritable(t)], 3),
+    "sweep_out_unwritable": (lambda t: ["sweep", "--config", _config_file(t),
+                                        "--out", _unwritable(t)], 3),
+    "gen_prior_not_numbers": (lambda t: ["gen", "--classes", "3", "--samples",
+                                         "10", "--prior", "a,b,c", "--out",
+                                         str(t / "g.csv")], 2),
+    "gen_prior_nan": (lambda t: ["gen", "--classes", "2", "--samples", "10",
+                                 "--prior", "0.5,nan", "--out",
+                                 str(t / "g.csv")], 2),
+    "predict_threshold_nan": (lambda t: ["predict", "--test", _data_file(t),
+                                         "--threshold", "nan"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_input_error_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                             case):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the input error was found")
+
+    # run and sweep must reject an unwritable --out before any trial runs
+    monkeypatch.setattr(runner, "run_experiment", no_trials)
+    monkeypatch.setattr(runner, "run_sweep", no_trials)
+    build_argv, want = CLI_ERRORS[case]
+    code = main(build_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == want
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semicp.dataio import (RESULT_FIELDS, load_dataset, load_threshold,
-                           save_dataset, save_threshold, write_results)
+from semicp import dataio
+from semicp.dataio import (RESULT_FIELDS, check_writable, load_dataset,
+                           load_threshold, save_dataset, save_threshold,
+                           write_results)
 from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
 from semicp.calibration import conformal_quantile
@@ -146,3 +150,199 @@ def test_threshold_file_roundtrip(tmp_path):
 def test_missing_file_is_data_error():
     with pytest.raises(DataError):
         load_dataset("/nonexistent/nope.csv")
+
+
+def reference_csv(ds) -> str:
+    """The dataset CSV written one field at a time with format(v, ".17g")."""
+    k = ds.n_classes
+    feat_dim = 0 if ds.features is None else ds.features.shape[1]
+    cols = ["label"] + [f"p_{j}" for j in range(k)]
+    if ds.logits is not None:
+        cols += [f"z_{j}" for j in range(k)]
+    cols += [f"f_{j}" for j in range(feat_dim)]
+    out = [f"#semicp,v1,K={k},features={feat_dim}\n", ",".join(cols) + "\n"]
+    for i in range(len(ds)):
+        parts = [str(int(ds.labels[i]))]
+        for channel in (ds.probs, ds.logits, ds.features):
+            if channel is not None:
+                parts += [format(float(v), ".17g") for v in channel[i]]
+        out.append(",".join(parts) + "\n")
+    return "".join(out)
+
+
+EDGE_VALUES = (0.0, -0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3)
+real_values = st.one_of(st.sampled_from(EDGE_VALUES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+prob_weights = st.one_of(st.sampled_from((0.0, -0.0, 1e-300, 1.0)),
+                         st.floats(min_value=0.0, max_value=1e6))
+
+
+@st.composite
+def datasets(draw):
+    k = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 40))
+    weights = np.array(draw(st.lists(prob_weights, min_size=rows * k,
+                                     max_size=rows * k))).reshape(rows, k)
+    weights[:, 0] = np.where(weights.sum(axis=1) > 0, weights[:, 0], 1.0)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+
+    def channel(width):
+        return np.array(draw(st.lists(real_values, min_size=rows * width,
+                                      max_size=rows * width))).reshape(rows, width)
+
+    return ProbabilityDataset(
+        probs=probs,
+        labels=draw(st.lists(st.integers(-1, k - 1), min_size=rows,
+                             max_size=rows)),
+        logits=channel(k) if draw(st.booleans()) else None,
+        features=channel(draw(st.integers(1, 3))) if draw(st.booleans()) else None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=datasets())
+def test_save_matches_reference_writer_and_loads_back_exactly(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("prop") / "d.csv"
+    save_dataset(ds, path)
+    assert path.read_bytes() == reference_csv(ds).encode()
+    back = load_dataset(path)
+    for name in ("probs", "labels", "logits", "features"):
+        want, got = getattr(ds, name), getattr(back, name)
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_blocks_and_chunks_round_trip_exactly(tmp_path, monkeypatch):
+    # more rows than one write block, and a last block that is not full
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=2500, seed=4))
+    path = tmp_path / "big.csv"
+    save_dataset(ds, path)
+    assert path.read_text() == reference_csv(ds)
+    whole = load_dataset(path)
+    monkeypatch.setattr(dataio, "READ_CHUNK", 5000)  # about 50 rows a chunk
+    chunked = load_dataset(path)
+    for name in ("probs", "labels", "logits", "features"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+        assert np.array_equal(getattr(chunked, name), getattr(ds, name))
+
+
+K2_HEADER = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n"
+BAD_ROWS = {
+    "columns": ("0,0.5", "expected 3 columns, got 2"),
+    "not_a_number": ("0,0.5,abc", "could not convert"),
+    "non_finite": ("0,inf,0.5", "non-finite value"),
+    "label_range": ("2,0.5,0.5", "label 2.0 outside"),
+    "label_fraction": ("0.5,0.5,0.5", "label 0.5 outside"),
+    "negative_prob": ("0,-0.5,1.5", "invalid probability row"),
+    "prob_sum": ("1,0.4,0.5", r"invalid probability row \(sum=0.90000000\)"),
+    "hash_in_field": ("0,0.5#note,0.5", "could not convert"),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 12])
+@pytest.mark.parametrize("blank", ["", " \t"])
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_bad_row_names_its_line_counting_blank_lines(tmp_path, monkeypatch,
+                                                     kind, blank, chunk):
+    if chunk is not None:  # the bad row in a later chunk than the first
+        monkeypatch.setattr(dataio, "READ_CHUNK", chunk)
+    row, message = BAD_ROWS[kind]
+    path = tmp_path / "bad.csv"
+    # a later bad row must not be reported before the first one
+    path.write_text(K2_HEADER + f"0,0.5,0.5\n{blank}\n{row}\n1,nan,0.5\n")
+    with pytest.raises(DataError, match=rf"row 3: {message}"):
+        load_dataset(path)
+
+
+def test_hash_ends_no_row_early(tmp_path):
+    path = tmp_path / "hash.csv"
+    path.write_text(K2_HEADER + "0,0.5,0.5 # a comment\n")
+    with pytest.raises(DataError, match="row 1"):
+        load_dataset(path)
+    path.write_text(K2_HEADER + "# a comment line\n")
+    with pytest.raises(DataError, match="row 1"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_blank_lines_are_skipped(tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(dataio, "READ_CHUNK", chunk)
+    path = tmp_path / "blank.csv"
+    path.write_text(K2_HEADER + "\n 0,0.25,0.75 \n\t\n\u00a0\n-1,0.5,0.5\n\n")
+    ds = load_dataset(path)
+    assert ds.labels.tolist() == [0, -1]
+    assert ds.probs.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+    path.write_text(K2_HEADER + "\n  \n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_dataset(path)
+
+
+def test_underscore_digits_are_rejected(tmp_path):
+    # float() reads "0.2_5", np.loadtxt does not; the loader follows loadtxt
+    path = tmp_path / "underscore.csv"
+    path.write_text(K2_HEADER + "0,0.2_5,0.75\n")
+    with pytest.raises(DataError, match="unreadable data rows"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("magic", ["#semicp,v1,K=abc,features=0",
+                                   "#semicp,v1,K=3,features=x",
+                                   "#semicp,v1,K=1,features=0"])
+def test_malformed_magic_line(tmp_path, magic):
+    path = tmp_path / "m.csv"
+    path.write_text(magic + "\nlabel,p_0,p_1\n0,0.5,0.5\n")
+    with pytest.raises(DataError, match="malformed magic line"):
+        load_dataset(path)
+
+
+def test_non_utf8_dataset_is_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(K2_HEADER.encode() + b"0,0.5,0.5\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read threshold file"),
+    ("{not json", "invalid threshold file"),
+    (b"\xff", "invalid threshold file"),
+    ('{"value": 0.5}', "lacks the field 'include_all'"),
+    ("[1, 2]", "invalid threshold file"),
+    ('{"value": "x", "include_all": false, "level_index": 1, '
+     '"pool_size": 2, "alpha": 0.1}', "invalid threshold file"),
+    ('{"value": NaN, "include_all": false, "level_index": 1, '
+     '"pool_size": 2, "alpha": 0.1}', "must be finite"),
+])
+def test_bad_threshold_file_is_data_error(tmp_path, content, message):
+    path = tmp_path / "t.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(DataError, match=message):
+        load_threshold(path)
+
+
+def test_unwritable_outputs_are_data_errors(tmp_path):
+    missing_dir = tmp_path / "missing" / "out"
+    with pytest.raises(DataError, match="cannot write output"):
+        check_writable(missing_dir)
+    with pytest.raises(DataError, match="cannot write output"):
+        save_dataset(toy_dataset(), missing_dir)
+    with pytest.raises(DataError, match="cannot write output"):
+        write_results([], missing_dir, "csv")
+    with pytest.raises(DataError, match="cannot write output"):
+        save_threshold(conformal_quantile([0.3], 0.25), missing_dir)
+
+
+def test_check_writable_leaves_files_as_they_were(tmp_path):
+    new = tmp_path / "new.csv"
+    check_writable(new)
+    assert not new.exists()
+    old = tmp_path / "old.csv"
+    old.write_text("keep me\n")
+    check_writable(old)
+    assert old.read_text() == "keep me\n"
