@@ -6,10 +6,17 @@ finite threshold exists and an include-all sentinel is produced instead of
 a float infinity (explicit and serializable).
 
 Semi-supervised calibration concatenates labeled true scores with estimated
-unlabeled scores and applies the same rule to the merged pool.  Group
-conditional and per-class clustered variants compute one threshold per
-group/cluster; interpolation refines the plain quantile between adjacent
-order statistics.
+unlabeled scores and applies the same rule to the merged pool;
+interpolation refines the plain quantile between adjacent order statistics.
+
+Conditional calibration takes the same quantile per group.  A group map
+gives each labeled and each unlabeled score a group id, and
+:func:`conditional_thresholds` returns one threshold per group plus the
+marginal one, which id -1 selects.  Group-conditional calibration groups
+samples; class-conditional calibration groups by class, so a test cell
+(sample, candidate label) takes the threshold of the candidate label; and
+clustered calibration groups by the cluster of the class
+(:func:`cluster_classes`), with rare classes left to the marginal pool.
 """
 
 import math
@@ -20,8 +27,6 @@ import numpy as np
 from . import rng
 from .errors import CalibrationError, ConfigurationError, InputError
 from .scores import ScoreSpec, score_all_labels, score_all_labels_batch
-
-GROUP_RULES = ("external_column", "pseudo_label", "true_label")
 
 _KMEANS_TAG = 0x6B6D65616E73  # "kmeans"
 
@@ -158,62 +163,32 @@ def prediction_mask(probs, spec: ScoreSpec, threshold: Threshold, u=None) -> np.
     return scores <= threshold.value
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Group memberships of the calibration pools plus the test-time rule.
+def conditional_thresholds(pool: ScoredPool, group_of_labeled,
+                           group_of_unlabeled, n_groups: int,
+                           alpha: float) -> tuple:
+    """One semi-supervised threshold per group (Mondrian-style).
 
-    ``test_rule`` says how a test sample's group is determined: from an
-    external per-sample column, from its pseudo-label, or from its true
-    label.  Class-conditional calibration uses the candidate label being
-    scored as the group of a test evaluation.
+    Group ids run over 0..n_groups-1; id -1 puts a score into the marginal
+    pool only.  Returns n_groups + 1 thresholds: entry g is group g's, and
+    the last is the marginal one over the whole pool, so that indexing with
+    -1 finds it.  A group with an empty pool gets the marginal threshold.
     """
-
-    group_of_labeled: np.ndarray
-    group_of_unlabeled: np.ndarray
-    n_groups: int
-    test_rule: str = "pseudo_label"
-
-    def __post_init__(self):
-        object.__setattr__(self, "group_of_labeled",
-                           np.asarray(self.group_of_labeled, dtype=np.int64))
-        object.__setattr__(self, "group_of_unlabeled",
-                           np.asarray(self.group_of_unlabeled, dtype=np.int64))
-        if self.test_rule not in GROUP_RULES:
-            raise ConfigurationError(f"unknown group rule {self.test_rule!r}")
-        for arr in (self.group_of_labeled, self.group_of_unlabeled):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_groups):
-                raise InputError("group id outside 0..G-1")
-
-
-@dataclass(frozen=True)
-class ConditionalThresholds:
-    """Per-group thresholds; groups with an empty pool fall back to the
-    marginal threshold and are flagged."""
-
-    per_group: tuple
-    fallback: tuple
-    marginal: Threshold
-
-    def threshold_for(self, group: int) -> Threshold:
-        return self.per_group[group]
-
-
-def conditional_thresholds(pool: ScoredPool, assignment: GroupAssignment,
-                           alpha: float) -> ConditionalThresholds:
-    """One semi-supervised threshold per group (Mondrian-style)."""
+    labeled_ids = np.asarray(group_of_labeled, dtype=np.int64)
+    unlabeled_ids = np.asarray(group_of_unlabeled, dtype=np.int64)
+    for ids, scores in ((labeled_ids, pool.labeled_scores),
+                        (unlabeled_ids, pool.unlabeled_scores)):
+        if ids.shape != scores.shape:
+            raise InputError("one group id per score is required")
+        if ids.size and (ids.min() < -1 or ids.max() >= n_groups):
+            raise InputError(f"group id outside -1..{n_groups - 1}")
     marginal = semicp_threshold(pool, alpha)
-    per_group, fallback = [], []
-    for g in range(assignment.n_groups):
-        lab = pool.labeled_scores[assignment.group_of_labeled == g]
-        unlab = pool.unlabeled_scores[assignment.group_of_unlabeled == g]
-        if lab.size + unlab.size == 0:
-            per_group.append(marginal)
-            fallback.append(True)
-        else:
-            per_group.append(conformal_quantile(
-                np.concatenate([lab, unlab]), alpha))
-            fallback.append(False)
-    return ConditionalThresholds(tuple(per_group), tuple(fallback), marginal)
+    per_group = []
+    for g in range(n_groups):
+        scores = np.concatenate([pool.labeled_scores[labeled_ids == g],
+                                 pool.unlabeled_scores[unlabeled_ids == g]])
+        per_group.append(conformal_quantile(scores, alpha) if scores.size
+                         else marginal)
+    return (*per_group, marginal)
 
 
 def _decile_embedding(scores: np.ndarray) -> np.ndarray:
@@ -246,76 +221,31 @@ def _kmeans(points: np.ndarray, k: int, seed: int = 0, iters: int = 50) -> np.nd
     return assign
 
 
-@dataclass(frozen=True)
-class ClusterThresholds:
-    """Per-class thresholds from clustering class score distributions."""
+def cluster_classes(labeled_scores, labels, n_classes: int, n_clusters: int,
+                    min_class_count: int = 2, seed: int = 0) -> np.ndarray:
+    """Class -> cluster map of clustered CP: classes with similar labeled
+    score distributions share a cluster, and so a threshold.
 
-    per_class: tuple
-    cluster_of_class: tuple  # -1 for classes handled by the marginal fallback
-    marginal: Threshold
-    n_clusters_used: int
-    warnings: tuple = ()
-
-    def threshold_for(self, label: int) -> Threshold:
-        return self.per_class[label]
-
-
-def clustercp_thresholds(labeled_by_class, unlabeled_by_class, alpha: float,
-                         n_clusters: int, min_class_count: int = 2,
-                         seed: int = 0) -> ClusterThresholds:
-    """Cluster classes with similar score distributions, then calibrate per
-    cluster over the union of member-class scores.
-
-    Classes are embedded as their 9 empirical score deciles.  Classes with
-    fewer than ``min_class_count`` labeled scores are not embedded and get
-    the marginal threshold.
+    Classes are embedded as their 9 empirical score deciles and clustered
+    into min(n_clusters, #embedded) clusters.  Classes with fewer than
+    ``min_class_count`` labeled scores are not embedded and map to -1, the
+    marginal pool of :func:`conditional_thresholds`.
     """
     if n_clusters < 1:
         raise ConfigurationError("n_clusters must be >= 1")
-    k_classes = len(labeled_by_class)
-    labeled_by_class = [np.asarray(a, dtype=np.float64) for a in labeled_by_class]
-    unlabeled_by_class = [np.asarray(a, dtype=np.float64) for a in unlabeled_by_class]
-    if len(unlabeled_by_class) != k_classes:
-        raise InputError("per-class labeled/unlabeled lists differ in length")
-
-    all_labeled = np.concatenate([a for a in labeled_by_class]) \
-        if k_classes else np.empty(0)
-    all_unlabeled = np.concatenate([a for a in unlabeled_by_class]) \
-        if k_classes else np.empty(0)
-    marginal = semicp_threshold(ScoredPool(all_labeled, all_unlabeled), alpha)
-
-    embeddable = [c for c in range(k_classes)
-                  if labeled_by_class[c].size >= min_class_count]
-    warnings = []
-    cluster_of_class = [-1] * k_classes
-    per_class = [marginal] * k_classes
+    if min_class_count < 1:
+        raise ConfigurationError("min_class_count must be >= 1")
+    labeled_scores = np.asarray(labeled_scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    by_class = [labeled_scores[labels == c] for c in range(n_classes)]
+    embeddable = [c for c in range(n_classes)
+                  if by_class[c].size >= min_class_count]
+    cluster_of_class = np.full(n_classes, -1, dtype=np.int64)
     if embeddable:
-        k_eff = n_clusters
-        if k_eff > len(embeddable):
-            k_eff = len(embeddable)
-            warnings.append(
-                f"n_clusters reduced to {k_eff}: only {len(embeddable)} "
-                f"classes have >= {min_class_count} labeled scores")
-        emb = np.stack([_decile_embedding(labeled_by_class[c]) for c in embeddable])
-        assign = _kmeans(emb, k_eff, seed=seed)
-        for cluster in range(k_eff):
-            members = [embeddable[i] for i in np.nonzero(assign == cluster)[0]]
-            if not members:
-                continue
-            lab = np.concatenate([labeled_by_class[c] for c in members])
-            unlab_parts = [unlabeled_by_class[c] for c in members
-                           if unlabeled_by_class[c].size]
-            unlab = np.concatenate(unlab_parts) if unlab_parts else np.empty(0)
-            thr = semicp_threshold(ScoredPool(lab, unlab), alpha)
-            for c in members:
-                per_class[c] = thr
-                cluster_of_class[c] = cluster
-    else:
-        k_eff = 0
-        warnings.append("no class reaches min_class_count; all thresholds marginal")
-
-    return ClusterThresholds(tuple(per_class), tuple(cluster_of_class),
-                             marginal, k_eff, tuple(warnings))
+        emb = np.stack([_decile_embedding(by_class[c]) for c in embeddable])
+        cluster_of_class[embeddable] = _kmeans(
+            emb, min(n_clusters, len(embeddable)), seed=seed)
+    return cluster_of_class
 
 
 def epsilon_bias(true_scores_sample, estimated_scores_sample,

@@ -45,8 +45,8 @@ class SyntheticConfig:
             raise InputError("temperature must be positive")
         if self.prior is not None:
             p = np.asarray(self.prior, dtype=np.float64)
-            if p.shape != (self.n_classes,) or np.any(p < 0) \
-                    or abs(float(p.sum()) - 1.0) > 1e-6:
+            if p.shape != (self.n_classes,) or not np.all(np.isfinite(p)) \
+                    or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
                 raise InputError("prior must be K nonnegative reals summing to 1")
             object.__setattr__(self, "prior", tuple(float(x) for x in p))
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .calibration import (GroupAssignment, ScoredPool, clustercp_thresholds,
-                          conditional_thresholds, conformal_quantile,
+from .calibration import (ScoredPool, cluster_classes, conditional_thresholds,
                           interpolated_quantile, semicp_threshold)
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
 from .dataio import load_dataset, write_results
@@ -42,6 +41,7 @@ from .unlabeled import EstimatorSpec, ScoreTables, estimate_scores
 METHOD_KINDS = ("standard", "semicp", "oracle")
 CALIBRATION_MODES = ("marginal", "interpolation", "group_conditional",
                      "class_conditional", "clustercp")
+GROUP_RULES = ("external_column", "pseudo_label", "true_label")
 
 _TAG_SPLIT_MAIN = 0x73706C31
 _TAG_SPLIT_LABELED = 0x73706C32
@@ -83,6 +83,13 @@ class CalibrationPlan:
             raise ConfigurationError("group_conditional needs n_groups >= 1")
         if self.mode == "clustercp" and (self.n_clusters or 0) < 1:
             raise ConfigurationError("clustercp needs n_clusters >= 1")
+        if self.group_rule not in GROUP_RULES:
+            raise ConfigurationError(f"unknown group rule {self.group_rule!r}; "
+                                     f"expected one of {GROUP_RULES}")
+        if self.external_column < 0:
+            raise ConfigurationError("external_column must be >= 0")
+        if self.min_class_count < 1:
+            raise ConfigurationError("min_class_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -240,15 +247,6 @@ def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
     return out
 
 
-def _per_class_split(scores: np.ndarray, labels: np.ndarray, k: int):
-    return [scores[labels == c] for c in range(k)]
-
-
-def _mask_from_class_thresholds(test_scores, thresholds):
-    values = np.array([_cutoff(t) for t in thresholds])
-    return test_scores <= values[None, :]
-
-
 def _cutoff(threshold):
     return np.inf if threshold.include_all else threshold.value
 
@@ -349,68 +347,63 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
 
 
 def _calibrate_and_predict(config, method, pool, pools, test_scores):
-    """Threshold(s) for one method and the resulting test membership mask."""
+    """Threshold(s) for one method and the resulting test membership mask.
+
+    The conditional modes differ only in their group map; each then takes
+    one threshold per group and gives every test cell its group's cutoff.
+    """
     plan = config.calibration
     alpha = config.alpha
-    k = test_scores.shape[1]
-    per_group = None
-
     if plan.mode == "marginal":
-        thr = semicp_threshold(pool, alpha)
-        mask = test_scores <= _cutoff(thr)
-    elif plan.mode == "interpolation":
-        thr = interpolated_quantile(pool.merged(), alpha)
-        mask = test_scores <= thr.value
-    elif plan.mode == "group_conditional":
-        g = plan.n_groups
+        return test_scores <= _cutoff(semicp_threshold(pool, alpha)), None
+    if plan.mode == "interpolation":
+        return test_scores <= interpolated_quantile(pool.merged(), alpha).value, None
+    lab_groups, unlab_groups, test_groups, n_groups = _group_map(
+        plan, method, pool, pools, test_scores.shape[1])
+    thresholds = conditional_thresholds(pool, lab_groups, unlab_groups,
+                                        n_groups, alpha)
+    mask = _group_mask(test_scores, thresholds, test_groups)
+    # coverage is reported per sample group, or per true class
+    coverage_groups = test_groups[:, 0] if plan.mode == "group_conditional" \
+        else pools.test_labels
+    return mask, _per_group_coverage(mask, pools.test_labels, coverage_groups)
+
+
+def _group_map(plan, method, pool, pools, k):
+    """(labeled ids, unlabeled ids, test-cell ids, number of groups) of a
+    conditional mode.
+
+    Test-cell ids broadcast against the (t, K) test scores: one id per
+    sample, shape (t, 1), for ``group_conditional``, and one per candidate
+    label, shape (K,), for the class-based modes.  Id -1 is the marginal
+    pool.
+    """
+    classes = pools.unlabeled_class_ids(method, pool)
+    if plan.mode == "group_conditional":
         ctx = pools.ctx
-        assignment = GroupAssignment(
-            group_of_labeled=_group_ids(ctx.labeled, pools.lab,
-                                        pools.lab_labels, plan),
-            group_of_unlabeled=_group_ids(
-                ctx.main, pools.unlab,
-                pools.unlabeled_class_ids(method, pool), plan)
-            if pool.unlabeled_scores.size else np.empty(0, dtype=np.int64),
-            n_groups=g,
-            test_rule=plan.group_rule,
-        )
-        cond = conditional_thresholds(pool, assignment, alpha)
-        test_groups = _group_ids(ctx.test, pools.test, pools.test_labels, plan)
-        cutoffs = np.array([_cutoff(t) for t in cond.per_group])
-        mask = test_scores <= cutoffs[test_groups][:, None]
-        per_group = _per_group_coverage(mask, pools.test_labels, test_groups, g)
-    elif plan.mode == "class_conditional":
-        assignment = GroupAssignment(
-            group_of_labeled=pools.lab_labels,
-            group_of_unlabeled=pools.unlabeled_class_ids(method, pool),
-            n_groups=k,
-            test_rule="pseudo_label",
-        )
-        cond = conditional_thresholds(pool, assignment, alpha)
-        mask = _mask_from_class_thresholds(test_scores, cond.per_group)
-        per_group = _per_group_coverage(mask, pools.test_labels,
-                                        pools.test_labels, k)
-    else:  # clustercp
-        lab_by_class = _per_class_split(pool.labeled_scores, pools.lab_labels, k)
-        unlab_by_class = _per_class_split(
-            pool.unlabeled_scores, pools.unlabeled_class_ids(method, pool), k)
-        clustered = clustercp_thresholds(
-            lab_by_class, unlab_by_class, alpha, plan.n_clusters,
-            plan.min_class_count, seed=_CLUSTERCP_KMEANS_SEED)
-        mask = _mask_from_class_thresholds(test_scores, clustered.per_class)
-        per_group = _per_group_coverage(mask, pools.test_labels,
-                                        pools.test_labels, k)
-    return mask, per_group
+        unlab = _group_ids(ctx.main, pools.unlab, classes, plan) \
+            if classes.size else classes
+        return (_group_ids(ctx.labeled, pools.lab, pools.lab_labels, plan), unlab,
+                _group_ids(ctx.test, pools.test, pools.test_labels, plan)[:, None],
+                plan.n_groups)
+    if plan.mode == "class_conditional":
+        return pools.lab_labels, classes, np.arange(k), k
+    cluster = cluster_classes(pool.labeled_scores, pools.lab_labels, k,
+                              plan.n_clusters, plan.min_class_count,
+                              seed=_CLUSTERCP_KMEANS_SEED)
+    return (cluster[pools.lab_labels], cluster[classes], cluster,
+            plan.n_clusters)
 
 
-def _per_group_coverage(mask, labels, groups, n_groups):
+def _group_mask(test_scores, thresholds, test_groups):
+    """Membership mask with each test cell held to its group's threshold."""
+    cutoffs = np.array([_cutoff(t) for t in thresholds])
+    return test_scores <= cutoffs[test_groups]
+
+
+def _per_group_coverage(mask, labels, groups):
     hit = mask[np.arange(labels.shape[0]), labels]
-    out = {}
-    for g in range(n_groups):
-        sel = groups == g
-        if np.any(sel):
-            out[int(g)] = float(hit[sel].mean())
-    return out
+    return {int(g): float(hit[groups == g].mean()) for g in np.unique(groups)}
 
 
 _WORKER_CTX = None

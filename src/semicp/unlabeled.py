@@ -45,22 +45,9 @@ _CHUNK_CELLS = 1 << 25  # cap on brute-force distance-matrix cells per chunk
 
 
 @dataclass(frozen=True)
-class NeighborCriterion:
-    """How the matched labeled record is selected, and how many."""
-
-    kind: str = "pseudo_score"
-    k: int = 1
-
-    def __post_init__(self):
-        if self.kind not in CRITERION_KINDS:
-            raise ConfigurationError(f"unknown neighbor criterion {self.kind!r}")
-        if self.k < 1:
-            raise ConfigurationError("neighbor count k must be >= 1")
-
-
-@dataclass(frozen=True)
 class EstimatorSpec:
-    """Which unlabeled-score estimator to run."""
+    """Which unlabeled-score estimator to run; the matching estimators
+    select the ``k`` nearest labeled records under ``criterion``."""
 
     kind: str = "nnm"
     k: int = 1
@@ -295,7 +282,7 @@ def _record_vectors(records: LabeledRecords, kind: str):
 
 
 def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
-                   criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
+                   estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
     """Matched record indices per unlabeled sample.
 
     ``unlabeled`` is a :class:`ProbabilityDataset` or :class:`PseudoScores`;
@@ -305,20 +292,20 @@ def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
     """
     if len(records) == 0:
         raise EstimationError("cannot match against an empty labeled set")
-    if criterion.k > len(records):
+    if estimator.k > len(records):
         raise ConfigurationError(
-            f"k={criterion.k} exceeds the {len(records)} labeled records")
+            f"k={estimator.k} exceeds the {len(records)} labeled records")
     pseudo = _pseudo(unlabeled, spec)
-    if criterion.kind == "pseudo_score" and criterion.k == 1:
+    if estimator.criterion == "pseudo_score" and estimator.k == 1:
         return _match_sorted_1d(records.sorted_pseudo, records.sort_order,
                                 pseudo.det)
 
-    if criterion.kind == "pseudo_score":
+    if estimator.criterion == "pseudo_score":
         q = pseudo.det[:, None]
         r = records.pseudo_scores[:, None]
     else:
-        q = pseudo.vectors(criterion.kind)
-        r = _record_vectors(records, criterion.kind)
+        q = pseudo.vectors(estimator.criterion)
+        r = _record_vectors(records, estimator.criterion)
     q = np.asarray(q, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if q.shape[1] != r.shape[1]:
@@ -328,8 +315,8 @@ def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
         diff = q[start:stop, None, :] - r[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
 
-    matched = _knn_bruteforce(dist2, len(records), q.shape[0], criterion.k)
-    return matched[:, 0] if criterion.k == 1 else matched
+    matched = _knn_bruteforce(dist2, len(records), q.shape[0], estimator.k)
+    return matched[:, 0] if estimator.k == 1 else matched
 
 
 def deterministic_pseudo_scores(unlabeled, spec: ScoreSpec) -> np.ndarray:
@@ -357,16 +344,16 @@ def _require_deterministic(spec: ScoreSpec, name: str):
 
 
 def nnm_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
-               criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
+               estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
     """Nearest-neighbor-matched scores: pseudo score + matched record bias.
 
-    With ``criterion.k > 1`` the arithmetic mean of the k nearest records'
+    With ``estimator.k > 1`` the arithmetic mean of the k nearest records'
     biases is added instead.
     """
     _require_deterministic(spec, "nnm")
     pseudo = _pseudo(unlabeled, spec)
-    matched = neighbor_match(pseudo, records, spec, criterion)
-    if criterion.k == 1:
+    matched = neighbor_match(pseudo, records, spec, estimator)
+    if estimator.k == 1:
         bias = records.biases[matched]
     else:
         bias = records.biases[matched].mean(axis=1)
@@ -397,7 +384,7 @@ def random_match_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
 
 
 def nnm_r_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec, u,
-                 criterion: NeighborCriterion = NeighborCriterion()) -> np.ndarray:
+                 estimator: EstimatorSpec = EstimatorSpec("nnm_r")) -> np.ndarray:
     """Randomized nearest-neighbor-matched scores.
 
     The neighbor is matched on deterministic pseudo scores; the sample's own
@@ -406,13 +393,13 @@ def nnm_r_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec, u,
     """
     if not spec.randomized:
         raise ConfigurationError("nnm_r requires a randomized score spec")
-    if criterion.k != 1:
+    if estimator.k != 1:
         raise ConfigurationError("nnm_r uses a single matched neighbor")
     u = np.asarray(u, dtype=np.float64)
     if u.shape[0] != len(unlabeled):
         raise InputError("one random factor per unlabeled sample is required")
     pseudo = _pseudo(unlabeled, spec)
-    matched = neighbor_match(pseudo, records, spec, criterion)
+    matched = neighbor_match(pseudo, records, spec, estimator)
     own = pseudo.a + pseudo.b * u
     # evaluated as S(xj, yj, u) - S(xj, yhat_j, u) so that u = 1 reproduces
     # the deterministic biases bit for bit
@@ -435,9 +422,8 @@ def estimate_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
         if stream_key is None:
             raise ConfigurationError("random_match needs an rng stream")
         return random_match_scores(unlabeled, records, spec, stream_key)
-    criterion = NeighborCriterion(kind=estimator.criterion, k=estimator.k)
     if estimator.kind == "nnm_r":
         if u is None:
             raise ConfigurationError("nnm_r needs per-sample u factors")
-        return nnm_r_scores(unlabeled, records, spec, u, criterion)
-    return nnm_scores(unlabeled, records, spec, criterion)
+        return nnm_r_scores(unlabeled, records, spec, u, estimator)
+    return nnm_scores(unlabeled, records, spec, estimator)

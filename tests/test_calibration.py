@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicp.calibration import (GroupAssignment,
-                                ScoredPool, Threshold, clustercp_thresholds,
+from semicp.calibration import (ScoredPool, Threshold, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
                                 predict_set, prediction_mask, quantile_level,
                                 semicp_threshold)
 from semicp.errors import CalibrationError, ConfigurationError, InputError
+from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
 
 
@@ -130,67 +130,83 @@ def test_threshold_monotone_in_alpha_and_nested_sets():
 
 def test_conditional_thresholds_disjoint_and_fallback():
     pool = ScoredPool([0.1, 0.2, 0.7, 0.8], [0.15, 0.75])
-    assignment = GroupAssignment([0, 0, 1, 1], [0, 1], 2)
-    cond = conditional_thresholds(pool, assignment, 0.5)
+    cond = conditional_thresholds(pool, [0, 0, 1, 1], [0, 1], 2, 0.5)
     own0 = conformal_quantile([0.1, 0.2, 0.15], 0.5)
     own1 = conformal_quantile([0.7, 0.8, 0.75], 0.5)
-    assert cond.per_group[0] == own0
-    assert cond.per_group[1] == own1
-    assert cond.fallback == (False, False)
+    assert cond[0] == own0
+    assert cond[1] == own1
+    assert cond[-1] == semicp_threshold(pool, 0.5)  # marginal comes last
 
-    # empty group falls back to marginal pooled threshold, flagged
-    assignment = GroupAssignment([0, 0, 0, 0], [0, 0], 3)
-    cond = conditional_thresholds(pool, assignment, 0.5)
-    assert cond.per_group[1] == cond.marginal
-    assert cond.fallback[1] is True
+    # empty group falls back to marginal pooled threshold
+    cond = conditional_thresholds(pool, [0, 0, 0, 0], [0, 0], 3, 0.5)
+    assert cond[1] == cond[-1]
+
+    # id -1 puts a score into the marginal pool only
+    cond = conditional_thresholds(pool, [0, 0, -1, -1], [0, -1], 1, 0.5)
+    assert cond[0] == own0
+    assert cond[-1] == semicp_threshold(pool, 0.5)
 
     # single group: identical to the marginal semicp threshold
-    assignment = GroupAssignment([0, 0, 0, 0], [0, 0], 1)
-    cond = conditional_thresholds(pool, assignment, 0.3)
-    assert cond.per_group[0] == semicp_threshold(pool, 0.3)
+    cond = conditional_thresholds(pool, [0, 0, 0, 0], [0, 0], 1, 0.3)
+    assert cond[0] == semicp_threshold(pool, 0.3)
+
+
+def clustered(labeled, unlabeled, alpha, n_clusters, min_class_count=2):
+    """Class -> cluster map and per-class thresholds of clustered CP, from
+    per-class score lists through the group map."""
+    def classes_of(parts):
+        return np.concatenate([np.full(len(a), c, dtype=np.int64)
+                               for c, a in enumerate(parts)])
+    labels, pseudo = classes_of(labeled), classes_of(unlabeled)
+    pool = ScoredPool(np.concatenate(labeled), np.concatenate(unlabeled))
+    cluster = cluster_classes(pool.labeled_scores, labels, len(labeled),
+                              n_clusters, min_class_count)
+    thresholds = conditional_thresholds(pool, cluster[labels], cluster[pseudo],
+                                        n_clusters, alpha)
+    return cluster, [thresholds[g] for g in cluster], thresholds[-1]
 
 
 def test_clustercp_single_cluster_and_identical_classes():
     rs = np.random.RandomState(2)
     labeled = [rs.rand(20) for _ in range(4)]
     unlabeled = [rs.rand(50) for _ in range(4)]
-    out = clustercp_thresholds(labeled, unlabeled, 0.1, n_clusters=1)
+    _, per_class, _ = clustered(labeled, unlabeled, 0.1, n_clusters=1)
     pooled = semicp_threshold(
         ScoredPool(np.concatenate(labeled), np.concatenate(unlabeled)), 0.1)
-    assert all(t == pooled for t in out.per_class)
+    assert all(t == pooled for t in per_class)
 
     # identical score multisets embed identically -> same cluster
     base = rs.rand(15)
     labeled = [base.copy(), base.copy(), rs.rand(15) + 5.0]
     unlabeled = [np.array([]), np.array([]), np.array([])]
-    out = clustercp_thresholds(labeled, unlabeled, 0.2, n_clusters=2)
-    assert out.cluster_of_class[0] == out.cluster_of_class[1]
-    assert out.per_class[0] == out.per_class[1]
+    cluster, per_class, _ = clustered(labeled, unlabeled, 0.2, n_clusters=2)
+    assert cluster[0] == cluster[1]
+    assert per_class[0] == per_class[1]
 
 
 def test_clustercp_matches_bruteforce_partition():
     rs = np.random.RandomState(3)
     labeled = [rs.rand(rs.randint(5, 30)) for _ in range(4)]
     unlabeled = [rs.rand(rs.randint(0, 40)) for _ in range(4)]
-    out = clustercp_thresholds(labeled, unlabeled, 0.25, n_clusters=2)
-    for cluster in set(c for c in out.cluster_of_class if c >= 0):
-        members = [i for i, c in enumerate(out.cluster_of_class) if c == cluster]
+    cluster, per_class, _ = clustered(labeled, unlabeled, 0.25, n_clusters=2)
+    for c in set(cluster.tolist()) - {-1}:
+        members = [i for i, ci in enumerate(cluster) if ci == c]
         pool = np.concatenate([labeled[i] for i in members] +
                               [unlabeled[i] for i in members])
         expected = conformal_quantile(pool, 0.25)
         for i in members:
-            assert out.per_class[i] == expected
+            assert per_class[i] == expected
 
 
-def test_clustercp_reduces_cluster_count_with_warning():
+def test_clustercp_reduces_cluster_count():
     labeled = [np.arange(5.0), np.arange(5.0) + 1, np.array([0.5])]
     unlabeled = [np.array([])] * 3
-    out = clustercp_thresholds(labeled, unlabeled, 0.2, n_clusters=5,
-                               min_class_count=2)
-    assert out.n_clusters_used == 2
-    assert out.warnings
-    assert out.cluster_of_class[2] == -1
-    assert out.per_class[2] == out.marginal
+    cluster, per_class, marginal = clustered(labeled, unlabeled, 0.2,
+                                             n_clusters=5, min_class_count=2)
+    # two classes reach min_class_count, so k-means runs with two clusters
+    assert sorted(cluster[:2].tolist()) == [0, 1]
+    assert cluster[2] == -1
+    assert per_class[2] == marginal
 
 
 def test_epsilon_bias():
@@ -210,11 +226,18 @@ def test_threshold_roundtrip_and_mask():
     assert mask.shape == (1, 3)
 
 
-def test_group_assignment_validation():
+def test_group_map_validation():
+    pool = ScoredPool([0.1, 0.2], [0.3])
     with pytest.raises(InputError):
-        GroupAssignment([0, 3], [0], 2)
+        conditional_thresholds(pool, [0, 3], [0], 2, 0.1)
+    with pytest.raises(InputError):
+        conditional_thresholds(pool, [0, -2], [0], 2, 0.1)
+    with pytest.raises(InputError):
+        conditional_thresholds(pool, [0], [0], 2, 0.1)  # one id per score
     with pytest.raises(ConfigurationError):
-        GroupAssignment([0], [0], 1, test_rule="nope")
+        cluster_classes([0.1, 0.2], [0, 1], 2, n_clusters=1, min_class_count=0)
+    with pytest.raises(ConfigurationError):
+        CalibrationPlan(mode="group_conditional", n_groups=1, group_rule="nope")
 
 
 def test_nonfinite_scores_rejected():

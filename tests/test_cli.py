@@ -254,10 +254,14 @@ def _threshold_file(tmp_path, content):
             "--threshold-file", str(path)]
 
 
-def _config_file(tmp_path):
+def _config_file(tmp_path, **changes):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(RUN_DOC))
+    path.write_text(json.dumps({**RUN_DOC, **changes}))
     return str(path)
+
+
+def _run_with_plan(tmp_path, **calibration):
+    return ["run", "--config", _config_file(tmp_path, calibration=calibration)]
 
 
 def _unwritable(tmp_path):
@@ -294,6 +298,13 @@ CLI_ERRORS = {
                                  str(t / "g.csv")], 2),
     "predict_threshold_nan": (lambda t: ["predict", "--test", _data_file(t),
                                          "--threshold", "nan"], 2),
+    "plan_unknown_group_rule": (lambda t: _run_with_plan(
+        t, mode="group_conditional", groups=2, rule="nope"), 2),
+    "plan_min_class_count_zero": (lambda t: _run_with_plan(
+        t, mode="clustercp", clusters=2, min_class_count=0), 2),
+    "plan_external_column_negative": (lambda t: _run_with_plan(
+        t, mode="group_conditional", groups=2, rule="external_column",
+        external_column=-1), 2),
 }
 
 

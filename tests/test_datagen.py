@@ -81,6 +81,8 @@ def test_prior_controls_label_frequencies():
         SyntheticConfig(n_classes=3, n_samples=10, prior=(0.5, 0.5))
     with pytest.raises(InputError):
         SyntheticConfig(n_classes=2, n_samples=10, prior=(0.7, 0.7))
+    with pytest.raises(InputError):  # a NaN sum passes the tolerance check
+        SyntheticConfig(n_classes=2, n_samples=10, prior=(0.5, float("nan")))
 
 
 def test_calibrate_signal():

@@ -270,13 +270,14 @@ def test_external_column_group_rule(tmp_path):
 
 def test_class_threshold_broadcast_uses_candidate_label():
     from semicp.calibration import Threshold
-    from semicp.runner import _mask_from_class_thresholds
+    from semicp.runner import _group_mask
     thresholds = [Threshold(0.2, False, 1, 1, 0.1),
                   Threshold(0.9, False, 1, 1, 0.1),
                   Threshold(float("nan"), True, 2, 1, 0.1)]
     scores = np.array([[0.1, 0.95, 0.5],
                        [0.3, 0.3, 2.0]])
-    mask = _mask_from_class_thresholds(scores, thresholds)
+    # class-based group map: each candidate-label column is its own group
+    mask = _group_mask(scores, thresholds, np.arange(3))
     assert mask.tolist() == [[True, False, True], [False, True, True]]
 
 

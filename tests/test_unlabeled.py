@@ -5,7 +5,7 @@ from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
 from semicp.rng import stream
 from semicp.scores import ScoreSpec, score_label
-from semicp.unlabeled import (EstimatorSpec, LabeledRecords, NeighborCriterion,
+from semicp.unlabeled import (EstimatorSpec, LabeledRecords,
                               build_labeled_records, debias_scores,
                               deterministic_pseudo_scores, estimate_scores,
                               naive_scores, neighbor_match, nnm_r_scores,
@@ -251,18 +251,20 @@ def test_neighbor_match_criteria():
     unl = ProbabilityDataset(probs=lab.probs[:5].copy(),
                              logits=lab.logits[:5].copy(),
                              features=lab.features[:5].copy())
-    got = neighbor_match(unl, rec, spec, NeighborCriterion("feature"))
+    got = neighbor_match(unl, rec, spec, EstimatorSpec(criterion="feature"))
     assert np.array_equal(got, np.arange(5))
 
     # pseudo-score criterion agrees with nnm matching on random cases
     unl = rand_dataset(rs, 100, 4, with_channels=True)
-    fast = neighbor_match(unl, rec, spec, NeighborCriterion("pseudo_score"))
-    brute = neighbor_match(unl, rec, spec, NeighborCriterion("pseudo_score", k=2))
+    fast = neighbor_match(unl, rec, spec,
+                          EstimatorSpec(criterion="pseudo_score"))
+    brute = neighbor_match(unl, rec, spec,
+                           EstimatorSpec(criterion="pseudo_score", k=2))
     assert np.array_equal(fast, brute[:, 0])
 
     # logit criterion equals an independent brute-force nearest neighbor
     unl = rand_dataset(rs, 50, 4, with_channels=True)
-    got = neighbor_match(unl, rec, spec, NeighborCriterion("logit"))
+    got = neighbor_match(unl, rec, spec, EstimatorSpec(criterion="logit"))
     for i in range(50):
         d = np.sum((rec.logit_vectors - unl.logits[i]) ** 2, axis=1)
         assert got[i] == np.flatnonzero(d == d.min())[0]
@@ -270,14 +272,15 @@ def test_neighbor_match_criteria():
     # missing channel is named in the error
     bare = ProbabilityDataset(probs=unl.probs)
     with pytest.raises(InputError, match="feature"):
-        neighbor_match(bare, rec, spec, NeighborCriterion("feature"))
+        neighbor_match(bare, rec, spec, EstimatorSpec(criterion="feature"))
 
 
 def test_knn_mean_bias():
     rec = records_from_arrays([0.1, 0.2, 0.9], [0.0, 0.4, 1.0])
     spec = ScoreSpec("thr")
     ds = ProbabilityDataset(probs=[[0.85, 0.15]])  # pseudo score 0.15
-    got = nnm_scores(ds, rec, spec, NeighborCriterion("pseudo_score", k=2))
+    got = nnm_scores(ds, rec, spec,
+                     EstimatorSpec(criterion="pseudo_score", k=2))
     assert got[0] == pytest.approx(0.15 + (0.0 + 0.4) / 2)
 
 
@@ -299,4 +302,5 @@ def test_estimator_dispatch_and_errors():
         build_labeled_records(ProbabilityDataset(
             probs=np.empty((0, 3)), labels=np.empty(0, dtype=int)), spec)
     with pytest.raises(ConfigurationError):
-        neighbor_match(unl, rec, spec, NeighborCriterion("pseudo_score", k=11))
+        neighbor_match(unl, rec, spec,
+                       EstimatorSpec(criterion="pseudo_score", k=11))
