@@ -7,7 +7,10 @@ them, so pseudo-label accuracy is tunable through ``signal`` while the
 model stays (deliberately) miscalibrated in general.
 
 Sample i is generated from its own counter-based stream mix64(seed, i), so
-output is independent of generation order and chunking.
+output is independent of generation order and chunking.  Generation is two
+steps: a draw (labels and scaled noise, which do not depend on the signal)
+and a finish (the signal and the softmax).  The signal bisection draws its
+probe rows once and only finishes them per probe.
 """
 
 from dataclasses import dataclass, replace
@@ -51,8 +54,10 @@ class SyntheticConfig:
             object.__setattr__(self, "prior", tuple(float(x) for x in p))
 
 
-def _generate_rows(cfg: SyntheticConfig, start: int, stop: int):
-    """Rows [start, stop) of the dataset; pure function of (cfg, range)."""
+def _draw_rows(cfg: SyntheticConfig, start: int, stop: int):
+    """Labels and signal-free logits (``noise_sigma * noise``) of rows
+    [start, stop); a pure function of the seed, the prior, the noise scale
+    and the row range."""
     k = cfg.n_classes
     idx = np.arange(start, stop, dtype=np.uint64)
     keys = rng.mix64(np.uint64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF), idx)
@@ -62,15 +67,29 @@ def _generate_rows(cfg: SyntheticConfig, start: int, stop: int):
     cum = np.cumsum(prior)
     labels = np.minimum(np.searchsorted(cum, label_u, side="right"), k - 1)
 
-    noise = rng.normals(keys[:, None], np.arange(1, k + 1, dtype=np.uint64)[None, :])
-    logits = cfg.noise_sigma * noise
-    logits[np.arange(stop - start), labels] += cfg.signal
+    logits = rng.normals(keys[:, None], np.arange(1, k + 1, dtype=np.uint64)[None, :])
+    logits *= cfg.noise_sigma
+    return labels.astype(np.int64), logits
 
-    z = logits / cfg.temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return labels.astype(np.int64), logits, probs
+
+def _finish_rows(logits, labels, signal: float, temperature: float):
+    """Add ``signal`` to each row's true-class logit, in place, and return
+    the softmax of the logits at ``temperature``."""
+    logits[np.arange(len(labels)), labels] += signal
+    # the softmax steps run in place on one array: the same operations in
+    # the same order as out of place, with fewer allocations
+    z = logits / temperature
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _generate_rows(cfg: SyntheticConfig, start: int, stop: int):
+    """Rows [start, stop) of the dataset; pure function of (cfg, range)."""
+    labels, logits = _draw_rows(cfg, start, stop)
+    probs = _finish_rows(logits, labels, cfg.signal, cfg.temperature)
+    return labels, logits, probs
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
@@ -105,16 +124,22 @@ def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
 
     Probes use a fixed ``probe_samples``-sample dataset drawn from the
     template's seed; with common noise draws, accuracy is monotone in the
-    signal, so bisection on [0, 50] is exact.  Returns (signal, achieved).
+    signal, so bisection on [0, 50] is exact.  The labels and the noise are
+    drawn once for the whole bisection; each probe copies the drawn logits
+    and only adds its signal and softmaxes, so it measures exactly the
+    accuracy of ``generate_synthetic`` at that signal.  Returns
+    (signal, achieved).
     """
     k = template.n_classes
     if not 1.0 / k < target_acc < 1.0:
         raise ConfigurationError(
             f"target accuracy must lie strictly between 1/K={1.0 / k:.4f} and 1")
+    cfg = replace(template, n_samples=probe_samples)
+    labels, drawn = _draw_rows(cfg, 0, probe_samples)
 
     def probe(signal):
-        cfg = replace(template, n_samples=probe_samples, signal=signal)
-        return measure_top1_accuracy(generate_synthetic(cfg))
+        probs = _finish_rows(drawn.copy(), labels, signal, cfg.temperature)
+        return measure_top1_accuracy(ProbabilityDataset(probs=probs, labels=labels))
 
     lo, hi = 0.0, 50.0
     best_signal, best_acc = None, None

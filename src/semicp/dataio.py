@@ -18,7 +18,8 @@ Dataset CSV contract (version v1)::
 The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
 ``READ_CHUNK`` characters each) and each chunk is validated as one array;
 only when that fails are the chunk's rows walked one by one, to name the
-first bad row.  Rows are written in blocks, one ``%`` format per block.
+first bad row.  Rows are written in blocks, one ``%`` format per block and
+channel.
 
 Results files carry one record per (method, configuration) with the fields
 method, score, n, N, alpha, trials, cov_gap, over_cov_gap, under_cov_gap,
@@ -88,18 +89,28 @@ def check_writable(path):
 
 
 def save_dataset(dataset: ProbabilityDataset, path):
+    """Write ``dataset`` following the CSV contract.
+
+    When the features channel is the logits array itself (synthetic data),
+    each block's logits are formatted once and that text is written as both
+    channels.  The test is object identity: equal arrays may still format
+    differently (-0.0 == 0.0).
+    """
     k = dataset.n_classes
     channels = [dataset.probs]
     cols = ["label"] + [f"p_{j}" for j in range(k)]
+    aliased = dataset.logits is not None and dataset.features is dataset.logits
     if dataset.logits is not None:
-        channels.append(dataset.logits)
+        if not aliased:
+            channels.append(dataset.logits)
         cols += [f"z_{j}" for j in range(k)]
     feat_dim = 0 if dataset.features is None else dataset.features.shape[1]
-    if feat_dim:
+    if feat_dim and not aliased:
         channels.append(dataset.features)
     cols += [f"f_{j}" for j in range(feat_dim)]
     # "%.17g" formats a float exactly like format(v, ".17g")
-    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
+    row = "%d" + ",%.17g" * sum(c.shape[1] for c in channels) + "\n"
+    z_row = ",%.17g" * k + "\n"
 
     n = len(dataset)
     with _output(path) as fh:
@@ -109,7 +120,13 @@ def save_dataset(dataset: ProbabilityDataset, path):
             stop = min(start + WRITE_BLOCK, n)
             block = np.hstack([dataset.labels[start:stop, None]]
                               + [c[start:stop] for c in channels])
-            fh.write((row * (stop - start)) % tuple(block.ravel().tolist()))
+            text = (row * (stop - start)) % tuple(block.ravel().tolist())
+            if aliased:
+                z = (z_row * (stop - start)) % tuple(
+                    dataset.logits[start:stop].ravel().tolist())
+                text = "".join(f"{head}{z_text}{z_text}\n" for head, z_text
+                               in zip(text.split("\n")[:-1], z.split("\n")))
+            fh.write(text)
 
 
 def _parse_magic(line: str, path):
@@ -301,15 +318,31 @@ def write_results(records, path, fmt: str = "json"):
 
 
 def write_prediction_sets(mask, labels, path):
-    """One row per sample: index, label, set size, covered, '|'-joined classes."""
+    """One row per sample: index, label, set size, covered, '|'-joined classes.
+
+    ``covered`` is empty for an unlabeled row.  Rows are written in blocks of
+    ``WRITE_BLOCK``, with one ``np.nonzero`` per block.
+    """
+    names = [str(c) for c in range(mask.shape[1])]
     with _output(path) as fh:
         fh.write("index,label,set_size,covered,classes\n")
-        for i in range(len(labels)):
-            classes = np.nonzero(mask[i])[0]
-            label = int(labels[i])
-            covered = "" if label < 0 else str(int(mask[i, label]))
-            fh.write(f"{i},{label},{classes.size},{covered},"
-                     f"{'|'.join(str(c) for c in classes)}\n")
+        for start in range(0, len(labels), WRITE_BLOCK):
+            stop = min(start + WRITE_BLOCK, len(labels))
+            block = mask[start:stop]
+            block_labels = np.asarray(labels[start:stop], dtype=np.int64)
+            hits = block[np.arange(stop - start), np.maximum(block_labels, 0)]
+            classes = [names[c] for c in np.nonzero(block)[1].tolist()]
+            sizes = np.count_nonzero(block, axis=1).tolist()
+            lines = []
+            begin = 0
+            for i, label, size, hit in zip(range(start, stop),
+                                           block_labels.tolist(), sizes,
+                                           hits.tolist()):
+                covered = "" if label < 0 else int(hit)
+                lines.append(f"{i},{label},{size},{covered},"
+                             f"{'|'.join(classes[begin:begin + size])}\n")
+                begin += size
+            fh.write("".join(lines))
 
 
 def save_threshold(threshold: Threshold, path, extra: dict = None):

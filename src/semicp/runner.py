@@ -33,7 +33,7 @@ from .calibration import (ScoredPool, cluster_classes, conditional_thresholds,
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
 from .dataio import load_dataset, write_results
 from .dataset import ProbabilityDataset
-from .errors import ConfigurationError, DataError, SemicpError
+from .errors import ConfigurationError, DataError, InputError, SemicpError
 from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
 from .scores import ScoreSpec
 from .unlabeled import EstimatorSpec, ScoreTables, estimate_scores
@@ -583,15 +583,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def _source_from_dict(doc: dict) -> DataSource:
     if "synthetic" in doc:
         s = doc["synthetic"]
-        return DataSource(synthetic=SyntheticConfig(
-            n_classes=int(s["classes"]),
-            n_samples=int(s["samples"]),
-            signal=float(s.get("signal", 2.0)),
-            noise_sigma=float(s.get("noise_sigma", 1.0)),
-            temperature=float(s.get("temperature", 1.0)),
-            prior=None if s.get("prior") is None else tuple(s["prior"]),
-            seed=int(s.get("seed", 0)),
-        ))
+        try:
+            synthetic = SyntheticConfig(
+                n_classes=int(s["classes"]),
+                n_samples=int(s["samples"]),
+                signal=float(s.get("signal", 2.0)),
+                noise_sigma=float(s.get("noise_sigma", 1.0)),
+                temperature=float(s.get("temperature", 1.0)),
+                prior=None if s.get("prior") is None else tuple(s["prior"]),
+                seed=int(s.get("seed", 0)),
+            )
+        except InputError as exc:
+            raise ConfigurationError(f"bad synthetic data config: {exc}") from None
+        return DataSource(synthetic=synthetic)
     return DataSource(
         labeled_file=doc["labeled_file"],
         unlabeled_file=doc.get("unlabeled_file"),

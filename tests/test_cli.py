@@ -305,6 +305,12 @@ CLI_ERRORS = {
     "plan_external_column_negative": (lambda t: _run_with_plan(
         t, mode="group_conditional", groups=2, rule="external_column",
         external_column=-1), 2),
+    "config_synthetic_prior_nan": (lambda t: ["run", "--config", _config_file(
+        t, data={"synthetic": {"classes": 2, "samples": 100,
+                               "prior": [0.5, float("nan")]}})], 2),
+    "config_synthetic_signal_negative": (lambda t: ["run", "--config",
+                                                    _config_file(t, data={
+        "synthetic": {"classes": 3, "samples": 100, "signal": -1}})], 2),
 }
 
 

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semicp import rng
 from semicp.datagen import (SyntheticConfig, _generate_rows,
                             calibrate_signal_for_accuracy, generate_synthetic,
                             measure_top1_accuracy)
 from semicp.dataset import ProbabilityDataset
-from semicp.errors import ConfigurationError, InputError
+from semicp.errors import ConfigurationError, ConvergenceError, InputError
 
 
 def test_same_seed_bit_identical():
@@ -118,3 +123,91 @@ def test_calibrate_signal_unreachable_target():
     with pytest.raises(ConvergenceError) as exc:
         calibrate_signal_for_accuracy(0.995, template, probe_samples=5000)
     assert exc.value.best is not None
+
+
+def one_step_rows(cfg, start, stop):
+    """Rows [start, stop) drawn, boosted and softmaxed in one pass: the
+    reference for the draw/finish split."""
+    k = cfg.n_classes
+    idx = np.arange(start, stop, dtype=np.uint64)
+    keys = rng.mix64(np.uint64(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF), idx)
+    label_u = rng.uniforms(keys, np.zeros(stop - start, dtype=np.uint64))
+    prior = np.full(k, 1.0 / k) if cfg.prior is None else np.asarray(cfg.prior)
+    labels = np.minimum(np.searchsorted(np.cumsum(prior), label_u,
+                                        side="right"), k - 1)
+    noise = rng.normals(keys[:, None], np.arange(1, k + 1, dtype=np.uint64)[None, :])
+    logits = cfg.noise_sigma * noise
+    logits[np.arange(stop - start), labels] += cfg.signal
+    z = logits / cfg.temperature
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return labels.astype(np.int64), logits, e / e.sum(axis=1, keepdims=True)
+
+
+def bisection_oracle(target_acc, template, tolerance, probe_samples, max_iters):
+    """The signal bisection with every probe a full generate_synthetic call."""
+    lo, hi = 0.0, 50.0
+    best_signal, best_acc = None, None
+    for _ in range(max_iters):
+        mid = 0.5 * (lo + hi)
+        acc = measure_top1_accuracy(generate_synthetic(
+            replace(template, n_samples=probe_samples, signal=mid)))
+        if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
+            best_signal, best_acc = mid, acc
+        if abs(acc - target_acc) <= tolerance:
+            return mid, acc
+        if acc < target_acc:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError("not converged", best=(best_signal, best_acc))
+
+
+@st.composite
+def synthetic_configs(draw, max_samples=300):
+    k = draw(st.integers(2, 12))
+    prior = None
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k,
+                                   max_size=k)))
+        prior = tuple(w / w.sum())
+    return SyntheticConfig(
+        n_classes=k,
+        n_samples=draw(st.integers(0, max_samples)),
+        signal=draw(st.floats(0.0, 20.0)),
+        noise_sigma=draw(st.floats(0.05, 10.0)),
+        # a huge temperature makes softmax rounding tie rows whose logits
+        # differ, so the accuracy of probs and of logits part ways
+        temperature=draw(st.one_of(st.floats(0.05, 5.0),
+                                   st.sampled_from((1e16, 1e18, 1e20)))),
+        prior=prior,
+        seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=synthetic_configs())
+def test_generate_synthetic_matches_one_step_rows(cfg):
+    ds = generate_synthetic(cfg)
+    labels, logits, probs = one_step_rows(cfg, 0, cfg.n_samples)
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.logits.tobytes() == logits.tobytes()
+    assert ds.probs.tobytes() == probs.tobytes()
+    assert ds.features is ds.logits
+
+
+@settings(max_examples=80, deadline=None)
+@given(template=synthetic_configs(), data=st.data())
+def test_bisection_matches_full_generation_oracle(template, data):
+    k = template.n_classes
+    target = 1.0 / k + data.draw(st.floats(0.01, 0.99)) * (1.0 - 1.0 / k)
+    kwargs = dict(tolerance=data.draw(st.sampled_from((0.0, 0.001, 0.01, 0.05))),
+                  probe_samples=data.draw(st.integers(1, 2000)),
+                  max_iters=data.draw(st.integers(1, 30)))
+    try:
+        want = bisection_oracle(target, template, **kwargs)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            calibrate_signal_for_accuracy(target, template, **kwargs)
+        assert got.value.best == exc.best
+    else:
+        assert calibrate_signal_for_accuracy(target, template, **kwargs) == want

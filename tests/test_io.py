@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semicp import dataio
 from semicp.dataio import (RESULT_FIELDS, check_writable, load_dataset,
                            load_threshold, save_dataset, save_threshold,
-                           write_results)
+                           write_prediction_sets, write_results)
 from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
 from semicp.calibration import conformal_quantile
@@ -226,6 +226,82 @@ def test_blocks_and_chunks_round_trip_exactly(tmp_path, monkeypatch):
     for name in ("probs", "labels", "logits", "features"):
         assert np.array_equal(getattr(chunked, name), getattr(whole, name))
         assert np.array_equal(getattr(chunked, name), getattr(ds, name))
+
+
+
+def test_aliased_features_write_like_a_copy(tmp_path):
+    # features *is* logits for synthetic data; the writer formats that
+    # channel once, and must give the bytes of a dataset holding a copy
+    ds = generate_synthetic(SyntheticConfig(n_classes=4, n_samples=2100, seed=6))
+    ds.logits[3] = [-0.0, 5e-324, 1e300, -1e300]
+    ds.logits[1500, :2] = [-5e-324, 0.0]
+    assert ds.features is ds.logits
+    copied = ProbabilityDataset(probs=ds.probs, labels=ds.labels,
+                                logits=ds.logits, features=ds.logits.copy())
+    aliased_path, copied_path = tmp_path / "a.csv", tmp_path / "c.csv"
+    save_dataset(ds, aliased_path)
+    save_dataset(copied, copied_path)
+    assert aliased_path.read_bytes() == copied_path.read_bytes()
+    assert aliased_path.read_text() == reference_csv(ds)
+    assert len(aliased_path.read_text().splitlines()) == 2 + len(ds)
+
+
+def test_features_equal_to_logits_but_not_the_same_array(tmp_path):
+    # equal is not enough to share the formatted text: -0.0 == 0.0
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=20, seed=2))
+    ds.logits[0] = [-0.0, 1.0, 2.0]
+    features = ds.logits.copy()
+    features[0, 0] = 0.0
+    assert np.array_equal(features, ds.logits)
+    equal = ProbabilityDataset(probs=ds.probs, labels=ds.labels,
+                               logits=ds.logits, features=features)
+    wider = ProbabilityDataset(probs=ds.probs, labels=ds.labels,
+                               logits=ds.logits,
+                               features=np.hstack([features, features[:, :2]]))
+    for other in (equal, wider):
+        path = tmp_path / "d.csv"
+        save_dataset(other, path)
+        assert path.read_text() == reference_csv(other)
+
+
+def reference_prediction_sets(mask, labels) -> str:
+    """The prediction-set file written one row at a time."""
+    out = ["index,label,set_size,covered,classes\n"]
+    for i in range(len(labels)):
+        classes = np.nonzero(mask[i])[0]
+        label = int(labels[i])
+        covered = "" if label < 0 else str(int(mask[i, label]))
+        out.append(f"{i},{label},{classes.size},{covered},"
+                   f"{'|'.join(str(c) for c in classes)}\n")
+    return "".join(out)
+
+
+def test_prediction_sets_match_row_by_row_writer(tmp_path):
+    rs = np.random.RandomState(3)
+    n, k = 2 * dataio.WRITE_BLOCK + 37, 12
+    mask = rs.rand(n, k) < 0.3
+    mask[:50] = False  # empty sets
+    mask[50:100] = True  # full sets
+    labels = rs.randint(-1, k, size=n)
+    labels[:10] = -1
+    labels[50:60] = -1
+    path = tmp_path / "sets.csv"
+    write_prediction_sets(mask, labels, path)
+    assert path.read_text() == reference_prediction_sets(mask, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prediction_sets_match_row_by_row_writer_property(tmp_path_factory, data):
+    k = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(0, 60))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * k,
+                                       max_size=n * k)), dtype=bool).reshape(n, k)
+    labels = np.array(data.draw(st.lists(st.integers(-1, k - 1), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    path = tmp_path_factory.mktemp("sets") / "sets.csv"
+    write_prediction_sets(mask, labels, path)
+    assert path.read_text() == reference_prediction_sets(mask, labels)
 
 
 K2_HEADER = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n"

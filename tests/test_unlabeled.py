@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
@@ -10,7 +12,7 @@ from semicp.unlabeled import (EstimatorSpec, LabeledRecords,
                               deterministic_pseudo_scores, estimate_scores,
                               naive_scores, neighbor_match, nnm_r_scores,
                               nnm_scores, pseudo_label, pseudo_labels,
-                              random_match_scores)
+                              random_match_scores, _match_sorted_1d)
 
 
 def rand_dataset(rs, m, k, with_channels=False):
@@ -304,3 +306,39 @@ def test_estimator_dispatch_and_errors():
     with pytest.raises(ConfigurationError):
         neighbor_match(unl, rec, spec,
                        EstimatorSpec(criterion="pseudo_score", k=11))
+
+
+def _tied_values_and_queries(data, level):
+    """A handful of distinct levels, values drawn from them, and queries on
+    them, halfway between them and beyond both ends."""
+    levels = data.draw(st.lists(level, min_size=1, max_size=5, unique=True))
+    n = data.draw(st.integers(1, 40))
+    values = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n,
+                                         max_size=n)))
+    ordered = sorted(levels)
+    spots = (ordered + [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+             + [ordered[0] - 1.0, ordered[-1] + 1.0])
+    queries = np.array(data.draw(st.lists(st.sampled_from(spots), min_size=1,
+                                          max_size=30)))
+    order = np.argsort(values, kind="stable")
+    return values, queries, _match_sorted_1d(values[order], order, queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_match_sorted_1d_equals_bruteforce_under_heavy_ties(data):
+    # eighths in [-4, 4]: every distance is exact, so ties in value and in
+    # distance are real ties and the smaller original index must win
+    values, queries, got = _tied_values_and_queries(
+        data, st.integers(-32, 32).map(lambda i: i / 8))
+    n = len(values)
+    want = [min(range(n), key=lambda j: (abs(q - values[j]), j)) for q in queries]
+    assert got.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_match_sorted_1d_is_nearest_for_any_floats(data):
+    values, queries, got = _tied_values_and_queries(data, st.floats(-10.0, 10.0))
+    for q, j in zip(queries, got):
+        assert abs(q - values[j]) == np.abs(q - values).min()
