@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng
 from .errors import CalibrationError, ConfigurationError, InputError
-from .scores import ScoreSpec, score_all_labels, score_all_labels_batch
+from .metrics import empirical_cdf
+from .scores import ScoreSpec, score_all_labels_batch
 
 _KMEANS_TAG = 0x6B6D65616E73  # "kmeans"
 
@@ -44,9 +45,6 @@ class Threshold:
     level_index: int
     pool_size: int
     alpha: float
-
-    def admits(self, score: float) -> bool:
-        return self.include_all or score <= self.value
 
     def to_dict(self) -> dict:
         return {
@@ -99,15 +97,21 @@ def quantile_level(pool_size: int, alpha: float) -> int:
     return (pool_size + 1) - math.floor((pool_size + 1) * alpha)
 
 
-def conformal_quantile(scores, alpha: float) -> Threshold:
-    """Split-conformal threshold of a score pool at miscoverage alpha."""
+def _checked_pool(scores, alpha: float):
+    """The pool as floats and its quantile level, after the checks that
+    every quantile rule shares."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise CalibrationError("cannot calibrate on an empty score pool")
     if not np.all(np.isfinite(scores)):
         raise InputError("score pool contains non-finite values")
+    return scores, quantile_level(scores.size, alpha)
+
+
+def conformal_quantile(scores, alpha: float) -> Threshold:
+    """Split-conformal threshold of a score pool at miscoverage alpha."""
+    scores, level = _checked_pool(scores, alpha)
     m = scores.size
-    level = quantile_level(m, alpha)
     if level > m:
         return Threshold(math.nan, True, level, m, alpha)
     value = float(np.sort(scores, kind="stable")[level - 1])
@@ -126,14 +130,8 @@ def interpolated_quantile(scores, alpha: float) -> Threshold:
     is s_(k) + gamma * (s_(k+1) - s_(k)), clamped to the extreme order
     statistics when k falls outside 1..m-1.  Never produces include-all.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise CalibrationError("cannot calibrate on an empty score pool")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("score pool contains non-finite values")
+    scores, _ = _checked_pool(scores, alpha)
     m = scores.size
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     h = (m + 1) * (1.0 - alpha)
     k = math.floor(h)
     s = np.sort(scores, kind="stable")
@@ -145,14 +143,6 @@ def interpolated_quantile(scores, alpha: float) -> Threshold:
         gamma = h - k
         value = float(s[k - 1] + gamma * (s[k] - s[k - 1]))
     return Threshold(value, False, k, m, alpha)
-
-
-def predict_set(p, spec: ScoreSpec, threshold: Threshold, u=None) -> np.ndarray:
-    """Sorted class indices whose score falls at or below the threshold."""
-    scores = score_all_labels(p, spec, u)
-    if threshold.include_all:
-        return np.arange(scores.shape[0], dtype=np.int64)
-    return np.nonzero(scores <= threshold.value)[0].astype(np.int64)
 
 
 def prediction_mask(probs, spec: ScoreSpec, threshold: Threshold, u=None) -> np.ndarray:
@@ -255,15 +245,10 @@ def epsilon_bias(true_scores_sample, estimated_scores_sample,
     Empirical CDFs use the <= convention.  An include-all threshold puts
     both CDFs at 1, so the diagnostic is 0 by convention.
     """
-    true_scores_sample = np.asarray(true_scores_sample, dtype=np.float64)
-    estimated_scores_sample = np.asarray(estimated_scores_sample, dtype=np.float64)
-    if true_scores_sample.size == 0 or estimated_scores_sample.size == 0:
+    if np.size(true_scores_sample) == 0 or np.size(estimated_scores_sample) == 0:
         raise InputError("epsilon_bias requires nonempty score samples")
-    if N == 0:
-        return 0.0
-    if threshold.include_all:
+    if N == 0 or threshold.include_all:
         return 0.0
     t = threshold.value
-    f_true = np.count_nonzero(true_scores_sample <= t) / true_scores_sample.size
-    f_est = np.count_nonzero(estimated_scores_sample <= t) / estimated_scores_sample.size
-    return N / (N + n) * (f_true - f_est)
+    return N / (N + n) * (empirical_cdf(true_scores_sample, t)
+                          - empirical_cdf(estimated_scores_sample, t))

@@ -26,10 +26,12 @@ from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, \
     generate_synthetic, measure_top1_accuracy
 from .dataio import check_writable, load_dataset, load_threshold, \
     save_dataset, save_threshold, write_prediction_sets, write_results
-from .errors import ConfigurationError, SemicpError, exit_code_for
+from .errors import ConfigurationError, EstimationError, SemicpError, \
+    exit_code_for
 from .metrics import avg_size, coverage
-from .scores import ScoreSpec
-from .unlabeled import EstimatorSpec, build_labeled_records, estimate_scores
+from .scores import SCORE_KINDS, ScoreSpec
+from .unlabeled import (CRITERION_KINDS, ESTIMATOR_KINDS, EstimatorSpec,
+                        ScoreTables, estimate_scores)
 
 
 def _add_universal(p):
@@ -45,7 +47,7 @@ def _seed(args) -> int:
 
 
 def _add_score_flags(p):
-    p.add_argument("--score", default="thr", choices=["thr", "aps", "raps", "saps"])
+    p.add_argument("--score", default="thr", choices=SCORE_KINDS)
     p.add_argument("--randomized", action="store_true",
                    help="use the randomized score variant")
     p.add_argument("--k-reg", type=int, default=2, help="raps rank offset")
@@ -81,13 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", required=True, help="labeled calibration CSV")
     p.add_argument("--unlabeled", help="unlabeled pool CSV (labels ignored)")
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--estimator", default="nnm",
-                   choices=["nnm", "nnm_r", "naive", "debias", "random_match"])
+    p.add_argument("--estimator", default="nnm", choices=ESTIMATOR_KINDS)
     p.add_argument("--neighbors", type=int, default=1,
                    help="k for k-nearest-neighbor bias averaging")
     p.add_argument("--criterion", default="pseudo_score",
-                   choices=["pseudo_score", "confidence", "score_vector",
-                            "logit", "feature"])
+                   choices=CRITERION_KINDS)
     _add_score_flags(p)
     _add_universal(p)
 
@@ -133,10 +133,7 @@ def _cmd_gen(args) -> int:
                           seed=_seed(args))
     if args.target_accuracy is not None:
         signal, achieved = calibrate_signal_for_accuracy(args.target_accuracy, cfg)
-        cfg = SyntheticConfig(n_classes=args.classes, n_samples=args.samples,
-                              signal=signal, noise_sigma=args.noise_sigma,
-                              temperature=args.temperature, prior=prior,
-                              seed=_seed(args))
+        cfg = replace(cfg, signal=signal)
         print(f"signal={signal:.6f} for target accuracy "
               f"{args.target_accuracy} (probe achieved {achieved:.4f})")
     ds = generate_synthetic(cfg)
@@ -149,16 +146,15 @@ def _cmd_gen(args) -> int:
 def _cmd_calibrate(args) -> int:
     spec = _score_spec(args)
     labeled = load_dataset(args.labeled)
-    if not labeled.fully_labeled:
-        labeled = labeled.subset(np.nonzero(labeled.labels >= 0)[0])
-    records = build_labeled_records(labeled, spec)
-    n = len(labeled)
+    records = ScoreTables(labeled, spec).records(np.nonzero(labeled.labels >= 0)[0])
+    n = len(records)
+    if n == 0:
+        raise EstimationError("labeled calibration set is empty")
 
+    u_lab = None
     if spec.randomized:
         u_lab = rng.uniforms(rng.stream(_seed(args), 0, 1), np.arange(n))
-        lab_scores = records.true_a + records.true_b * u_lab
-    else:
-        lab_scores = records.true_scores
+    lab_scores = records.true_at(u_lab)
 
     est_scores = np.empty(0)
     big_n = 0
@@ -170,7 +166,8 @@ def _cmd_calibrate(args) -> int:
         u_unlab = None
         if spec.randomized:
             u_unlab = rng.uniforms(rng.stream(_seed(args), 0, 2), np.arange(big_n))
-        est_scores = estimate_scores(unlabeled, records, spec, estimator,
+        pseudo = ScoreTables(unlabeled, spec).queries(np.arange(big_n))
+        est_scores = estimate_scores(pseudo, records, spec, estimator,
                                      stream_key=rng.stream(_seed(args), 0, 3),
                                      u=u_unlab)
 

@@ -66,13 +66,3 @@ class ProbabilityDataset:
     @property
     def fully_labeled(self) -> bool:
         return bool(np.all(self.labels >= 0))
-
-    def subset(self, indices) -> "ProbabilityDataset":
-        """Dataset restricted to the given sample indices (copies rows)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return ProbabilityDataset(
-            probs=self.probs[indices],
-            labels=self.labels[indices],
-            logits=None if self.logits is None else self.logits[indices],
-            features=None if self.features is None else self.features[indices],
-        )

@@ -76,24 +76,9 @@ class MetricsSummary:
         return d
 
 
-def _set_mask(prediction_sets, labels=None, n_classes=None):
-    if isinstance(prediction_sets, np.ndarray) and prediction_sets.dtype == bool:
-        return prediction_sets
-    if n_classes is None:
-        n_classes = 0
-        for s in prediction_sets:
-            n_classes = max(n_classes, max(s, default=-1) + 1)
-        if labels is not None and len(labels):
-            n_classes = max(n_classes, int(np.max(labels)) + 1)
-    mask = np.zeros((len(prediction_sets), n_classes), dtype=bool)
-    for i, s in enumerate(prediction_sets):
-        mask[i, list(s)] = True
-    return mask
-
-
-def coverage(prediction_sets, labels) -> float:
-    """Fraction of samples whose true label is in their prediction set."""
-    mask = _set_mask(prediction_sets, labels)
+def coverage(mask, labels) -> float:
+    """Fraction of samples whose true label is in their prediction set, given
+    the (m, K) boolean membership mask of the sets."""
     labels = np.asarray(labels, dtype=np.int64)
     if mask.shape[0] != labels.shape[0]:
         raise InputError("one prediction set per label is required")
@@ -102,9 +87,9 @@ def coverage(prediction_sets, labels) -> float:
     return float(np.mean(mask[np.arange(labels.shape[0]), labels]))
 
 
-def avg_size(prediction_sets) -> float:
-    """Mean number of labels per prediction set."""
-    mask = _set_mask(prediction_sets)
+def avg_size(mask) -> float:
+    """Mean number of labels per prediction set, given the (m, K) boolean
+    membership mask of the sets."""
     if mask.shape[0] == 0:
         raise InputError("average size of an empty batch is undefined")
     return float(mask.sum(axis=1).mean())
@@ -123,11 +108,6 @@ def over_under_gaps(coverages, alpha: float):
     over = float(100.0 * np.mean(np.where(dev > 0, dev, 0.0)))
     under = float(100.0 * np.mean(np.where(dev < 0, -dev, 0.0)))
     return over, under
-
-
-def class_cov_gap(per_class_coverages, alpha: float) -> float:
-    """Mean |per-class coverage - (1 - alpha)| across classes, x100."""
-    return cov_gap(per_class_coverages, alpha)
 
 
 def improvement(m_standard: float, m_semicp: float, m_oracle: float):
@@ -236,7 +216,7 @@ def summarize(results, alpha: float) -> MetricsSummary:
     for r in results:
         if r.per_group_coverage:
             per_trial_gaps.append(
-                class_cov_gap(list(r.per_group_coverage.values()), alpha))
+                cov_gap(list(r.per_group_coverage.values()), alpha))
     if per_trial_gaps:
         group_gap = float(np.mean(per_trial_gaps))
 

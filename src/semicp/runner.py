@@ -306,10 +306,7 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
                                          _TAG_U_TEST), np.arange(config.test_size))
 
     records = ctx.labeled.records(pools.lab)
-    if spec.randomized:
-        lab_scores = records.true_a + records.true_b * u_lab
-    else:
-        lab_scores = records.true_scores
+    lab_scores = records.true_at(u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
     pseudo = ctx.main.queries(pools.unlab)
 

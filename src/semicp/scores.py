@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 SCORE_KINDS = ("thr", "aps", "raps", "saps")
 
@@ -58,34 +58,14 @@ class ScoreSpec:
             raise ConfigurationError("thr has no randomized form")
 
 
-def validate_prob_vector(p) -> np.ndarray:
-    """Check a single probability row: nonnegative, sums to 1, K >= 2."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise InputError("probability vector must be 1-D with at least 2 classes")
-    if not np.all(np.isfinite(p)):
-        raise InputError("probability vector contains non-finite entries")
-    if np.any(p < 0):
-        raise InputError("probability vector contains negative entries")
-    if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-        raise InputError(f"probabilities sum to {p.sum():.8f}, not 1")
-    return p
-
-
-def rank_and_cummass(p):
-    """Ranks (1-based) and strictly-above probability mass for one row.
-
-    ``ranks[y]`` is the position of class y under descending probability
-    (ties by ascending class index); ``rho[y]`` is the total probability of
-    classes ranked strictly above y.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    ranks, rho = rank_and_cummass_batch(p[None, :])
-    return ranks[0], rho[0]
-
-
 def rank_and_cummass_batch(probs):
-    """Vectorized :func:`rank_and_cummass` over an (m, K) matrix."""
+    """Ranks (1-based) and strictly-above probability mass of an (m, K)
+    matrix.
+
+    ``ranks[i, y]`` is the position of class y in row i under descending
+    probability (ties by ascending class index); ``rho[i, y]`` is the total
+    probability of the classes ranked strictly above y.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     m, k = probs.shape
     order = np.argsort(-probs, axis=1, kind="stable")
@@ -149,27 +129,3 @@ def score_all_labels_batch(probs, spec: ScoreSpec, u=None):
         return a + b
     u = np.asarray(u, dtype=np.float64)
     return a + b * u[:, None]
-
-
-def score_all_labels(p, spec: ScoreSpec, u=None):
-    """Scores for every label of a single probability row."""
-    p = validate_prob_vector(p)
-    uu = None if u is None else np.asarray([u], dtype=np.float64)
-    return score_all_labels_batch(p[None, :], spec, uu)[0]
-
-
-def score_label(p, y: int, spec: ScoreSpec, u=None) -> float:
-    """Score of one (probability row, label) pair."""
-    p = validate_prob_vector(p)
-    if not 0 <= int(y) < p.shape[0]:
-        raise InputError(f"class index {y} out of range for K={p.shape[0]}")
-    return float(score_all_labels(p, spec, u)[int(y)])
-
-
-def scores_at_labels(probs, labels, spec: ScoreSpec, u=None):
-    """Batch score of each row at its own label (true scores of a pool)."""
-    all_scores = score_all_labels_batch(probs, spec, u)
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= all_scores.shape[1]):
-        raise InputError("class index out of range")
-    return all_scores[np.arange(all_scores.shape[0]), labels]

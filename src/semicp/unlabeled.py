@@ -16,11 +16,10 @@ gap between true and pseudo score is observable:
   matched on deterministic pseudo scores, but all three score terms are
   re-evaluated at the unlabeled sample's own random factor u
 
-The estimators read only gathered values (:class:`PseudoScores` for the
-unlabeled samples, :class:`LabeledRecords` for the labeled ones), so a data
-source is scored once into :class:`ScoreTables` and each pool drawn from it
-only gathers rows.  Given a dataset instead of :class:`PseudoScores`, an
-estimator scores it first.
+The estimators read only rows gathered from :class:`ScoreTables`
+(:class:`PseudoScores` for the unlabeled samples, :class:`LabeledRecords`
+for the labeled ones), so a data source is scored once and each pool drawn
+from it only gathers rows.
 
 Nearest-neighbor matching on pseudo scores uses binary search over a sorted
 copy, so estimating N samples against n records costs O((n+N) log n).
@@ -67,39 +66,35 @@ def pseudo_labels(probs) -> np.ndarray:
     return np.argmax(np.asarray(probs, dtype=np.float64), axis=1).astype(np.int64)
 
 
-def pseudo_label(p) -> int:
-    """Pseudo-label of a single probability row."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise InputError("expected a single probability row")
-    return int(np.argmax(p))
+def _criterion_vectors(tables, rows, kind: str) -> np.ndarray:
+    """Vectors of the given rows under a non-pseudo-score neighbor criterion."""
+    if kind == "confidence":
+        return tables.confidences[rows][:, None]
+    if kind == "score_vector":
+        return tables.all_labels(rows)
+    channel = {"logit": tables.dataset.logits,
+               "feature": tables.dataset.features}[kind]
+    if channel is None:
+        raise InputError(f"neighbor criterion {kind!r} needs the {kind}s channel")
+    return channel[rows]
 
 
 @dataclass
 class LabeledRecords:
-    """Scored labeled calibration samples, indexed for neighbor matching.
+    """Labeled calibration samples, ``rows`` of ``tables``, indexed for
+    neighbor matching.
 
-    Scores are stored in affine form (value = a + b * u) at both the true
-    and the pseudo label, so randomized estimators can re-evaluate them at
-    an arbitrary random factor; records gathered from deterministic
-    :class:`ScoreTables` leave the affine parts None.
     ``pseudo_scores``/``true_scores``/``biases`` are the deterministic
-    (u = 1) values; matching always uses these.  ``sort_order`` sorts
-    records by (pseudo score, original index).
+    (u = 1) scores at the pseudo and the true label and their difference;
+    matching always uses these.  ``sort_order`` sorts records by (pseudo
+    score, original index).
     """
 
+    tables: "ScoreTables"
+    rows: np.ndarray
     pseudo_scores: np.ndarray
     true_scores: np.ndarray
     biases: np.ndarray
-    pseudo_labels: np.ndarray
-    confidences: np.ndarray
-    true_a: np.ndarray
-    true_b: np.ndarray
-    pseudo_a: np.ndarray
-    pseudo_b: np.ndarray
-    score_vectors: np.ndarray
-    logit_vectors: np.ndarray = None
-    feature_vectors: np.ndarray = None
     sort_order: np.ndarray = field(init=False)
     sorted_pseudo: np.ndarray = field(init=False)
 
@@ -113,6 +108,23 @@ class LabeledRecords:
     def mean_bias(self) -> float:
         return float(self.biases.mean())
 
+    def true_at(self, u=None) -> np.ndarray:
+        """True-label scores at one random factor per record."""
+        if u is None:
+            return self.true_scores
+        return self.tables.at(self.rows, self.tables.dataset.labels[self.rows], u)
+
+    def biases_at(self, matched, u=None) -> np.ndarray:
+        """Biases of the ``matched`` records at one random factor per row of
+        ``matched``; deterministic tables ignore u."""
+        if u is None:
+            return self.biases[matched]
+        rows, tables = self.rows[matched], self.tables
+        # S(xj, yj, u) - S(xj, yhat_j, u), so that u = 1 reproduces the
+        # deterministic biases bit for bit
+        return tables.at(rows, tables.dataset.labels[rows], u) - \
+            tables.at(rows, tables.hats[rows], u)
+
 
 class ScoreTables:
     """Score tables of one dataset, computed once so that every pool drawn
@@ -124,13 +136,10 @@ class ScoreTables:
     times the memory of ``dataset.probs``.
     """
 
-    def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec,
-                 affine: bool = None):
-        """``affine`` keeps A and B apart even for a deterministic spec
-        (default: only for a randomized one)."""
+    def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec):
         self.dataset = dataset
         a, b = score_components_batch(dataset.probs, spec)
-        if spec.randomized if affine is None else affine:
+        if spec.randomized:
             self.a, self.b = a, b
         else:
             a += b  # a is a fresh array for every score kind
@@ -139,11 +148,13 @@ class ScoreTables:
         self.confidences = dataset.probs.max(axis=1)
 
     def at(self, rows, labels, u=None) -> np.ndarray:
-        """Score of each row at one label; ``u`` (one draw per row) is
-        required by affine tables and ignored otherwise."""
+        """Score of each row at one label; ``u`` is one draw per row, and
+        without it affine tables give the deterministic (u = 1) scores.
+        Deterministic tables ignore u."""
         if self.b is None:
             return self.a[rows, labels]
-        return self.a[rows, labels] + self.b[rows, labels] * u
+        b = self.b[rows, labels]
+        return self.a[rows, labels] + (b if u is None else b * u)
 
     def all_labels(self, rows, u=None) -> np.ndarray:
         """Scores of every label of the rows; ``u`` is one draw per row, and
@@ -153,81 +164,40 @@ class ScoreTables:
         b = self.b[rows]
         return self.a[rows] + (b if u is None else b * u[:, None])
 
-    def _parts(self, rows, labels):
-        """(A, B, A + B) at one label per row; A and B are None when the
-        table holds only the sum."""
-        if self.b is None:
-            return None, None, self.a[rows, labels]
-        a, b = self.a[rows, labels], self.b[rows, labels]
-        return a, b, a + b
-
     def records(self, rows) -> LabeledRecords:
         """Labeled records of the given (fully labeled) rows."""
-        hats = self.hats[rows]
-        true_a, true_b, true = self._parts(rows, self.dataset.labels[rows])
-        pseudo_a, pseudo_b, pseudo = self._parts(rows, hats)
-        ds = self.dataset
-        return LabeledRecords(
-            pseudo_scores=pseudo, true_scores=true, biases=true - pseudo,
-            pseudo_labels=hats, confidences=self.confidences[rows],
-            true_a=true_a, true_b=true_b, pseudo_a=pseudo_a, pseudo_b=pseudo_b,
-            score_vectors=self.all_labels(rows),
-            logit_vectors=None if ds.logits is None else ds.logits[rows],
-            feature_vectors=None if ds.features is None else ds.features[rows])
+        labels = self.dataset.labels[rows]
+        if np.any(labels < 0):
+            raise InputError("labeled dataset has rows without labels")
+        true = self.at(rows, labels)
+        pseudo = self.at(rows, self.hats[rows])
+        return LabeledRecords(self, rows, pseudo, true, true - pseudo)
 
     def queries(self, rows) -> "PseudoScores":
         """Estimator input for the given unlabeled rows."""
-        a, b, det = self._parts(rows, self.hats[rows])
-        return PseudoScores(det, a, b, self, rows)
+        return PseudoScores(self, rows)
 
 
-@dataclass
 class PseudoScores:
-    """Unlabeled samples' scores at their pseudo-labels: with the labeled
-    records, everything an estimator reads.
+    """Unlabeled samples' scores at their pseudo-labels, ``rows`` of
+    ``tables``: with the labeled records, everything an estimator reads.
 
-    ``det`` is the deterministic (u = 1) score and ``a``/``b`` are its
-    affine parts (affine tables only), for ``rows`` of ``tables``.
+    ``det`` is the deterministic (u = 1) score.
     """
 
-    det: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    tables: ScoreTables
-    rows: np.ndarray
+    def __init__(self, tables: ScoreTables, rows):
+        self.tables, self.rows = tables, rows
+        self.det = tables.at(rows, tables.hats[rows])
 
     def __len__(self):
         return self.det.shape[0]
 
-    def vectors(self, kind: str) -> np.ndarray:
-        """Query vectors for a non-pseudo-score neighbor criterion."""
-        if kind == "confidence":
-            return self.tables.confidences[self.rows][:, None]
-        if kind == "score_vector":
-            return self.tables.all_labels(self.rows)
-        channel = {"logit": self.tables.dataset.logits,
-                   "feature": self.tables.dataset.features}[kind]
-        if channel is None:
-            raise InputError(f"neighbor criterion {kind!r} needs the "
-                             f"{kind}s channel")
-        return channel[self.rows]
-
-
-def build_labeled_records(labeled: ProbabilityDataset, spec: ScoreSpec) -> LabeledRecords:
-    """Score a fully labeled dataset and index it for matching."""
-    if len(labeled) == 0:
-        raise EstimationError("labeled calibration set is empty")
-    if not labeled.fully_labeled:
-        raise InputError("labeled dataset has rows without labels")
-    return ScoreTables(labeled, spec, affine=True).records(np.arange(len(labeled)))
-
-
-def _pseudo(unlabeled, spec: ScoreSpec) -> PseudoScores:
-    """Estimator input: ``unlabeled`` itself when it is already gathered
-    :class:`PseudoScores`, otherwise the scores of a whole dataset."""
-    if isinstance(unlabeled, PseudoScores):
-        return unlabeled
-    return ScoreTables(unlabeled, spec).queries(np.arange(len(unlabeled)))
+    def at(self, u=None) -> np.ndarray:
+        """Scores at one random factor per sample; deterministic tables
+        ignore u."""
+        if u is None:
+            return self.det
+        return self.tables.at(self.rows, self.tables.hats[self.rows], u)
 
 
 def _match_sorted_1d(sorted_vals, sort_order, queries):
@@ -268,25 +238,10 @@ def _knn_bruteforce(dist2_fn, n_records, queries_count, k):
     return out
 
 
-def _record_vectors(records: LabeledRecords, kind: str):
-    """Per-record vectors for a non-pseudo-score neighbor criterion."""
-    if kind == "confidence":
-        return records.confidences[:, None]
-    if kind == "score_vector":
-        return records.score_vectors
-    vectors = {"logit": records.logit_vectors,
-               "feature": records.feature_vectors}[kind]
-    if vectors is None:
-        raise InputError(f"neighbor criterion {kind!r} needs the {kind}s channel")
-    return vectors
-
-
-def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
+def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
                    estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
     """Matched record indices per unlabeled sample.
 
-    ``unlabeled`` is a :class:`ProbabilityDataset` or :class:`PseudoScores`;
-    the same holds for the estimators below.
     Returns shape (N,) for k = 1 and (N, k) otherwise, ordered nearest
     first.  Ties are broken by the smaller original record index.
     """
@@ -295,7 +250,6 @@ def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
     if estimator.k > len(records):
         raise ConfigurationError(
             f"k={estimator.k} exceeds the {len(records)} labeled records")
-    pseudo = _pseudo(unlabeled, spec)
     if estimator.criterion == "pseudo_score" and estimator.k == 1:
         return _match_sorted_1d(records.sorted_pseudo, records.sort_order,
                                 pseudo.det)
@@ -304,8 +258,8 @@ def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
         q = pseudo.det[:, None]
         r = records.pseudo_scores[:, None]
     else:
-        q = pseudo.vectors(estimator.criterion)
-        r = _record_vectors(records, estimator.criterion)
+        q = _criterion_vectors(pseudo.tables, pseudo.rows, estimator.criterion)
+        r = _criterion_vectors(records.tables, records.rows, estimator.criterion)
     q = np.asarray(q, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if q.shape[1] != r.shape[1]:
@@ -319,18 +273,12 @@ def neighbor_match(unlabeled, records: LabeledRecords, spec: ScoreSpec,
     return matched[:, 0] if estimator.k == 1 else matched
 
 
-def deterministic_pseudo_scores(unlabeled, spec: ScoreSpec) -> np.ndarray:
-    """Deterministic (u = 1) score of each sample at its pseudo-label."""
-    return _pseudo(unlabeled, spec).det
-
-
-def naive_scores(unlabeled, spec: ScoreSpec, u=None) -> np.ndarray:
+def naive_scores(pseudo: PseudoScores, spec: ScoreSpec, u=None) -> np.ndarray:
     """Pseudo score of each unlabeled sample, uncorrected."""
-    pseudo = _pseudo(unlabeled, spec)
     if spec.randomized:
         if u is None:
             raise ConfigurationError("randomized spec requires u factors")
-        return pseudo.a + pseudo.b * np.asarray(u, dtype=np.float64)
+        return pseudo.at(np.asarray(u, dtype=np.float64))
     if u is not None:
         raise ConfigurationError("u factors supplied for a deterministic spec")
     return pseudo.det
@@ -343,7 +291,17 @@ def _require_deterministic(spec: ScoreSpec, name: str):
             "randomized specs")
 
 
-def nnm_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
+def _matched_scores(pseudo, records, estimator, u=None) -> np.ndarray:
+    """Own score at u plus the matched records' bias at u, averaged over the
+    k nearest; deterministic tables ignore u."""
+    matched = neighbor_match(pseudo, records, estimator)
+    bias = records.biases_at(matched, u)
+    if matched.ndim == 2:
+        bias = bias.mean(axis=1)
+    return pseudo.at(u) + bias
+
+
+def nnm_scores(pseudo: PseudoScores, records: LabeledRecords, spec: ScoreSpec,
                estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
     """Nearest-neighbor-matched scores: pseudo score + matched record bias.
 
@@ -351,25 +309,20 @@ def nnm_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
     biases is added instead.
     """
     _require_deterministic(spec, "nnm")
-    pseudo = _pseudo(unlabeled, spec)
-    matched = neighbor_match(pseudo, records, spec, estimator)
-    if estimator.k == 1:
-        bias = records.biases[matched]
-    else:
-        bias = records.biases[matched].mean(axis=1)
-    return pseudo.det + bias
+    return _matched_scores(pseudo, records, estimator)
 
 
-def debias_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec) -> np.ndarray:
+def debias_scores(pseudo: PseudoScores, records: LabeledRecords,
+                  spec: ScoreSpec) -> np.ndarray:
     """Pseudo scores shifted by the global mean labeled bias."""
     _require_deterministic(spec, "debias")
     if len(records) == 0:
         raise EstimationError("cannot debias against an empty labeled set")
-    return deterministic_pseudo_scores(unlabeled, spec) + records.mean_bias()
+    return pseudo.det + records.mean_bias()
 
 
-def random_match_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
-                        stream_key) -> np.ndarray:
+def random_match_scores(pseudo: PseudoScores, records: LabeledRecords,
+                        spec: ScoreSpec, stream_key) -> np.ndarray:
     """Pseudo scores corrected by a uniformly drawn record's bias.
 
     Draws are independent per unlabeled sample, with replacement, indexed by
@@ -378,13 +331,12 @@ def random_match_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
     _require_deterministic(spec, "random_match")
     if len(records) == 0:
         raise EstimationError("cannot match against an empty labeled set")
-    det = deterministic_pseudo_scores(unlabeled, spec)
-    draws = rng.integers(stream_key, np.arange(det.shape[0]), len(records))
-    return det + records.biases[draws]
+    draws = rng.integers(stream_key, np.arange(len(pseudo)), len(records))
+    return pseudo.det + records.biases[draws]
 
 
-def nnm_r_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec, u,
-                 estimator: EstimatorSpec = EstimatorSpec("nnm_r")) -> np.ndarray:
+def nnm_r_scores(pseudo: PseudoScores, records: LabeledRecords, spec: ScoreSpec,
+                 u, estimator: EstimatorSpec = EstimatorSpec("nnm_r")) -> np.ndarray:
     """Randomized nearest-neighbor-matched scores.
 
     The neighbor is matched on deterministic pseudo scores; the sample's own
@@ -396,34 +348,27 @@ def nnm_r_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec, u,
     if estimator.k != 1:
         raise ConfigurationError("nnm_r uses a single matched neighbor")
     u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != len(unlabeled):
+    if u.shape[0] != len(pseudo):
         raise InputError("one random factor per unlabeled sample is required")
-    pseudo = _pseudo(unlabeled, spec)
-    matched = neighbor_match(pseudo, records, spec, estimator)
-    own = pseudo.a + pseudo.b * u
-    # evaluated as S(xj, yj, u) - S(xj, yhat_j, u) so that u = 1 reproduces
-    # the deterministic biases bit for bit
-    correction = (records.true_a[matched] + records.true_b[matched] * u) - \
-        (records.pseudo_a[matched] + records.pseudo_b[matched] * u)
-    return own + correction
+    return _matched_scores(pseudo, records, estimator, u)
 
 
-def estimate_scores(unlabeled, records: LabeledRecords, spec: ScoreSpec,
-                    estimator: EstimatorSpec, stream_key=None, u=None) -> np.ndarray:
+def estimate_scores(pseudo: PseudoScores, records: LabeledRecords,
+                    spec: ScoreSpec, estimator: EstimatorSpec, stream_key=None,
+                    u=None) -> np.ndarray:
     """Dispatch to the requested estimator (runner entry point)."""
-    if len(unlabeled) == 0:
+    if len(pseudo) == 0:
         return np.empty(0, dtype=np.float64)
-    unlabeled = _pseudo(unlabeled, spec)
     if estimator.kind == "naive":
-        return naive_scores(unlabeled, spec, u if spec.randomized else None)
+        return naive_scores(pseudo, spec, u if spec.randomized else None)
     if estimator.kind == "debias":
-        return debias_scores(unlabeled, records, spec)
+        return debias_scores(pseudo, records, spec)
     if estimator.kind == "random_match":
         if stream_key is None:
             raise ConfigurationError("random_match needs an rng stream")
-        return random_match_scores(unlabeled, records, spec, stream_key)
+        return random_match_scores(pseudo, records, spec, stream_key)
     if estimator.kind == "nnm_r":
         if u is None:
             raise ConfigurationError("nnm_r needs per-sample u factors")
-        return nnm_r_scores(unlabeled, records, spec, u, estimator)
-    return nnm_scores(unlabeled, records, spec, estimator)
+        return nnm_r_scores(pseudo, records, spec, u, estimator)
+    return nnm_scores(pseudo, records, spec, estimator)

@@ -15,18 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gathered import queries, records
 from semicp import rng
 from semicp.calibration import conformal_quantile
 from semicp.datagen import SyntheticConfig, generate_synthetic
-from semicp.metrics import (beta_cdf, class_cov_gap, cov_gap, improvement,
-                            ks_distance, over_under_gaps)
+from semicp.dataset import ProbabilityDataset
+from semicp.metrics import (TrialResult, beta_cdf, cov_gap, improvement,
+                            ks_distance, over_under_gaps, summarize)
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _build_context, run_experiment,
                            run_trial)
-from semicp.scores import ScoreSpec, scores_at_labels
-from semicp.unlabeled import (EstimatorSpec, build_labeled_records,
-                              naive_scores, nnm_r_scores, nnm_scores)
-from semicp.scores import score_components_batch
+from semicp.scores import ScoreSpec, score_all_labels_batch
+from semicp.unlabeled import (EstimatorSpec, ScoreTables, naive_scores,
+                              nnm_r_scores, nnm_scores)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -93,8 +94,8 @@ def _coverage_trials(n, trials, test_size, k, seed, alpha=0.1,
         cfg = SyntheticConfig(n_classes=k, n_samples=ct * per_trial,
                               signal=2.0, seed=seed * 100_000 + chunk_idx)
         ds = generate_synthetic(cfg)
-        scores = scores_at_labels(ds.probs, ds.labels, spec) \
-            .reshape(ct, per_trial)
+        scores = score_all_labels_batch(ds.probs, spec)[
+            np.arange(len(ds)), ds.labels].reshape(ct, per_trial)
         for i in range(ct):
             t = conformal_quantile(scores[i, :n], alpha)
             covs[done + i] = np.mean(scores[i, n:] <= t.value)
@@ -143,28 +144,27 @@ def test_criterion_04_coverage_variance_formula():
     report(4, "coverage variance formula", ok, "; ".join(details))
 
 
-def _ks_pair(ds, spec, n, big_n, trial, seed):
-    perm = rng.permutation(rng.stream(seed, trial, 77), len(ds))
-    lab = ds.subset(perm[:n])
-    unl = ds.subset(perm[n:n + big_n])
-    rec = build_labeled_records(lab, spec)
-    a, b = score_components_batch(unl.probs, spec)
-    true = (a + b)[np.arange(len(unl)), unl.labels]
-    return (ks_distance(nnm_scores(unl, rec, spec), true),
-            ks_distance(naive_scores(unl, spec), true))
+def _ks_pair(tables, spec, n, big_n, trial, seed):
+    perm = rng.permutation(rng.stream(seed, trial, 77), len(tables.dataset))
+    rec = tables.records(perm[:n])
+    unl = perm[n:n + big_n]
+    pseudo = tables.queries(unl)
+    true = tables.at(unl, tables.dataset.labels[unl])
+    return (ks_distance(nnm_scores(pseudo, rec, spec), true),
+            ks_distance(naive_scores(pseudo, spec), true))
 
 
 def test_criterion_05_nnm_distribution_matching():
     cfg = acc80_source(samples=40_000, seed=9).synthetic
-    ds = generate_synthetic(cfg)
     spec = ScoreSpec("aps")
+    tables = ScoreTables(generate_synthetic(cfg), spec)
     wins = 0
     for t in range(200):
-        k_nnm, k_naive = _ks_pair(ds, spec, 100, 4000, t, seed=0)
+        k_nnm, k_naive = _ks_pair(tables, spec, 100, 4000, t, seed=0)
         wins += k_nnm < k_naive
-    med10 = np.median([_ks_pair(ds, spec, 10, 4000, t, 1)[0]
+    med10 = np.median([_ks_pair(tables, spec, 10, 4000, t, 1)[0]
                        for t in range(120)])
-    med1000 = np.median([_ks_pair(ds, spec, 1000, 4000, t, 1)[0]
+    med1000 = np.median([_ks_pair(tables, spec, 1000, 4000, t, 1)[0]
                          for t in range(120)])
     report(5, "NNM distribution matching",
            wins >= 190 and med1000 < med10,
@@ -223,11 +223,13 @@ def test_criterion_08_reductions_are_bit_identical():
 
     cfg = SyntheticConfig(n_classes=6, n_samples=900, signal=2.0, seed=3)
     ds = generate_synthetic(cfg)
-    lab, unl = ds.subset(np.arange(200)), ds.subset(np.arange(200, 900))
-    rec = build_labeled_records(lab, ScoreSpec("aps"))
-    r_scores = nnm_r_scores(unl, rec, ScoreSpec("aps", randomized=True),
+    lab, unl = np.arange(200), np.arange(200, 900)
+    det, rand = ScoreSpec("aps"), ScoreSpec("aps", randomized=True)
+    det_t, rand_t = ScoreTables(ds, det), ScoreTables(ds, rand)
+    r_scores = nnm_r_scores(rand_t.queries(unl), rand_t.records(lab), rand,
                             np.ones(len(unl)))
-    ok_b = np.array_equal(r_scores, nnm_scores(unl, rec, ScoreSpec("aps")))
+    ok_b = np.array_equal(r_scores, nnm_scores(det_t.queries(unl),
+                                               det_t.records(lab), det))
 
     perfect = ExperimentConfig(
         n=30, N=1000,
@@ -282,8 +284,9 @@ def test_criterion_10_metric_oracles():
         loop_under = 100.0 * sum((1 - a) - x for x in c if x < 1 - a) / len(c)
         over, under = over_under_gaps(c, a)
         exact = exact and math.isclose(cov_gap(c, a), loop_gap, rel_tol=1e-12)
-        exact = exact and math.isclose(class_cov_gap(c, a), loop_gap,
-                                       rel_tol=1e-12)
+        trial = TrialResult("m", 0, 0, 0.9, 1.0, dict(enumerate(c)))
+        exact = exact and math.isclose(summarize([trial], a).group_cov_gap,
+                                       loop_gap, rel_tol=1e-12)
         exact = exact and math.isclose(over, loop_over, rel_tol=1e-12,
                                        abs_tol=1e-12)
         exact = exact and math.isclose(under, loop_under, rel_tol=1e-12,
@@ -317,18 +320,20 @@ def test_criterion_12_matching_complexity():
     spec = ScoreSpec("thr")
     lab = generate_synthetic(SyntheticConfig(
         n_classes=10, n_samples=1000, signal=ACC80_SIGNAL, seed=4))
-    rec = build_labeled_records(lab, spec)
+    rec = records(lab, spec)
     big1 = generate_synthetic(SyntheticConfig(
         n_classes=10, n_samples=1_000_000, signal=ACC80_SIGNAL, seed=5))
     big2 = generate_synthetic(SyntheticConfig(
         n_classes=10, n_samples=2_000_000, signal=ACC80_SIGNAL, seed=6))
-    nnm_scores(big1.subset(np.arange(1000)), rec, spec)  # warm-up
+    nnm_scores(queries(ProbabilityDataset(big1.probs[:1000]), spec), rec,
+               spec)  # warm-up
 
+    # the timed work scores the whole pool, then matches it
     start = time.perf_counter()
-    nnm_scores(big1, rec, spec)
+    nnm_scores(queries(big1, spec), rec, spec)
     t1 = time.perf_counter() - start
     start = time.perf_counter()
-    nnm_scores(big2, rec, spec)
+    nnm_scores(queries(big2, spec), rec, spec)
     t2 = time.perf_counter() - start
     report(12, "matching complexity", t1 < 2.0 and t2 / t1 <= 2.5,
            f"n=1000, N=1e6 in {t1:.3f}s (<2s); doubling N scales by "

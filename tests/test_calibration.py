@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semicp.calibration import (ScoredPool, Threshold, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
-                                predict_set, prediction_mask, quantile_level,
+                                prediction_mask, quantile_level,
                                 semicp_threshold)
 from semicp.errors import CalibrationError, ConfigurationError, InputError
 from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
+from test_acceptance import exact_quantile_oracle
 
 
 def oracle_quantile(scores, alpha):
@@ -53,6 +56,27 @@ def test_conformal_quantile_brute_force_oracle():
         else:
             assert not t.include_all
             assert t.value == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(st.integers(0, 4).map(lambda i: i / 4), min_size=1,
+                     max_size=60),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(pool=[0.5], alpha=0.3)  # include-all: level 2 > m = 1
+@example(pool=[0.0, 0.25], alpha=1 / 3)
+@example(pool=[0.0, 0.25, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75], alpha=0.3)
+def test_conformal_quantile_matches_exact_oracle_under_ties(pool, alpha):
+    # Where (m+1) * alpha rounds onto an integer j that the exact product
+    # misses (alpha = 0.3 at m = 9, 1/3 at m = 2), the level follows the
+    # rounded product, i.e. alpha is read as j / (m+1).
+    product = (len(pool) + 1) * alpha
+    exact_alpha = Fraction(int(product), len(pool) + 1) \
+        if product.is_integer() else alpha
+    t = conformal_quantile(pool, alpha)
+    expected = exact_quantile_oracle(pool, exact_alpha)
+    assert t.include_all == (expected is None)
+    if expected is not None:
+        assert t.value == expected
 
 
 def test_quantile_level_float_robust():
@@ -98,14 +122,19 @@ def test_interpolated_quantile():
     assert interpolated_quantile([0.7], 0.1).value == 0.7
 
 
+def members(p, spec, threshold):
+    """Sorted class indices in one row's prediction set."""
+    return np.flatnonzero(prediction_mask([p], spec, threshold)[0]).tolist()
+
+
 def test_predict_set_examples():
     spec = ScoreSpec("thr")
     t = Threshold(0.5, False, 1, 1, 0.1)
-    assert list(predict_set([0.7, 0.2, 0.1], spec, t)) == [0]
+    assert members([0.7, 0.2, 0.1], spec, t) == [0]
     t_all = Threshold(math.nan, True, 5, 4, 0.1)
-    assert list(predict_set([0.7, 0.2, 0.1], spec, t_all)) == [0, 1, 2]
+    assert members([0.7, 0.2, 0.1], spec, t_all) == [0, 1, 2]
     t = Threshold(0.8, False, 1, 1, 0.1)
-    assert list(predict_set([0.5, 0.3, 0.2], ScoreSpec("aps"), t)) == [0, 1]
+    assert members([0.5, 0.3, 0.2], ScoreSpec("aps"), t) == [0, 1]
 
 
 def test_threshold_monotone_in_alpha_and_nested_sets():
@@ -122,7 +151,7 @@ def test_threshold_monotone_in_alpha_and_nested_sets():
     spec = ScoreSpec("aps")
     prev = None
     for a in alphas[::-1]:  # alpha decreasing -> sets grow
-        s = set(predict_set(p, spec, conformal_quantile(scores, a)).tolist())
+        s = set(members(p, spec, conformal_quantile(scores, a)))
         if prev is not None:
             assert prev <= s
         prev = s

@@ -7,7 +7,7 @@ from semicp import runner
 from semicp.cli import main
 from semicp.calibration import conformal_quantile
 from semicp.dataio import load_dataset
-from semicp.scores import ScoreSpec, scores_at_labels
+from semicp.scores import ScoreSpec, score_all_labels_batch
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,8 +46,8 @@ def test_calibrate_without_unlabeled_matches_plain_quantile(tmp_path, capsys):
     assert main(["calibrate", "--labeled", str(lab), "--alpha", "0.2"]) == 0
     out = capsys.readouterr().out
     ds = load_dataset(lab)
-    expected = conformal_quantile(
-        scores_at_labels(ds.probs, ds.labels, ScoreSpec("thr")), 0.2)
+    scores = score_all_labels_batch(ds.probs, ScoreSpec("thr"))
+    expected = conformal_quantile(scores[range(len(ds)), ds.labels], 0.2)
     assert f"threshold={expected.value:.12g}" in out
     assert "N=0" in out and "epsilon=0" in out
 
@@ -234,6 +234,7 @@ def test_bad_sweep_section_exits_2_with_one_line(tmp_path, capsys, case):
 
 
 DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n0,0.25,0.75\n1,0.5,0.5\n"
+UNLABELED_DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n-1,0.25,0.75\n-1,0.5,0.5\n"
 RUN_DOC = {**SWEEP_DOC, "n": 5, "N": 10, "test_size": 20}
 
 
@@ -280,6 +281,8 @@ CLI_ERRORS = {
         lambda t: _threshold_file(t, '{"value": 0.5}'), 3),
     "gen_out_unwritable": (lambda t: ["gen", "--classes", "3", "--samples",
                                       "10", "--out", _unwritable(t)], 3),
+    "calibrate_labeled_file_without_labels": (lambda t: [
+        "calibrate", "--labeled", _data_file(t, UNLABELED_DATA)], 3),
     "calibrate_out_unwritable": (lambda t: ["calibrate", "--labeled",
                                             _data_file(t), "--out",
                                             _unwritable(t)], 3),
@@ -329,3 +332,10 @@ def test_cli_input_error_exits_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == want
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_calibrate_labeled_file_without_labels_names_the_empty_set(tmp_path,
+                                                                   capsys):
+    argv = CLI_ERRORS["calibrate_labeled_file_without_labels"][0](tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: labeled calibration set is empty\n"

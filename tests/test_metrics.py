@@ -3,23 +3,23 @@ import pytest
 from scipy import integrate, special
 
 from semicp.errors import InputError
-from semicp.metrics import (TrialResult, avg_size, beta_cdf, class_cov_gap,
+from semicp.metrics import (TrialResult, avg_size, beta_cdf,
                             cov_gap, coverage, coverage_histogram,
                             empirical_cdf, improvement, ks_distance,
                             over_under_gaps, summarize)
 
 
 def test_coverage_examples():
-    sets = [{0}, {1}, {0, 2}]
+    sets = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]], dtype=bool)
     assert coverage(sets, [0, 1, 2]) == 1.0
-    assert coverage([set(), set()], [0, 1]) == 0.0
-    assert coverage([{0}, {1}, {2}, {0}], [0, 1, 2, 1]) == 0.75
+    assert coverage(np.zeros((2, 3), dtype=bool), [0, 1]) == 0.0
+    assert coverage(np.eye(3, dtype=bool)[[0, 1, 2, 0]], [0, 1, 2, 1]) == 0.75
 
 
 def test_avg_size_examples():
-    assert avg_size([{0}, {1}, {2}]) == 1.0
-    assert avg_size([{0, 1, 2}, {0, 1, 2}]) == 3.0
-    assert avg_size([{0}, {0, 1}, {0, 1, 2}]) == 2.0
+    assert avg_size(np.eye(3, dtype=bool)) == 1.0
+    assert avg_size(np.ones((2, 3), dtype=bool)) == 3.0
+    assert avg_size(np.tri(3, dtype=bool)) == 2.0  # {0}, {0, 1}, {0, 1, 2}
 
 
 def test_cov_gap_examples_and_oracle():
@@ -48,14 +48,18 @@ def test_over_under_gaps():
 
 
 def test_class_cov_gap():
-    assert class_cov_gap([0.9, 0.9], 0.1) == 0.0
-    assert class_cov_gap([0.8, 1.0], 0.1) == pytest.approx(10.0)
+    def class_gap(per_class, alpha):
+        trial = TrialResult("m", 0, 0, 0.9, 1.0, dict(enumerate(per_class)))
+        return summarize([trial], alpha).group_cov_gap
+
+    assert class_gap([0.9, 0.9], 0.1) == 0.0
+    assert class_gap([0.8, 1.0], 0.1) == pytest.approx(10.0)
     rs = np.random.RandomState(2)
     for _ in range(1000):
         c = rs.rand(rs.randint(1, 20))
         a = rs.uniform(0.05, 0.5)
         loop = 100.0 * sum(abs(x - (1 - a)) for x in c) / len(c)
-        assert class_cov_gap(c, a) == pytest.approx(loop, rel=1e-12)
+        assert class_gap(c, a) == pytest.approx(loop, rel=1e-12)
 
 
 def test_improvement():

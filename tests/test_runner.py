@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicp.datagen import SyntheticConfig
 from semicp.errors import ConfigurationError
@@ -52,6 +54,53 @@ def test_randomized_reduction_semicp_equals_oracle():
     res = run_trial(config, 0)
     assert res["semicp"].coverage == res["oracle"].coverage
     assert res["semicp"].avg_size == res["oracle"].avg_size
+
+
+# every estimator valid for each score: deterministic scores take all but
+# nnm_r, randomized ones only nnm_r and naive
+SCORE_ESTIMATORS = [(ScoreSpec(kind), est) for kind in ("thr", "aps", "raps", "saps")
+                    for est in ("nnm", "naive", "debias", "random_match")] + \
+    [(ScoreSpec(kind, randomized=True), est) for kind in ("aps", "raps", "saps")
+     for est in ("nnm_r", "naive")]
+PLANS = [CalibrationPlan(), CalibrationPlan("interpolation"),
+         CalibrationPlan("group_conditional", n_groups=2),
+         CalibrationPlan("group_conditional", n_groups=3, group_rule="true_label"),
+         CalibrationPlan("class_conditional"),
+         CalibrationPlan("clustercp", n_clusters=2)]
+
+
+@st.composite
+def reduction_configs(draw, signal, N):
+    spec, est = draw(st.sampled_from(SCORE_ESTIMATORS))
+    source = synth_source(n_classes=draw(st.integers(2, 6)), n_samples=400,
+                          signal=signal, seed=draw(st.integers(0, 2**16)))
+    return small_config(
+        source=source, n=draw(st.integers(1, 40)), N=draw(N), test_size=50,
+        trials=2, score=spec, calibration=draw(st.sampled_from(PLANS)),
+        base_seed=draw(st.integers(0, 2**16)),
+        methods=(MethodSpec("standard", "standard"),
+                 MethodSpec("semicp", "semicp", EstimatorSpec(est)),
+                 MethodSpec("oracle", "oracle")))
+
+
+def _observed(result):
+    return result.coverage, result.avg_size, result.per_group_coverage
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=reduction_configs(signal=2.0, N=st.just(0)))
+def test_semicp_is_standard_without_unlabeled_data(config):
+    for t in range(config.trials):
+        res = run_trial(config, t)
+        assert _observed(res["semicp"]) == _observed(res["standard"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=reduction_configs(signal=60.0, N=st.integers(1, 100)))
+def test_semicp_is_oracle_with_perfect_pseudo_labels(config):
+    for t in range(config.trials):
+        res = run_trial(config, t)
+        assert _observed(res["semicp"])[:2] == _observed(res["oracle"])[:2]
 
 
 def test_single_trial_summary_matches_trial():

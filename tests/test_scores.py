@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, InputError
-from semicp.scores import (ScoreSpec, rank_and_cummass, score_all_labels,
-                           score_all_labels_batch, score_label, scores_at_labels)
+from semicp.scores import ScoreSpec, rank_and_cummass_batch, score_all_labels_batch
+from semicp.unlabeled import ScoreTables
 
 
 def random_prob_rows(rs, m, k):
@@ -11,25 +12,25 @@ def random_prob_rows(rs, m, k):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+def score_at(p, y, spec, u=None):
+    """Score of one probability row at label y, read off the batch."""
+    return score_all_labels_batch([p], spec, None if u is None else [u])[0, y]
+
+
 def test_rank_and_cummass_examples():
-    ranks, rho = rank_and_cummass([0.5, 0.3, 0.2])
-    assert list(ranks) == [1, 2, 3]
-    assert np.allclose(rho, [0.0, 0.5, 0.8])
-
-    ranks, rho = rank_and_cummass([0.4, 0.4, 0.2])
-    assert list(ranks) == [1, 2, 3]
-    assert np.allclose(rho, [0.0, 0.4, 0.8])
-
-    ranks, rho = rank_and_cummass([1 / 3, 1 / 3, 1 / 3])
-    assert list(ranks) == [1, 2, 3]
-    assert np.allclose(rho, [0.0, 1 / 3, 2 / 3])
+    ranks, rho = rank_and_cummass_batch([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2],
+                                         [1 / 3, 1 / 3, 1 / 3]])
+    assert ranks.tolist() == [[1, 2, 3]] * 3
+    assert np.allclose(rho[0], [0.0, 0.5, 0.8])
+    assert np.allclose(rho[1], [0.0, 0.4, 0.8])
+    assert np.allclose(rho[2], [0.0, 1 / 3, 2 / 3])
 
 
 def test_score_label_examples():
-    assert score_label([0.7, 0.2, 0.1], 0, ScoreSpec("thr")) == pytest.approx(0.3)
-    assert score_label([0.5, 0.3, 0.2], 1, ScoreSpec("aps")) == pytest.approx(0.8)
-    assert score_label([0.5, 0.3, 0.2], 2,
-                       ScoreSpec("raps", k_reg=2, lam=0.01)) == pytest.approx(1.01)
+    assert score_at([0.7, 0.2, 0.1], 0, ScoreSpec("thr")) == pytest.approx(0.3)
+    assert score_at([0.5, 0.3, 0.2], 1, ScoreSpec("aps")) == pytest.approx(0.8)
+    assert score_at([0.5, 0.3, 0.2], 2,
+                    ScoreSpec("raps", k_reg=2, lam=0.01)) == pytest.approx(1.01)
 
 
 def saps_reference(p, y, weight, u):
@@ -47,21 +48,21 @@ def saps_reference(p, y, weight, u):
 def test_saps_randomized_against_reference():
     spec = ScoreSpec("saps", weight=0.01, randomized=True)
     p = [0.5, 0.3, 0.2]
-    assert score_label(p, 1, spec, u=0.5) == pytest.approx(0.505)
+    assert score_at(p, 1, spec, u=0.5) == pytest.approx(0.505)
     rs = np.random.RandomState(7)
     for _ in range(200):
         k = rs.randint(2, 8)
         row = random_prob_rows(rs, 1, k)[0]
         y = rs.randint(k)
         u = rs.rand()
-        assert score_label(row, y, spec, u=u) == pytest.approx(
+        assert score_at(row, y, spec, u=u) == pytest.approx(
             saps_reference(row, y, 0.01, u), abs=1e-12)
 
 
 def test_score_all_labels_examples():
-    got = score_all_labels([0.7, 0.2, 0.1], ScoreSpec("thr"))
+    got = score_all_labels_batch([[0.7, 0.2, 0.1]], ScoreSpec("thr"))[0]
     assert np.allclose(got, [0.3, 0.8, 0.9])
-    got = score_all_labels([0.5, 0.3, 0.2], ScoreSpec("aps"))
+    got = score_all_labels_batch([[0.5, 0.3, 0.2]], ScoreSpec("aps"))[0]
     assert np.allclose(got, [0.5, 0.8, 1.0])
 
 
@@ -79,7 +80,7 @@ def test_batch_matches_per_label_calls_bitwise():
         batch = score_all_labels_batch(rows, spec, u if use_u else None)
         for i in range(rows.shape[0]):
             for y in range(rows.shape[1]):
-                ref = score_label(rows[i], y, spec, u[i] if use_u else None)
+                ref = score_at(rows[i], y, spec, u[i] if use_u else None)
                 assert batch[i, y] == ref
 
 
@@ -96,11 +97,11 @@ def test_deterministic_equals_randomized_at_u_one():
 def test_monotonicity_invariants():
     rs = np.random.RandomState(2)
     rows = random_prob_rows(rs, 50, 7)
+    all_ranks, _ = rank_and_cummass_batch(rows)
     for kind in ("aps", "raps"):
         scores = score_all_labels_batch(rows, ScoreSpec(kind))
         for i in range(50):
-            ranks, _ = rank_and_cummass(rows[i])
-            by_rank = scores[i][np.argsort(ranks)]
+            by_rank = scores[i][np.argsort(all_ranks[i])]
             assert np.all(np.diff(by_rank) >= -1e-15)
     thr = score_all_labels_batch(rows, ScoreSpec("thr"))
     order = np.argsort(rows, axis=1)
@@ -122,19 +123,17 @@ def test_scores_at_labels_matches_batch():
     labels = rs.randint(4, size=30)
     spec = ScoreSpec("aps")
     batch = score_all_labels_batch(rows, spec)
-    got = scores_at_labels(rows, labels, spec)
+    got = ScoreTables(ProbabilityDataset(rows), spec).at(np.arange(30), labels)
     assert np.array_equal(got, batch[np.arange(30), labels])
 
 
 def test_error_cases():
-    with pytest.raises(InputError):
-        score_label([0.5, 0.5], 2, ScoreSpec("thr"))
     with pytest.raises(ConfigurationError):
-        score_label([0.5, 0.5], 0, ScoreSpec("aps", randomized=True))
+        score_all_labels_batch([[0.5, 0.5]], ScoreSpec("aps", randomized=True))
     with pytest.raises(ConfigurationError):
-        score_label([0.5, 0.5], 0, ScoreSpec("aps"), u=0.5)
+        score_all_labels_batch([[0.5, 0.5]], ScoreSpec("aps"), u=[0.5])
     with pytest.raises(InputError):
-        score_label([0.5, 0.4], 0, ScoreSpec("thr"))  # sums to 0.9
+        ProbabilityDataset([[0.5, 0.4]])  # sums to 0.9
     with pytest.raises(ConfigurationError):
         ScoreSpec("nope")
     with pytest.raises(ConfigurationError):
