@@ -91,6 +91,11 @@ def quantile_level(pool_size: int, alpha: float) -> int:
     Uses the identity ceil((m+1)(1-a)) = (m+1) - floor((m+1)a), which avoids
     ceil() landing one step too high when (m+1)(1-alpha) is an integer that
     the float product slightly overshoots.
+
+    The product (m+1)*alpha is the rounded float one, so alpha is read as
+    the decimal it names: alpha = 0.3 at m = 9 is level 7, as 0.3 means,
+    although the double nearest 0.3 lies just below it and exact arithmetic
+    on that double gives level 8.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")

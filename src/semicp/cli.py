@@ -15,7 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -46,14 +46,23 @@ def _seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
+def _field_flag(p, flag, cls, name, **kwargs):
+    """Add ``flag`` with the type and default of field ``name`` of the
+    dataclass ``cls``."""
+    f = next(f for f in fields(cls) if f.name == name)
+    if f.default is not MISSING:
+        kwargs["default"] = f.default
+    p.add_argument(flag, type=f.type, **kwargs)
+
+
 def _add_score_flags(p):
-    p.add_argument("--score", default="thr", choices=SCORE_KINDS)
+    _field_flag(p, "--score", ScoreSpec, "kind", choices=SCORE_KINDS)
     p.add_argument("--randomized", action="store_true",
                    help="use the randomized score variant")
-    p.add_argument("--k-reg", type=int, default=2, help="raps rank offset")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                   help="raps rank penalty")
-    p.add_argument("--weight", type=float, default=0.01, help="saps rank weight")
+    _field_flag(p, "--k-reg", ScoreSpec, "k_reg", help="raps rank offset")
+    _field_flag(p, "--lambda", ScoreSpec, "lam", dest="lam",
+                help="raps rank penalty")
+    _field_flag(p, "--weight", ScoreSpec, "weight", help="saps rank weight")
 
 
 def _score_spec(args) -> ScoreSpec:
@@ -68,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--signal", type=float, default=2.0,
-                   help="true-class logit boost")
-    p.add_argument("--noise-sigma", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
+    _field_flag(p, "--classes", SyntheticConfig, "n_classes", required=True)
+    _field_flag(p, "--samples", SyntheticConfig, "n_samples", required=True)
+    _field_flag(p, "--signal", SyntheticConfig, "signal",
+                help="true-class logit boost")
+    _field_flag(p, "--noise-sigma", SyntheticConfig, "noise_sigma")
+    _field_flag(p, "--temperature", SyntheticConfig, "temperature")
     p.add_argument("--prior", help="comma-separated class probabilities")
     p.add_argument("--target-accuracy", type=float,
                    help="tune the signal to hit this pseudo-label accuracy")
@@ -82,19 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="compute a threshold from files")
     p.add_argument("--labeled", required=True, help="labeled calibration CSV")
     p.add_argument("--unlabeled", help="unlabeled pool CSV (labels ignored)")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--estimator", default="nnm", choices=ESTIMATOR_KINDS)
-    p.add_argument("--neighbors", type=int, default=1,
-                   help="k for k-nearest-neighbor bias averaging")
-    p.add_argument("--criterion", default="pseudo_score",
-                   choices=CRITERION_KINDS)
+    _field_flag(p, "--alpha", runner.ExperimentConfig, "alpha")
+    _field_flag(p, "--estimator", EstimatorSpec, "kind", choices=ESTIMATOR_KINDS)
+    _field_flag(p, "--neighbors", EstimatorSpec, "k",
+                help="k for k-nearest-neighbor bias averaging")
+    _field_flag(p, "--criterion", EstimatorSpec, "criterion",
+                choices=CRITERION_KINDS)
     _add_score_flags(p)
     _add_universal(p)
 
     p = sub.add_parser("predict", help="prediction sets for a test file")
     p.add_argument("--test", required=True, help="test CSV")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float, help="explicit cutoff value")
+    _field_flag(group, "--threshold", Threshold, "value",
+                help="explicit cutoff value")
     group.add_argument("--threshold-file", help="JSON written by calibrate --out")
     _add_score_flags(p)
     _add_universal(p)

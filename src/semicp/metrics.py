@@ -25,25 +25,9 @@ class TrialResult:
     """Per-trial observations for one method."""
 
     method: str
-    trial_index: int
-    trial_seed: int
     coverage: float
     avg_size: float
     per_group_coverage: dict = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "trial_index": self.trial_index,
-            "trial_seed": self.trial_seed,
-            "coverage": self.coverage,
-            "avg_size": self.avg_size,
-        }
-        if self.per_group_coverage is not None:
-            d["per_group_coverage"] = {
-                str(g): c for g, c in sorted(self.per_group_coverage.items())
-            }
-        return d
 
 
 @dataclass(frozen=True)

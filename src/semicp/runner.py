@@ -22,8 +22,9 @@ pools (distribution-shift mode); no reweighting is applied.
 """
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
-        if self.kind == "semicp" and self.estimator is None:
-            object.__setattr__(self, "estimator", EstimatorSpec())
+        # only semicp estimates scores; it defaults to EstimatorSpec()
+        object.__setattr__(self, "estimator", (self.estimator or EstimatorSpec())
+                           if self.kind == "semicp" else None)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,12 @@ class DataSource:
     test_file: str = None
 
     def __post_init__(self):
-        if (self.synthetic is None) == (self.labeled_file is None):
+        if self.synthetic is None:
+            valid = self.labeled_file is not None
+        else:
+            valid = (self.labeled_file, self.unlabeled_file,
+                     self.test_file) == (None, None, None)
+        if not valid:
             raise ConfigurationError(
                 "data source must be exactly one of synthetic | files")
 
@@ -113,7 +120,7 @@ class ExperimentConfig:
     test_size: int
     alpha: float = 0.1
     trials: int = 1000
-    score: ScoreSpec = field(default_factory=lambda: ScoreSpec("thr"))
+    score: ScoreSpec = field(default_factory=ScoreSpec)
     methods: tuple = None
     calibration: CalibrationPlan = field(default_factory=CalibrationPlan)
     base_seed: int = 0
@@ -126,11 +133,8 @@ class ExperimentConfig:
         if self.N < 0 or self.test_size < 1 or self.trials < 1:
             raise ConfigurationError("N >= 0, test_size >= 1, trials >= 1 required")
         if self.methods is None:
-            object.__setattr__(self, "methods", (
-                MethodSpec("standard", "standard"),
-                MethodSpec("semicp", "semicp"),
-                MethodSpec("oracle", "oracle"),
-            ))
+            object.__setattr__(self, "methods",
+                               tuple(MethodSpec(k, k) for k in METHOD_KINDS))
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate method names in {names}")
@@ -293,7 +297,6 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     if ctx is None:
         ctx = _build_context(config)
     spec = config.score
-    trial_seed = int(rng.stream(config.base_seed, trial_index))
     pools = _Pools(ctx, *_split_indices(config, ctx, trial_index))
 
     u_lab = u_unlab = u_test = None
@@ -334,8 +337,6 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
         hits = mask[np.arange(config.test_size), pools.test_labels]
         results[method.name] = TrialResult(
             method=method.name,
-            trial_index=trial_index,
-            trial_seed=trial_seed,
             coverage=float(np.mean(hits)),
             avg_size=avg_size(mask),
             per_group_coverage=per_group,
@@ -449,45 +450,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
 
 def results_records(config: ExperimentConfig, summaries, extra: dict = None):
     """Flatten summaries into the documented results-record schema."""
-    std = next((s for name, s in summaries.items()
-                if _method_kind(config, name) == "standard"), None)
-    orc = next((s for name, s in summaries.items()
-                if _method_kind(config, name) == "oracle"), None)
+    kind = {m.name: m.kind for m in config.methods}
+    # the first summary of each kind
+    by_kind = {kind[name]: s for name, s in reversed(summaries.items())}
+    std, orc = by_kind.get("standard"), by_kind.get("oracle")
     score_tag = config.score.kind + ("_r" if config.score.randomized else "")
     records = []
     for name, s in summaries.items():
         imp = None
-        if std is not None and orc is not None \
-                and _method_kind(config, name) == "semicp":
+        if std is not None and orc is not None and kind[name] == "semicp":
             imp = improvement(std.cov_gap, s.cov_gap, orc.cov_gap)
-        rec = {
-            "method": name,
-            "score": score_tag,
-            "n": config.n,
-            "N": config.N,
-            "alpha": config.alpha,
-            "trials": s.n_trials,
-            "cov_gap": s.cov_gap,
-            "over_cov_gap": s.over_cov_gap,
-            "under_cov_gap": s.under_cov_gap,
-            "avg_size": s.mean_avg_size,
-            "improvement": imp,
-            "histogram": list(s.histogram),
-            "mean_coverage": s.mean_coverage,
-        }
-        if s.group_cov_gap is not None:
-            rec["group_cov_gap"] = s.group_cov_gap
-        if extra:
-            rec.update(extra)
-        records.append(rec)
+        records.append({**s.to_dict(), "score": score_tag, "n": config.n,
+                        "N": config.N, "alpha": config.alpha,
+                        "improvement": imp, **(extra or {})})
     return records
-
-
-def _method_kind(config, name):
-    for m in config.methods:
-        if m.name == name:
-            return m.kind
-    return None
 
 
 SWEEP_AXES = ("n", "N", "test_size", "alpha", "trials", "accuracy", "score",
@@ -504,10 +480,10 @@ def apply_sweep_value(config: ExperimentConfig, axis: str, value):
 
 
 def _apply_sweep_value(config: ExperimentConfig, axis: str, value):
-    if axis in ("n", "N", "test_size", "trials"):
-        return replace(config, **{axis: int(value)})
-    if axis == "alpha":
-        return replace(config, alpha=float(value))
+    if axis in ("n", "N", "test_size", "trials", "alpha"):
+        f = next(f for f in fields(ExperimentConfig) if f.name == axis)
+        typed = _typed(f, value, f"value of sweep axis {axis!r}")
+        return replace(config, **{axis: typed})
     if axis == "score":
         return replace(config, score=replace(config.score, kind=str(value)))
     if axis == "calibration":
@@ -541,110 +517,111 @@ def run_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1):
     return records
 
 
+# JSON keys of a config section that differ from their dataclass field names
+_RENAMES = {
+    ExperimentConfig: {"seed": "base_seed", "data": "source"},
+    ScoreSpec: {"lambda": "lam"},
+    CalibrationPlan: {"groups": "n_groups", "rule": "group_rule",
+                      "clusters": "n_clusters"},
+    SyntheticConfig: {"classes": "n_classes", "samples": "n_samples"},
+}
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", tuple: "a list"}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse the v1 config document into an ExperimentConfig."""
+    """Parse the v1 config document into an ExperimentConfig.
+
+    Each section is read into its dataclass, whose fields give every key's
+    type and default; see ``_read_section``.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     version = doc.get("version", "v1")
     if version != "v1":
         raise ConfigurationError(f"unsupported config version {version!r}")
-    known = {"version", "seed", "alpha", "n", "N", "test_size", "trials",
-             "score", "methods", "estimator", "calibration", "data", "sweep"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    # N may be left out of a file (no unlabeled pool); ExperimentConfig
+    # itself requires it
+    doc = {"N": 0, **doc}
+    for key in ("version", "sweep"):
+        doc.pop(key, None)
     try:
-        source = _source_from_dict(doc["data"])
-        score = _score_from_dict(doc.get("score", {}))
-        default_est = _estimator_from_dict(doc.get("estimator", {}))
-        methods = _methods_from_list(doc.get("methods"), default_est)
-        calibration = _calibration_from_dict(doc.get("calibration", {}))
-        return ExperimentConfig(
-            source=source,
-            n=int(doc["n"]),
-            N=int(doc.get("N", 0)),
-            test_size=int(doc["test_size"]),
-            alpha=float(doc.get("alpha", 0.1)),
-            trials=int(doc.get("trials", 1000)),
-            score=score,
-            methods=methods,
-            calibration=calibration,
-            base_seed=int(doc.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"config is missing required key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        estimator = _read_section(EstimatorSpec, doc.pop("estimator", {}),
+                                  "estimator")
+        methods = _methods_from_list(doc.pop("methods", None), estimator)
+        return _read_section(ExperimentConfig, doc, "config", methods=methods)
+    except (InputError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from None
 
 
-def _source_from_dict(doc: dict) -> DataSource:
-    if "synthetic" in doc:
-        s = doc["synthetic"]
-        try:
-            synthetic = SyntheticConfig(
-                n_classes=int(s["classes"]),
-                n_samples=int(s["samples"]),
-                signal=float(s.get("signal", 2.0)),
-                noise_sigma=float(s.get("noise_sigma", 1.0)),
-                temperature=float(s.get("temperature", 1.0)),
-                prior=None if s.get("prior") is None else tuple(s["prior"]),
-                seed=int(s.get("seed", 0)),
-            )
-        except InputError as exc:
-            raise ConfigurationError(f"bad synthetic data config: {exc}") from None
-        return DataSource(synthetic=synthetic)
-    return DataSource(
-        labeled_file=doc["labeled_file"],
-        unlabeled_file=doc.get("unlabeled_file"),
-        test_file=doc.get("test_file"),
-    )
-
-
-def _score_from_dict(doc: dict) -> ScoreSpec:
-    return ScoreSpec(
-        kind=doc.get("kind", "thr"),
-        k_reg=int(doc.get("k_reg", 2)),
-        lam=float(doc.get("lambda", 0.01)),
-        weight=float(doc.get("weight", 0.01)),
-        randomized=bool(doc.get("randomized", False)),
-    )
-
-
-def _estimator_from_dict(doc: dict) -> EstimatorSpec:
-    return EstimatorSpec(
-        kind=doc.get("kind", "nnm"),
-        k=int(doc.get("k", 1)),
-        criterion=doc.get("criterion", "pseudo_score"),
-    )
-
-
 def _methods_from_list(items, default_estimator: EstimatorSpec):
+    """Method entries: a kind, whose ``semicp`` takes the config's estimator,
+    or an object read as a MethodSpec whose name defaults to its kind."""
     if items is None:
-        items = ["standard", "semicp", "oracle"]
-    methods = []
-    for item in items:
-        if isinstance(item, str):
-            if item not in METHOD_KINDS:
-                raise ConfigurationError(f"unknown method {item!r}")
-            est = default_estimator if item == "semicp" else None
-            methods.append(MethodSpec(item, item, est))
-        else:
-            kind = item["kind"]
-            est = _estimator_from_dict(item.get("estimator", {})) \
-                if kind == "semicp" else None
-            methods.append(MethodSpec(item.get("name", kind), kind, est))
-    return tuple(methods)
+        items = METHOD_KINDS
+    elif not isinstance(items, list):
+        raise ConfigurationError(f"methods must be a list, got {items!r}")
+    return tuple(_method(item, f"methods[{i}]", default_estimator)
+                 for i, item in enumerate(items))
 
 
-def _calibration_from_dict(doc: dict) -> CalibrationPlan:
-    return CalibrationPlan(
-        mode=doc.get("mode", "marginal"),
-        n_groups=None if doc.get("groups") is None else int(doc["groups"]),
-        group_rule=doc.get("rule", "pseudo_label"),
-        external_column=int(doc.get("external_column", 0)),
-        n_clusters=None if doc.get("clusters") is None else int(doc["clusters"]),
-        min_class_count=int(doc.get("min_class_count", 2)),
-    )
+def _method(item, where: str, default_estimator: EstimatorSpec) -> MethodSpec:
+    if isinstance(item, str):
+        return MethodSpec(item, item, default_estimator)
+    if isinstance(item, dict) and "kind" in item:
+        item = {"name": item["kind"], **item}
+    return _read_section(MethodSpec, item, where)
+
+
+def _read_section(cls, doc, where: str, **built):
+    """An instance of dataclass ``cls`` from the JSON object ``doc``.
+
+    The fields of ``cls`` are the schema: a key absent from ``doc`` takes its
+    field's default, and ``_RENAMES`` maps the keys whose names differ.
+    ``built`` holds fields parsed elsewhere.  A section that is not an
+    object, an unknown key, a missing required key and a value of the wrong
+    JSON type are configuration errors; range checks are the dataclass's.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    key_of = {name: key for key, name in _RENAMES.get(cls, {}).items()}
+    schema = {key_of.get(f.name, f.name): f
+              for f in fields(cls) if f.name not in built}
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    values = dict(built)
+    for key, f in schema.items():
+        if key in doc:
+            at = key if where == "config" else f"{where}.{key}"
+            values[f.name] = _typed(f, doc[key], at)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{where} is missing required key {key!r}")
+    return cls(**values)
+
+
+def _typed(f, value, where: str):
+    """``value`` as the type of dataclass field ``f``.  An int passes as a
+    float and an integral float as an int; null passes where the default is
+    None."""
+    t = f.type
+    if value is None and f.default is None:
+        return None
+    if is_dataclass(t):
+        return _read_section(t, value, where)
+    if t is int:
+        ok = isinstance(value, numbers.Integral) \
+            or isinstance(value, float) and value.is_integer()
+    elif t is float:
+        ok = isinstance(value, numbers.Real)
+    else:
+        ok = isinstance(value, (list, tuple) if t is tuple else t)
+    if ok and (t is bool or not isinstance(value, bool)):
+        try:
+            return t(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigurationError(f"{where} must be {_JSON_TYPES[t]}, got {value!r}")
 
 
 def _read_config(path) -> dict:
@@ -653,7 +630,7 @@ def _read_config(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
 
 

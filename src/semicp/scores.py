@@ -36,7 +36,7 @@ class ScoreSpec:
     ``randomized`` requires a per-sample uniform u at scoring time.
     """
 
-    kind: str
+    kind: str = "thr"
     k_reg: int = 2
     lam: float = 0.01
     weight: float = 0.01

@@ -9,13 +9,13 @@ import math
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gathered import queries, records
+from quantile_oracle import exact_quantile_oracle
 from semicp import rng
 from semicp.calibration import conformal_quantile
 from semicp.datagen import SyntheticConfig, generate_synthetic
@@ -46,20 +46,6 @@ def report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num:2d} {status} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def exact_quantile_oracle(scores, alpha):
-    """Smallest pool element with an exact-rational fraction of the pool at
-    or below it; None when the level exceeds the pool size."""
-    m = len(scores)
-    level = math.ceil(Fraction(m + 1) * (1 - Fraction(alpha)))
-    if level > m:
-        return None
-    target = Fraction(level, m)
-    for a in sorted(scores):
-        if Fraction(sum(1 for s in scores if s <= a), m) >= target:
-            return a
-    raise AssertionError("unreachable")
 
 
 def test_criterion_01_quantile_oracle_equivalence():
@@ -284,7 +270,7 @@ def test_criterion_10_metric_oracles():
         loop_under = 100.0 * sum((1 - a) - x for x in c if x < 1 - a) / len(c)
         over, under = over_under_gaps(c, a)
         exact = exact and math.isclose(cov_gap(c, a), loop_gap, rel_tol=1e-12)
-        trial = TrialResult("m", 0, 0, 0.9, 1.0, dict(enumerate(c)))
+        trial = TrialResult("m", 0.9, 1.0, dict(enumerate(c)))
         exact = exact and math.isclose(summarize([trial], a).group_cov_gap,
                                        loop_gap, rel_tol=1e-12)
         exact = exact and math.isclose(over, loop_over, rel_tol=1e-12,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantile_oracle import exact_quantile_oracle
 from semicp.calibration import (ScoredPool, Threshold, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
@@ -14,21 +15,6 @@ from semicp.calibration import (ScoredPool, Threshold, cluster_classes,
 from semicp.errors import CalibrationError, ConfigurationError, InputError
 from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
-from test_acceptance import exact_quantile_oracle
-
-
-def oracle_quantile(scores, alpha):
-    """Smallest a in the pool with fraction >= level/m at or below it,
-    computed in exact rational arithmetic."""
-    m = len(scores)
-    level = math.ceil(Fraction(m + 1) * (1 - Fraction(alpha)))
-    if level > m:
-        return None
-    target = Fraction(level, m)
-    for a in sorted(scores):
-        if Fraction(sum(1 for s in scores if s <= a), m) >= target:
-            return a
-    raise AssertionError("unreachable")
 
 
 def test_conformal_quantile_examples():
@@ -50,7 +36,7 @@ def test_conformal_quantile_brute_force_oracle():
         scores = rs.rand(m)
         alpha = rs.uniform(0.01, 0.99)
         t = conformal_quantile(scores, alpha)
-        expected = oracle_quantile(list(scores), alpha)
+        expected = exact_quantile_oracle(list(scores), alpha)
         if expected is None:
             assert t.include_all
         else:

@@ -200,17 +200,42 @@ BAD_CONFIG_FILES = {
     "not_json": "{not json",
     "not_an_object": "[1, 2]",
     "bad_value": json.dumps({**SWEEP_DOC, "n": "many"}),
+    "score_not_an_object": json.dumps({**SWEEP_DOC, "score": []}),
+    "estimator_not_an_object": json.dumps({**SWEEP_DOC, "estimator": []}),
+    "calibration_not_an_object": json.dumps({**SWEEP_DOC,
+                                             "calibration": "marginal"}),
+    "score_unknown_key": json.dumps({**SWEEP_DOC,
+                                     "score": {"kindd": "raps"}}),
+    "synthetic_unknown_key": json.dumps({**SWEEP_DOC, "data": {"synthetic": {
+        "classes": 3, "samples": 100, "signall": 3.0}}}),
+    "method_unknown_key": json.dumps({**SWEEP_DOC, "methods": [
+        {"kind": "semicp", "estimater": {"kind": "naive"}}]}),
+    "randomized_not_a_boolean": json.dumps({**SWEEP_DOC, "score": {
+        "kind": "aps", "randomized": "false"}, "estimator": {"kind": "naive"}}),
+    "n_not_integral": json.dumps({**SWEEP_DOC, "n": 20.9}),
+    "synthetic_and_labeled_file": json.dumps({**SWEEP_DOC, "data": {
+        "synthetic": {"classes": 3, "samples": 100},
+        "labeled_file": "lab.csv"}}),
+    "labeled_file_not_a_string": json.dumps({**SWEEP_DOC,
+                                             "data": {"labeled_file": 5}}),
+    "alpha_beyond_float_range": json.dumps({**SWEEP_DOC, "alpha": 10**400}),
+    "integer_too_long": json.dumps(SWEEP_DOC)[:-1] + ', "seed": 1' + "0" * 5000 + "}",
+    "not_utf8": json.dumps(SWEEP_DOC).encode() + b"\xff",
 }
 BAD_SWEEP_SECTIONS = {
     "no_values": {"axis": "n"},
     "bad_values": {"axis": "n", "values": ["x"]},
+    "value_not_integral": {"axis": "n", "values": [5.5]},
+    "value_beyond_float_range": {"axis": "alpha", "values": [10**400]},
     "not_an_object": ["n", 5],
 }
 
 
 def _exit_code_and_stderr(tmp_path, capsys, command, content):
     cfg_path = tmp_path / "cfg.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        cfg_path.write_bytes(content)
+    elif content is not None:
         cfg_path.write_text(content)
     code = main([command, "--config", str(cfg_path)])
     return code, capsys.readouterr().err

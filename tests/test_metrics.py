@@ -49,7 +49,7 @@ def test_over_under_gaps():
 
 def test_class_cov_gap():
     def class_gap(per_class, alpha):
-        trial = TrialResult("m", 0, 0, 0.9, 1.0, dict(enumerate(per_class)))
+        trial = TrialResult("m", 0.9, 1.0, dict(enumerate(per_class)))
         return summarize([trial], alpha).group_cov_gap
 
     assert class_gap([0.9, 0.9], 0.1) == 0.0
@@ -143,8 +143,7 @@ def test_histogram_and_summary():
     assert hist.sum() == 4
     assert hist[0] == 1 and hist[25] == 1 and hist[49] == 2
 
-    results = [TrialResult("m", i, i, c, s)
-               for i, (c, s) in enumerate([(0.85, 1.5), (0.95, 2.5)])]
+    results = [TrialResult("m", c, s) for c, s in [(0.85, 1.5), (0.95, 2.5)]]
     summary = summarize(results, 0.1)
     assert summary.cov_gap == pytest.approx(5.0)
     assert summary.over_cov_gap == pytest.approx(2.5)
@@ -153,5 +152,5 @@ def test_histogram_and_summary():
     assert summary.n_trials == 2
     assert sum(summary.histogram) == 2
 
-    grouped = [TrialResult("m", 0, 0, 0.9, 1.0, {0: 0.8, 1: 1.0})]
+    grouped = [TrialResult("m", 0.9, 1.0, {0: 0.8, 1: 1.0})]
     assert summarize(grouped, 0.1).group_cov_gap == pytest.approx(10.0)

@@ -1,9 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config example
+parses."""
 
+import json
 import re
 from pathlib import Path
 
 from semicp.cli import main
+from semicp.runner import config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,11 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(README), "exec"), scope)
     assert scope["threshold"].pool_size == 400  # 200 labeled + 200 estimated
     assert scope["mask"].shape == (1, 3) and len(scope["sets"]) == 1
+
+
+def test_experiment_config_example_parses():
+    section = README.read_text().split("## Experiment config (v1)", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    config = config_from_dict(doc)
+    assert config.score.kind == "aps" and config.source.synthetic.n_classes == 10
+    assert [m.kind for m in config.methods] == ["standard", "semicp", "oracle"]
