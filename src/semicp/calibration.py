@@ -1,9 +1,11 @@
 """Thresholds and prediction sets.
 
 The conformal quantile of a pool of m scores at miscoverage alpha is the
-l-th smallest score with l = ceil((m+1)(1-alpha)).  When l exceeds m no
-finite threshold exists and an include-all sentinel is produced instead of
-a float infinity (explicit and serializable).
+l-th smallest score with l = ceil((m+1)(1-alpha)).  Only that order
+statistic matters, so it is selected with ``np.partition`` rather than by
+sorting the pool.  When l exceeds m no finite threshold exists and an
+include-all sentinel is produced instead of a float infinity (explicit and
+serializable).
 
 Semi-supervised calibration concatenates labeled true scores with estimated
 unlabeled scores and applies the same rule to the merged pool;
@@ -114,12 +116,18 @@ def _checked_pool(scores, alpha: float):
 
 
 def conformal_quantile(scores, alpha: float) -> Threshold:
-    """Split-conformal threshold of a score pool at miscoverage alpha."""
+    """Split-conformal threshold of a score pool at miscoverage alpha.
+
+    The l-th order statistic is selected, not sorted for: the value equals
+    entry l-1 of the sorted pool, except that when +0.0 and -0.0 tie at
+    level l either zero may be returned (the scores of ``scores.py`` never
+    produce -0.0).
+    """
     scores, level = _checked_pool(scores, alpha)
     m = scores.size
     if level > m:
         return Threshold(math.nan, True, level, m, alpha)
-    value = float(np.sort(scores, kind="stable")[level - 1])
+    value = float(np.partition(scores, level - 1)[level - 1])
     return Threshold(value, False, level, m, alpha)
 
 
@@ -134,19 +142,21 @@ def interpolated_quantile(scores, alpha: float) -> Threshold:
     With h = (m+1)(1-alpha), k = floor(h) and gamma = h - k, the threshold
     is s_(k) + gamma * (s_(k+1) - s_(k)), clamped to the extreme order
     statistics when k falls outside 1..m-1.  Never produces include-all.
+    Like :func:`conformal_quantile`, it selects the order statistics it
+    needs instead of sorting the pool.
     """
     scores, _ = _checked_pool(scores, alpha)
     m = scores.size
     h = (m + 1) * (1.0 - alpha)
     k = math.floor(h)
-    s = np.sort(scores, kind="stable")
     if k >= m:
-        value, k = float(s[-1]), m
+        value, k = float(scores.max()), m
     elif k < 1:
-        value, k = float(s[0]), 1
+        value, k = float(scores.min()), 1
     else:
         gamma = h - k
-        value = float(s[k - 1] + gamma * (s[k] - s[k - 1]))
+        lo, hi = np.partition(scores, (k - 1, k))[k - 1:k + 1]
+        value = float(lo + gamma * (hi - lo))
     return Threshold(value, False, k, m, alpha)
 
 

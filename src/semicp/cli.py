@@ -22,7 +22,7 @@ import numpy as np
 from . import rng, runner
 from .calibration import (ScoredPool, Threshold, epsilon_bias, prediction_mask,
                           semicp_threshold)
-from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, \
+from .datagen import SyntheticConfig, generate_at_accuracy, \
     generate_synthetic, measure_top1_accuracy
 from .dataio import check_writable, load_dataset, load_threshold, \
     save_dataset, save_threshold, write_prediction_sets, write_results
@@ -142,11 +142,11 @@ def _cmd_gen(args) -> int:
                           temperature=args.temperature, prior=prior,
                           seed=_seed(args))
     if args.target_accuracy is not None:
-        signal, achieved = calibrate_signal_for_accuracy(args.target_accuracy, cfg)
-        cfg = replace(cfg, signal=signal)
+        ds, signal, achieved = generate_at_accuracy(args.target_accuracy, cfg)
         print(f"signal={signal:.6f} for target accuracy "
               f"{args.target_accuracy} (probe achieved {achieved:.4f})")
-    ds = generate_synthetic(cfg)
+    else:
+        ds = generate_synthetic(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples x {ds.n_classes} classes to {args.out} "
           f"(top-1 accuracy {measure_top1_accuracy(ds):.4f})")

@@ -10,7 +10,8 @@ Sample i is generated from its own counter-based stream mix64(seed, i), so
 output is independent of generation order and chunking.  Generation is two
 steps: a draw (labels and scaled noise, which do not depend on the signal)
 and a finish (the signal and the softmax).  The signal bisection draws its
-probe rows once and only finishes them per probe.
+probe rows once and only finishes them per probe, and a dataset of the
+probe size generated at the found signal finishes that same draw.
 """
 
 from dataclasses import dataclass, replace
@@ -130,6 +131,34 @@ def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
     accuracy of ``generate_synthetic`` at that signal.  Returns
     (signal, achieved).
     """
+    signal, achieved, _ = _bisect_signal(target_acc, template, tolerance,
+                                         probe_samples, max_iters)
+    return signal, achieved
+
+
+def generate_at_accuracy(target_acc: float, template: SyntheticConfig):
+    """The template's dataset at the signal that
+    :func:`calibrate_signal_for_accuracy` finds for ``target_acc``; returns
+    (dataset, signal, achieved).
+
+    When the dataset has the probe size, its rows are the probe rows, so
+    the bisection's draw is finished at the found signal instead of being
+    drawn again; the result equals ``generate_synthetic`` at that signal.
+    """
+    signal, achieved, (labels, drawn) = _bisect_signal(target_acc, template)
+    cfg = replace(template, signal=signal)
+    if cfg.n_samples != labels.size:
+        return generate_synthetic(cfg), signal, achieved
+    probs = _finish_rows(drawn, labels, signal, cfg.temperature)
+    return ProbabilityDataset(probs=probs, labels=labels, logits=drawn,
+                              features=drawn), signal, achieved
+
+
+def _bisect_signal(target_acc, template, tolerance=0.01, probe_samples=50_000,
+                   max_iters=60):
+    """(signal, achieved, (labels, drawn logits)) of the bisection
+    described at :func:`calibrate_signal_for_accuracy`; the drawn logits
+    are left without signal."""
     k = template.n_classes
     if not 1.0 / k < target_acc < 1.0:
         raise ConfigurationError(
@@ -149,7 +178,7 @@ def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
         if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
             best_signal, best_acc = mid, acc
         if abs(acc - target_acc) <= tolerance:
-            return mid, acc
+            return mid, acc, (labels, drawn)
         if acc < target_acc:
             lo = mid
         else:

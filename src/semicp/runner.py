@@ -312,6 +312,9 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     lab_scores = records.true_at(u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
     pseudo = ctx.main.queries(pools.unlab)
+    groups = _group_map(config.calibration, pools, lab_scores,
+                        test_scores.shape[1])
+    test_rows = np.arange(config.test_size)
 
     oracle_scores = None
     if any(m.kind == "oracle" for m in config.methods) and config.N:
@@ -332,65 +335,78 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
             est = estimate_scores(pseudo, records, spec, method.estimator,
                                   stream_key=rm_stream, u=u_unlab)
             pool = ScoredPool(lab_scores, est)
-        mask, per_group = _calibrate_and_predict(config, method, pool, pools,
-                                                 test_scores)
-        hits = mask[np.arange(config.test_size), pools.test_labels]
+        mask = _calibrate_and_predict(config, method, pool, pools, groups,
+                                      test_scores)
+        hits = mask[test_rows, pools.test_labels]
         results[method.name] = TrialResult(
             method=method.name,
             coverage=float(np.mean(hits)),
             avg_size=avg_size(mask),
-            per_group_coverage=per_group,
+            per_group_coverage=None if groups is None
+            else _per_group_coverage(hits, groups.coverage),
         )
     return results
 
 
-def _calibrate_and_predict(config, method, pool, pools, test_scores):
-    """Threshold(s) for one method and the resulting test membership mask.
+def _calibrate_and_predict(config, method, pool, pools, groups, test_scores):
+    """One method's test membership mask, from its threshold(s).
 
-    The conditional modes differ only in their group map; each then takes
-    one threshold per group and gives every test cell its group's cutoff.
+    The conditional modes differ only in their trial's group map; each then
+    takes one threshold per group and gives every test cell its group's
+    cutoff.
     """
-    plan = config.calibration
     alpha = config.alpha
-    if plan.mode == "marginal":
-        return test_scores <= _cutoff(semicp_threshold(pool, alpha)), None
-    if plan.mode == "interpolation":
-        return test_scores <= interpolated_quantile(pool.merged(), alpha).value, None
-    lab_groups, unlab_groups, test_groups, n_groups = _group_map(
-        plan, method, pool, pools, test_scores.shape[1])
-    thresholds = conditional_thresholds(pool, lab_groups, unlab_groups,
-                                        n_groups, alpha)
-    mask = _group_mask(test_scores, thresholds, test_groups)
-    # coverage is reported per sample group, or per true class
-    coverage_groups = test_groups[:, 0] if plan.mode == "group_conditional" \
-        else pools.test_labels
-    return mask, _per_group_coverage(mask, pools.test_labels, coverage_groups)
+    if config.calibration.mode == "marginal":
+        return test_scores <= _cutoff(semicp_threshold(pool, alpha))
+    if config.calibration.mode == "interpolation":
+        return test_scores <= interpolated_quantile(pool.merged(), alpha).value
+    unlab_groups = groups.unlabeled(pools.unlabeled_class_ids(method, pool))
+    thresholds = conditional_thresholds(pool, groups.labeled, unlab_groups,
+                                        groups.n_groups, alpha)
+    return _group_mask(test_scores, thresholds, groups.test_cells)
 
 
-def _group_map(plan, method, pool, pools, k):
-    """(labeled ids, unlabeled ids, test-cell ids, number of groups) of a
-    conditional mode.
+@dataclass
+class _GroupMap:
+    """The group ids of a conditional mode, built once per trial.
 
-    Test-cell ids broadcast against the (t, K) test scores: one id per
+    ``test_cells`` broadcasts against the (t, K) test scores: one id per
     sample, shape (t, 1), for ``group_conditional``, and one per candidate
-    label, shape (K,), for the class-based modes.  Id -1 is the marginal
-    pool.
+    label, shape (K,), for the class-based modes.  ``coverage`` gives each
+    test sample the group its coverage is reported under: its sample group,
+    or its true class.  Only the unlabeled ids depend on the method, which
+    sees pseudo-labels or, for the oracle, true labels, so ``unlabeled``
+    maps those class ids to group ids.  Id -1 is the marginal pool.
     """
-    classes = pools.unlabeled_class_ids(method, pool)
+    labeled: np.ndarray
+    test_cells: np.ndarray
+    coverage: np.ndarray
+    n_groups: int
+    unlabeled: object
+
+
+def _group_map(plan, pools, lab_scores, k):
+    """The trial's group map, or None in the marginal modes."""
+    ctx = pools.ctx
     if plan.mode == "group_conditional":
-        ctx = pools.ctx
-        unlab = _group_ids(ctx.main, pools.unlab, classes, plan) \
-            if classes.size else classes
-        return (_group_ids(ctx.labeled, pools.lab, pools.lab_labels, plan), unlab,
-                _group_ids(ctx.test, pools.test, pools.test_labels, plan)[:, None],
-                plan.n_groups)
+        test = _group_ids(ctx.test, pools.test, pools.test_labels, plan)
+        return _GroupMap(
+            _group_ids(ctx.labeled, pools.lab, pools.lab_labels, plan),
+            test[:, None], test, plan.n_groups,
+            lambda classes: _group_ids(ctx.main, pools.unlab, classes, plan)
+            if classes.size else classes)
     if plan.mode == "class_conditional":
-        return pools.lab_labels, classes, np.arange(k), k
-    cluster = cluster_classes(pool.labeled_scores, pools.lab_labels, k,
-                              plan.n_clusters, plan.min_class_count,
-                              seed=_CLUSTERCP_KMEANS_SEED)
-    return (cluster[pools.lab_labels], cluster[classes], cluster,
-            plan.n_clusters)
+        return _GroupMap(pools.lab_labels, np.arange(k), pools.test_labels, k,
+                         lambda classes: classes)
+    if plan.mode == "clustercp":
+        # the clusters depend only on the labeled scores, shared by all
+        # methods
+        cluster = cluster_classes(lab_scores, pools.lab_labels, k,
+                                  plan.n_clusters, plan.min_class_count,
+                                  seed=_CLUSTERCP_KMEANS_SEED)
+        return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
+                         plan.n_clusters, lambda classes: cluster[classes])
+    return None
 
 
 def _group_mask(test_scores, thresholds, test_groups):
@@ -399,9 +415,12 @@ def _group_mask(test_scores, thresholds, test_groups):
     return test_scores <= cutoffs[test_groups]
 
 
-def _per_group_coverage(mask, labels, groups):
-    hit = mask[np.arange(labels.shape[0]), labels]
-    return {int(g): float(hit[groups == g].mean()) for g in np.unique(groups)}
+def _per_group_coverage(hits, groups):
+    """{group: coverage of its test samples}, over the groups present in
+    ascending order; ``groups`` are nonnegative ids."""
+    counts = np.bincount(groups)
+    covered = np.bincount(groups, weights=hits)
+    return {int(g): float(covered[g] / counts[g]) for g in np.flatnonzero(counts)}
 
 
 _WORKER_CTX = None

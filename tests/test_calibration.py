@@ -52,6 +52,10 @@ def test_conformal_quantile_brute_force_oracle():
 @example(pool=[0.0, 0.25], alpha=1 / 3)
 @example(pool=[0.0, 0.25, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75], alpha=0.3)
 def test_conformal_quantile_matches_exact_oracle_under_ties(pool, alpha):
+    assert_matches_exact_oracle(pool, alpha)
+
+
+def assert_matches_exact_oracle(pool, alpha):
     # Where (m+1) * alpha rounds onto an integer j that the exact product
     # misses (alpha = 0.3 at m = 9, 1/3 at m = 2), the level follows the
     # rounded product, i.e. alpha is read as j / (m+1).
@@ -63,6 +67,65 @@ def test_conformal_quantile_matches_exact_oracle_under_ties(pool, alpha):
     assert t.include_all == (expected is None)
     if expected is not None:
         assert t.value == expected
+
+
+def sorted_conformal_quantile(scores, alpha):
+    """conformal_quantile by a full stable sort, as it was before selection;
+    kept as the reference for ``np.partition``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    m = scores.size
+    level = quantile_level(m, alpha)
+    if level > m:
+        return Threshold(math.nan, True, level, m, alpha)
+    return Threshold(float(np.sort(scores, kind="stable")[level - 1]), False,
+                     level, m, alpha)
+
+
+def sorted_interpolated_quantile(scores, alpha):
+    """interpolated_quantile by a full stable sort, the reference for
+    selecting its two order statistics."""
+    scores = np.asarray(scores, dtype=np.float64)
+    m = scores.size
+    h = (m + 1) * (1.0 - alpha)
+    k = math.floor(h)
+    s = np.sort(scores, kind="stable")
+    if k >= m:
+        value, k = float(s[-1]), m
+    elif k < 1:
+        value, k = float(s[0]), 1
+    else:
+        gamma = h - k
+        value = float(s[k - 1] + gamma * (s[k] - s[k - 1]))
+    return Threshold(value, False, k, m, alpha)
+
+
+def same_threshold(a, b):
+    """Equal records and, for a finite threshold, equal value bits."""
+    return a.to_dict() == b.to_dict() and (
+        a.include_all or np.float64(a.value).tobytes() == np.float64(b.value).tobytes())
+
+
+# pools with heavy ties: a few distinct values, repeated, plus a few
+# continuous ones
+TIED_POOL = st.lists(
+    st.one_of(st.integers(0, 4).map(lambda i: i / 4),
+              st.floats(0.0, 3.0, allow_nan=False, allow_subnormal=False)),
+    min_size=1, max_size=400)
+ALPHA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=TIED_POOL, alpha=ALPHA)
+@example(pool=[0.5] * 300 + [0.25] * 100, alpha=0.1)
+@example(pool=[0.0, 1.0], alpha=0.9)  # interpolation clamps to the minimum
+@example(pool=[0.0, 1.0, 0.5], alpha=0.01)  # ... and to the maximum
+def test_selected_quantiles_match_sorted_reference(pool, alpha):
+    assert same_threshold(conformal_quantile(pool, alpha),
+                          sorted_conformal_quantile(pool, alpha))
+    assert same_threshold(interpolated_quantile(pool, alpha),
+                          sorted_interpolated_quantile(pool, alpha))
+    if len(pool) <= 60:  # the exact oracle is quadratic in the pool size
+        assert_matches_exact_oracle(pool, alpha)
 
 
 def test_quantile_level_float_robust():
@@ -164,6 +227,47 @@ def test_conditional_thresholds_disjoint_and_fallback():
     # single group: identical to the marginal semicp threshold
     cond = conditional_thresholds(pool, [0, 0, 0, 0], [0, 0], 1, 0.3)
     assert cond[0] == semicp_threshold(pool, 0.3)
+
+
+def masked_conditional_thresholds(pool, group_of_labeled, group_of_unlabeled,
+                                  n_groups, alpha):
+    """conditional_thresholds as one masked concatenation and one stable
+    sort per group: the reference for the selecting version."""
+    labeled_ids = np.asarray(group_of_labeled, dtype=np.int64)
+    unlabeled_ids = np.asarray(group_of_unlabeled, dtype=np.int64)
+    marginal = sorted_conformal_quantile(pool.merged(), alpha)
+    per_group = []
+    for g in range(n_groups):
+        scores = np.concatenate([pool.labeled_scores[labeled_ids == g],
+                                 pool.unlabeled_scores[unlabeled_ids == g]])
+        per_group.append(sorted_conformal_quantile(scores, alpha)
+                         if scores.size else marginal)
+    return (*per_group, marginal)
+
+
+@st.composite
+def grouped_pool(draw):
+    """(pool, labeled ids, unlabeled ids, n_groups): tied scores, ids in
+    -1..n_groups-1, so some groups are empty and some scores marginal-only."""
+    n_groups = draw(st.integers(1, 6))
+    ids = st.integers(-1, n_groups - 1)
+    score = st.integers(0, 8).map(lambda i: i / 8)
+    labeled = draw(st.lists(st.tuples(score, ids), min_size=1, max_size=80))
+    unlabeled = draw(st.lists(st.tuples(score, ids), max_size=200))
+    pool = ScoredPool([s for s, _ in labeled], [s for s, _ in unlabeled])
+    return (pool, [g for _, g in labeled],
+            np.array([g for _, g in unlabeled], dtype=np.int64), n_groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grouped_pool(), alpha=ALPHA)
+def test_conditional_thresholds_match_masked_sort_reference(case, alpha):
+    pool, lab_ids, unlab_ids, n_groups = case
+    got = conditional_thresholds(pool, lab_ids, unlab_ids, n_groups, alpha)
+    want = masked_conditional_thresholds(pool, lab_ids, unlab_ids, n_groups,
+                                         alpha)
+    assert len(got) == len(want) == n_groups + 1
+    assert all(same_threshold(a, b) for a, b in zip(got, want))
 
 
 def clustered(labeled, unlabeled, alpha, n_clusters, min_class_count=2):

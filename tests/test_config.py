@@ -182,3 +182,21 @@ def outcome(parse, doc):
 def test_reader_matches_hand_written_parsers(doc):
     assert outcome(config_from_dict, doc) == \
         outcome(reference_config_from_dict, doc)
+
+
+def test_top_level_estimator_reaches_only_semicp_strings():
+    """The config's ``estimator`` is the one of a method written as the
+    string "semicp"; a semicp method object without its own ``estimator``
+    gets the default, nnm with k = 1 on pseudo_score."""
+    doc = {"n": 5, "test_size": 5,
+           "data": {"synthetic": {"classes": 3, "samples": 100}},
+           "estimator": {"kind": "naive"},
+           "methods": ["standard", "semicp", {"kind": "semicp", "name": "own"},
+                       {"kind": "semicp", "name": "k3",
+                        "estimator": {"k": 3}}]}
+    config = config_from_dict(doc)
+    assert config == reference_config_from_dict(doc)
+    est = {m.name: m.estimator for m in config.methods}
+    assert est == {"standard": None, "semicp": EstimatorSpec("naive"),
+                   "own": EstimatorSpec("nnm", 1, "pseudo_score"),
+                   "k3": EstimatorSpec("nnm", 3, "pseudo_score")}

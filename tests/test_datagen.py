@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from semicp import rng
 from semicp.datagen import (SyntheticConfig, _generate_rows,
-                            calibrate_signal_for_accuracy, generate_synthetic,
-                            measure_top1_accuracy)
+                            calibrate_signal_for_accuracy, generate_at_accuracy,
+                            generate_synthetic, measure_top1_accuracy)
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, ConvergenceError, InputError
 
@@ -113,6 +113,19 @@ def test_config_validation():
         SyntheticConfig(n_classes=3, n_samples=10, noise_sigma=0.0)
     with pytest.raises(InputError):
         SyntheticConfig(n_classes=3, n_samples=10, temperature=-1.0)
+
+
+@pytest.mark.parametrize("samples", [50_000, 3000])
+def test_generate_at_accuracy_equals_generation_at_found_signal(samples):
+    # 50,000 rows are the bisection's probe rows, which are then reused
+    template = SyntheticConfig(n_classes=6, n_samples=samples,
+                               temperature=0.5, seed=23)
+    ds, signal, achieved = generate_at_accuracy(0.7, template)
+    assert (signal, achieved) == calibrate_signal_for_accuracy(0.7, template)
+    want = generate_synthetic(replace(template, signal=signal))
+    for name in ("labels", "logits", "probs"):
+        assert getattr(ds, name).tobytes() == getattr(want, name).tobytes()
+    assert ds.features is ds.logits
 
 
 def test_calibrate_signal_unreachable_target():

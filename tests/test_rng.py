@@ -64,3 +64,56 @@ def test_permutation_prefix_equals_stable_argsort_prefix(seed, n, extra):
         assert got.dtype == full.dtype
         assert np.array_equal(got, full[:size]), size
     assert np.array_equal(rng.permutation(key, n), full)
+
+
+def numpy_finalize(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def numpy_mix64(a, b):
+    """mix64 on numpy uint64 scalars under errstate, as it was before keys
+    were built on Python ints; kept as the reference."""
+    a = np.uint64(int(a) & 0xFFFFFFFFFFFFFFFF)
+    b = np.uint64(int(b) & 0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        return numpy_finalize(numpy_finalize(a)
+                              ^ numpy_finalize(b ^ np.uint64(0x6A09E667F3BCC909)))
+
+
+def numpy_stream(seed, *tags):
+    key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    for tag in tags:
+        key = numpy_mix64(key, tag)
+    return key
+
+
+# Python ints below zero and at or above 2**64, and numpy integer scalars
+WORD = st.one_of(st.integers(-2**70, 2**70),
+                 st.integers(0, 2**64 - 1).map(np.uint64),
+                 st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=WORD, tags=st.lists(WORD, max_size=4))
+def test_int_stream_keys_equal_numpy_path(seed, tags):
+    key, want = rng.stream(seed, *tags), numpy_stream(seed, *tags)
+    assert type(key) is type(want) is np.uint64
+    assert key == want
+    if tags:
+        mixed = rng.mix64(seed, tags[0])
+        assert type(mixed) is np.uint64 and mixed == numpy_mix64(seed, tags[0])
+        # a scalar against an array takes the numpy path, element by element
+        words = np.array([int(t) & 0xFFFFFFFFFFFFFFFF for t in tags],
+                         dtype=np.uint64)
+        assert np.array_equal(rng.mix64(seed, words),
+                              [numpy_mix64(seed, t) for t in tags])
+    # so every draw keyed by it is unchanged
+    counters = np.arange(64)
+    assert np.array_equal(rng.raw(key, counters), rng.raw(want, counters))
+    assert np.array_equal(rng.permutation(key, 64, 10),
+                          rng.permutation(want, 64, 10))
+    assert np.array_equal(rng.integers(key, counters, 7),
+                          rng.integers(want, counters, 7))

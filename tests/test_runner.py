@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semicp import runner
+from semicp.calibration import cluster_classes
 from semicp.datagen import SyntheticConfig
 from semicp.errors import ConfigurationError
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
-                           MethodSpec, apply_sweep_value, config_from_dict,
-                           results_records, run_experiment, run_sweep,
-                           run_trial, write_experiment_results)
+                           MethodSpec, _per_group_coverage, apply_sweep_value,
+                           config_from_dict, results_records, run_experiment,
+                           run_sweep, run_trial, write_experiment_results)
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import EstimatorSpec
 
@@ -533,3 +535,42 @@ def test_standard_and_semicp_never_read_unlabeled_pool_labels(plan, matrix_files
         outputs.append(json.dumps(results_records(config, run_experiment(config)),
                                   sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def unique_mask_coverage(mask, labels, groups):
+    """Per-group coverage by np.unique and one boolean mask and mean per
+    group: the reference for the bincount version."""
+    hit = mask[np.arange(labels.shape[0]), labels]
+    return {int(g): float(hit[groups == g].mean()) for g in np.unique(groups)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=st.integers(1, 300), k=st.integers(2, 12))
+def test_per_group_coverage_matches_unique_reference(data, t, k):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rs = np.random.RandomState(seed)
+    mask = rs.rand(t, k) < data.draw(st.floats(0.0, 1.0))
+    labels = rs.randint(0, k, t)
+    # sparse ids leave gaps; the class modes report per true label
+    groups = data.draw(st.sampled_from([labels, rs.randint(0, 7, t),
+                                        rs.choice([0, 3, 40], t)]))
+    hits = mask[np.arange(t), labels]
+    got = _per_group_coverage(hits, groups)
+    want = unique_mask_coverage(mask, labels, groups)
+    assert [(g, c.hex()) for g, c in got.items()] == \
+        [(g, c.hex()) for g, c in want.items()]
+
+
+def test_clustercp_clusters_once_per_trial(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cluster_classes(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "cluster_classes", counted)
+    config = small_config(trials=3, n=60,
+                          calibration=CalibrationPlan(mode="clustercp",
+                                                      n_clusters=3))
+    run_experiment(config)
+    assert len(config.methods) == 3 and len(calls) == config.trials
