@@ -20,6 +20,5 @@ from .runner import (CalibrationPlan, DataSource, ExperimentConfig, MethodSpec,
                      run_trial)
 from .scores import ScoreSpec, rank_and_cummass_batch, score_all_labels_batch
 from .unlabeled import (EstimatorSpec, LabeledRecords, PseudoScores,
-                        ScoreTables, debias_scores, estimate_scores,
-                        naive_scores, neighbor_match, nnm_r_scores, nnm_scores,
-                        pseudo_labels, random_match_scores)
+                        ScoreTables, check_estimator, estimate_scores,
+                        neighbor_match, pseudo_labels)

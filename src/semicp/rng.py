@@ -9,10 +9,10 @@ from parallel workers.
 
 Stream keys are built by folding tags into a seed with :func:`mix64`
 (e.g. ``stream(base_seed, trial_index, TAG)``), so distinct purposes never
-share a stream.  A key is one word, so :func:`stream` and a scalar
-:func:`mix64` run the splitmix64 arithmetic on Python ints masked to 64
-bits, which is several times cheaper than on numpy scalars; array inputs
-take the vectorized numpy path.  Both give the same ``np.uint64``.
+share a stream.  A key is one word, so :func:`stream` runs the splitmix64
+arithmetic on Python ints masked to 64 bits, which is several times cheaper
+than on numpy scalars; :func:`mix64` takes the vectorized numpy path.  Both
+give the same ``np.uint64``.
 """
 
 import numpy as np
@@ -60,12 +60,7 @@ def mix64(a, b):
 
     Either argument may be an array; two scalars give an ``np.uint64``.
     """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a = _as_u64(a)
-        b = _as_u64(b)
-        with np.errstate(over="ignore"):
-            return _finalize(_finalize(a) ^ _finalize(b ^ _U64_SALT))
-    return np.uint64(_mix64_int(int(a) & _M64, int(b) & _M64))
+    return _finalize(_finalize(_as_u64(a)) ^ _finalize(_as_u64(b) ^ _U64_SALT))
 
 
 def stream(seed, *tags):
@@ -99,9 +94,17 @@ def normals(key, counters):
     """Standard normals at the given counters (Box-Muller, 2 draws each)."""
     counters = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        u1 = _uniforms_open_zero(key, counters * np.uint64(2))
-        u2 = uniforms(key, counters * np.uint64(2) + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        z = np.asarray(_uniforms_open_zero(key, counters * np.uint64(2)))
+        u2 = np.asarray(uniforms(key, counters * np.uint64(2) + np.uint64(1)))
+    # sqrt(-2 log u1) * cos(2 pi u2), in place: the same operations in the
+    # same order, without the temporaries
+    np.log(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    z *= u2
+    return z[()]  # a scalar for scalar counters
 
 
 def integers(key, counters, upper):

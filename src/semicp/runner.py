@@ -37,7 +37,8 @@ from .dataset import ProbabilityDataset
 from .errors import ConfigurationError, DataError, InputError, SemicpError
 from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
 from .scores import ScoreSpec
-from .unlabeled import EstimatorSpec, ScoreTables, estimate_scores
+from .unlabeled import (EstimatorSpec, ScoreTables, check_estimator,
+                        estimate_scores)
 
 METHOD_KINDS = ("standard", "semicp", "oracle")
 CALIBRATION_MODES = ("marginal", "interpolation", "group_conditional",
@@ -138,12 +139,9 @@ class ExperimentConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate method names in {names}")
-        if self.score.randomized:
-            for m in self.methods:
-                if m.kind == "semicp" and m.estimator.kind not in ("naive", "nnm_r"):
-                    raise ConfigurationError(
-                        f"estimator {m.estimator.kind!r} is deterministic-only; "
-                        "use nnm_r or naive with a randomized score")
+        for m in self.methods:
+            if m.kind == "semicp":
+                check_estimator(self.score, m.estimator)
 
 
 @dataclass
@@ -282,16 +280,6 @@ class _Pools:
         self.lab_labels = self.ctx.labeled.dataset.labels[self.lab]
         self.test_labels = self.ctx.test.dataset.labels[self.test]
 
-    def unlabeled_class_ids(self, method: MethodSpec, pool: ScoredPool):
-        """Class membership of the unlabeled scores as the method may see
-        it: pseudo-labels, or true labels for the oracle (which unmasks
-        them)."""
-        if not pool.unlabeled_scores.size:
-            return np.empty(0, dtype=np.int64)
-        if method.kind == "oracle":
-            return self.ctx.main.dataset.labels[self.unlab]
-        return self.ctx.main.hats[self.unlab]
-
 
 def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     if ctx is None:
@@ -312,14 +300,14 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     lab_scores = records.true_at(u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
     pseudo = ctx.main.queries(pools.unlab)
-    groups = _group_map(config.calibration, pools, lab_scores,
-                        test_scores.shape[1])
     test_rows = np.arange(config.test_size)
 
-    oracle_scores = None
+    oracle_labels = oracle_scores = None
     if any(m.kind == "oracle" for m in config.methods) and config.N:
-        oracle_scores = ctx.main.at(
-            pools.unlab, ctx.main.dataset.labels[pools.unlab], u_unlab)
+        oracle_labels = ctx.main.dataset.labels[pools.unlab]
+        oracle_scores = ctx.main.at(pools.unlab, oracle_labels, u_unlab)
+    groups = _group_map(config, pools, lab_scores, test_scores.shape[1],
+                        oracle_labels)
 
     results = {}
     for position, method in enumerate(config.methods):
@@ -335,7 +323,7 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
             est = estimate_scores(pseudo, records, spec, method.estimator,
                                   stream_key=rm_stream, u=u_unlab)
             pool = ScoredPool(lab_scores, est)
-        mask = _calibrate_and_predict(config, method, pool, pools, groups,
+        mask = _calibrate_and_predict(config, method, pool, groups,
                                       test_scores)
         hits = mask[test_rows, pools.test_labels]
         results[method.name] = TrialResult(
@@ -348,7 +336,10 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     return results
 
 
-def _calibrate_and_predict(config, method, pool, pools, groups, test_scores):
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _calibrate_and_predict(config, method, pool, groups, test_scores):
     """One method's test membership mask, from its threshold(s).
 
     The conditional modes differ only in their trial's group map; each then
@@ -360,7 +351,7 @@ def _calibrate_and_predict(config, method, pool, pools, groups, test_scores):
         return test_scores <= _cutoff(semicp_threshold(pool, alpha))
     if config.calibration.mode == "interpolation":
         return test_scores <= interpolated_quantile(pool.merged(), alpha).value
-    unlab_groups = groups.unlabeled(pools.unlabeled_class_ids(method, pool))
+    unlab_groups = groups.unlabeled.get(method.kind, _NO_IDS)
     thresholds = conditional_thresholds(pool, groups.labeled, unlab_groups,
                                         groups.n_groups, alpha)
     return _group_mask(test_scores, thresholds, groups.test_cells)
@@ -374,39 +365,51 @@ class _GroupMap:
     sample, shape (t, 1), for ``group_conditional``, and one per candidate
     label, shape (K,), for the class-based modes.  ``coverage`` gives each
     test sample the group its coverage is reported under: its sample group,
-    or its true class.  Only the unlabeled ids depend on the method, which
-    sees pseudo-labels or, for the oracle, true labels, so ``unlabeled``
-    maps those class ids to group ids.  Id -1 is the marginal pool.
+    or its true class.  ``unlabeled`` maps each method kind that has
+    unlabeled scores to their group ids: semicp sees pseudo-labels, the
+    oracle true labels.  Id -1 is the marginal pool.
     """
     labeled: np.ndarray
     test_cells: np.ndarray
     coverage: np.ndarray
     n_groups: int
-    unlabeled: object
+    unlabeled: dict
 
 
-def _group_map(plan, pools, lab_scores, k):
-    """The trial's group map, or None in the marginal modes."""
-    ctx = pools.ctx
+def _group_map(config, pools, lab_scores, k, oracle_labels):
+    """The trial's group map, or None in the marginal modes.
+
+    ``oracle_labels`` are the unlabeled pool's true labels when an oracle
+    method reads them, else None, so no other method can see them.
+    """
+    plan, ctx = config.calibration, pools.ctx
+    if plan.mode in ("marginal", "interpolation"):
+        return None
+    views = {} if oracle_labels is None else {"oracle": oracle_labels}
+    if config.N and any(m.kind == "semicp" for m in config.methods):
+        views["semicp"] = ctx.main.hats[pools.unlab]
     if plan.mode == "group_conditional":
         test = _group_ids(ctx.test, pools.test, pools.test_labels, plan)
+        if plan.group_rule == "true_label" or not views:
+            unlabeled = {kind: _group_ids(ctx.main, pools.unlab, classes, plan)
+                         for kind, classes in views.items()}
+        else:  # the other rules give every method the same ids
+            unlabeled = dict.fromkeys(
+                views, _group_ids(ctx.main, pools.unlab, None, plan))
         return _GroupMap(
             _group_ids(ctx.labeled, pools.lab, pools.lab_labels, plan),
-            test[:, None], test, plan.n_groups,
-            lambda classes: _group_ids(ctx.main, pools.unlab, classes, plan)
-            if classes.size else classes)
+            test[:, None], test, plan.n_groups, unlabeled)
     if plan.mode == "class_conditional":
         return _GroupMap(pools.lab_labels, np.arange(k), pools.test_labels, k,
-                         lambda classes: classes)
-    if plan.mode == "clustercp":
-        # the clusters depend only on the labeled scores, shared by all
-        # methods
-        cluster = cluster_classes(lab_scores, pools.lab_labels, k,
-                                  plan.n_clusters, plan.min_class_count,
-                                  seed=_CLUSTERCP_KMEANS_SEED)
-        return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
-                         plan.n_clusters, lambda classes: cluster[classes])
-    return None
+                         views)
+    # clustercp: the clusters depend only on the labeled scores, shared by
+    # all methods
+    cluster = cluster_classes(lab_scores, pools.lab_labels, k,
+                              plan.n_clusters, plan.min_class_count,
+                              seed=_CLUSTERCP_KMEANS_SEED)
+    return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
+                     plan.n_clusters,
+                     {kind: cluster[classes] for kind, classes in views.items()})
 
 
 def _group_mask(test_scores, thresholds, test_groups):

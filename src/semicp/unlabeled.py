@@ -16,19 +16,24 @@ gap between true and pseudo score is observable:
   matched on deterministic pseudo scores, but all three score terms are
   re-evaluated at the unlabeled sample's own random factor u
 
-The estimators read only rows gathered from :class:`ScoreTables`
-(:class:`PseudoScores` for the unlabeled samples, :class:`LabeledRecords`
-for the labeled ones), so a data source is scored once and each pool drawn
-from it only gathers rows.
+:func:`estimate_scores` runs every estimator, and :func:`check_estimator`
+decides which estimators a score spec admits.  The estimators read only
+rows gathered from :class:`ScoreTables` (:class:`PseudoScores` for the
+unlabeled samples, :class:`LabeledRecords` for the labeled ones), so a data
+source is scored once and each pool drawn from it only gathers rows.
 
-Nearest-neighbor matching on pseudo scores uses binary search over a sorted
-copy, so estimating N samples against n records costs O((n+N) log n).
-Distance ties are broken by the smaller original record index.  Alternative
-neighbor criteria (confidence, full score vector, logits, features) use
-Euclidean distance and are intended for desk-scale ablations.
+Matching on a 1-D criterion (pseudo score, confidence) sorts the n records
+and merges two walks outward from each query's binary-search insertion
+point, so the k nearest of N samples cost O(n log n + N (log n + k)).  At
+every k, records at equal distance |q - v| are taken by the smaller
+original index, except that a walk takes a nearer value before a farther
+one even where float rounding makes their distances equal; the first
+column is always the k = 1 match.  The vector criteria (full score vector,
+logits, features) rank squared Euclidean distances, ties again by index, by
+brute force in O(n N) and are intended for desk-scale ablations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +72,7 @@ def pseudo_labels(probs) -> np.ndarray:
 
 
 def _criterion_vectors(tables, rows, kind: str) -> np.ndarray:
-    """Vectors of the given rows under a non-pseudo-score neighbor criterion."""
-    if kind == "confidence":
-        return tables.confidences[rows][:, None]
+    """Vectors of the given rows under a vector neighbor criterion."""
     if kind == "score_vector":
         return tables.all_labels(rows)
     channel = {"logit": tables.dataset.logits,
@@ -86,8 +89,7 @@ class LabeledRecords:
 
     ``pseudo_scores``/``true_scores``/``biases`` are the deterministic
     (u = 1) scores at the pseudo and the true label and their difference;
-    matching always uses these.  ``sort_order`` sorts records by (pseudo
-    score, original index).
+    matching always uses these.
     """
 
     tables: "ScoreTables"
@@ -95,18 +97,9 @@ class LabeledRecords:
     pseudo_scores: np.ndarray
     true_scores: np.ndarray
     biases: np.ndarray
-    sort_order: np.ndarray = field(init=False)
-    sorted_pseudo: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.sort_order = np.argsort(self.pseudo_scores, kind="stable")
-        self.sorted_pseudo = self.pseudo_scores[self.sort_order]
 
     def __len__(self):
         return self.pseudo_scores.shape[0]
-
-    def mean_bias(self) -> float:
-        return float(self.biases.mean())
 
     def true_at(self, u=None) -> np.ndarray:
         """True-label scores at one random factor per record."""
@@ -200,175 +193,121 @@ class PseudoScores:
         return self.tables.at(self.rows, self.tables.hats[self.rows], u)
 
 
-def _match_sorted_1d(sorted_vals, sort_order, queries):
-    """Nearest record per query over values pre-sorted ascending.
+def _knn_sorted_1d(values, queries, k):
+    """The k nearest records per query for 1-D values, nearest first.
 
-    ``sort_order`` maps sorted positions back to original record indices;
-    because the sort is stable, the first element of an equal-value run has
-    the smallest original index, which implements the tie rule.
+    From each query's insertion point two outward walks are merged, k steps
+    in all: the left walk takes records in (value, descending index) order
+    and the right walk in (value, ascending index) order, so each walk
+    meets an equal-value run at its smallest index.  Each step takes the
+    nearer head by |q - v|, then by the smaller index.  An infinite
+    sentinel with index n ends each walk.
     """
-    n = sorted_vals.shape[0]
+    n = values.shape[0]
+    right = np.argsort(values, kind="stable")
+    left = n - 1 - np.argsort(values[::-1], kind="stable")
     q = np.asarray(queries, dtype=np.float64)
-    pos = np.searchsorted(sorted_vals, q, side="left")
-    run_start = np.searchsorted(sorted_vals, sorted_vals, side="left")
-
-    left = np.clip(pos - 1, 0, n - 1)
-    right = np.clip(pos, 0, n - 1)
-    d_left = np.where(pos > 0, np.abs(q - sorted_vals[left]), np.inf)
-    d_right = np.where(pos < n, np.abs(q - sorted_vals[right]), np.inf)
-    # Any candidate shares its distance with its whole equal-value run, so
-    # compare run representatives (run starts hold the smallest indices).
-    left_c = run_start[left]
-    take_left = (d_left < d_right) | (
-        (d_left == d_right) & (sort_order[left_c] < sort_order[right])
-    )
-    return sort_order[np.where(take_left, left_c, right)]
-
-
-def _knn_bruteforce(dist2_fn, n_records, queries_count, k):
-    """Rowwise k smallest by (distance, original index), chunked over queries."""
-    out = np.empty((queries_count, k), dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // max(n_records, 1))
-    orig = np.arange(n_records)
-    for start in range(0, queries_count, chunk):
-        stop = min(start + chunk, queries_count)
-        d2 = dist2_fn(start, stop)
-        order = np.lexsort((np.broadcast_to(orig, d2.shape), d2), axis=-1)
-        out[start:stop] = order[:, :k]
+    # In the padded arrays below the left head sits at lo and the right
+    # head at lo + (records taken so far), since each step moves one head.
+    lo = np.searchsorted(values[right], q, side="left")
+    left_vals = np.concatenate(([-np.inf], values[left]))
+    right_vals = np.concatenate((values[right], [np.inf]))
+    left = np.concatenate(([n], left))
+    right = np.concatenate((right, [n]))
+    out = np.empty((q.shape[0], k), dtype=np.int64)
+    for step in range(k):
+        hi = lo + step
+        d_left = np.abs(q - left_vals[lo])
+        d_right = np.abs(q - right_vals[hi])
+        i_left, i_right = left[lo], right[hi]
+        take_left = (d_left < d_right) | ((d_left == d_right) & (i_left < i_right))
+        out[:, step] = np.where(take_left, i_left, i_right)
+        lo -= take_left
     return out
 
 
 def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
                    estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
-    """Matched record indices per unlabeled sample.
+    """Matched record indices per unlabeled sample, shape (N, k), nearest
+    first; ties are broken by the smaller original record index.
 
-    Returns shape (N,) for k = 1 and (N, k) otherwise, ordered nearest
-    first.  Ties are broken by the smaller original record index.
+    The 1-D criteria (pseudo score, confidence) merge two sorted walks;
+    the vector criteria rank squared Euclidean distances by brute force.
     """
+    k = estimator.k
     if len(records) == 0:
         raise EstimationError("cannot match against an empty labeled set")
-    if estimator.k > len(records):
-        raise ConfigurationError(
-            f"k={estimator.k} exceeds the {len(records)} labeled records")
-    if estimator.criterion == "pseudo_score" and estimator.k == 1:
-        return _match_sorted_1d(records.sorted_pseudo, records.sort_order,
-                                pseudo.det)
-
+    if k > len(records):
+        raise ConfigurationError(f"k={k} exceeds the {len(records)} labeled records")
     if estimator.criterion == "pseudo_score":
-        q = pseudo.det[:, None]
-        r = records.pseudo_scores[:, None]
-    else:
-        q = _criterion_vectors(pseudo.tables, pseudo.rows, estimator.criterion)
-        r = _criterion_vectors(records.tables, records.rows, estimator.criterion)
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
+        return _knn_sorted_1d(records.pseudo_scores, pseudo.det, k)
+    if estimator.criterion == "confidence":
+        return _knn_sorted_1d(records.tables.confidences[records.rows],
+                              pseudo.tables.confidences[pseudo.rows], k)
+
+    q = _criterion_vectors(pseudo.tables, pseudo.rows, estimator.criterion)
+    r = _criterion_vectors(records.tables, records.rows, estimator.criterion)
     if q.shape[1] != r.shape[1]:
         raise InputError("query and record vectors differ in dimension")
-
-    def dist2(start, stop):
-        diff = q[start:stop, None, :] - r[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
-
-    matched = _knn_bruteforce(dist2, len(records), q.shape[0], estimator.k)
-    return matched[:, 0] if estimator.k == 1 else matched
-
-
-def naive_scores(pseudo: PseudoScores, spec: ScoreSpec, u=None) -> np.ndarray:
-    """Pseudo score of each unlabeled sample, uncorrected."""
-    if spec.randomized:
-        if u is None:
-            raise ConfigurationError("randomized spec requires u factors")
-        return pseudo.at(np.asarray(u, dtype=np.float64))
-    if u is not None:
-        raise ConfigurationError("u factors supplied for a deterministic spec")
-    return pseudo.det
+    n = len(records)
+    out = np.empty((q.shape[0], k), dtype=np.int64)
+    chunk = max(1, _CHUNK_CELLS // n)
+    for start in range(0, q.shape[0], chunk):
+        diff = q[start:start + chunk, None, :] - r[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        index = np.broadcast_to(np.arange(n), d2.shape)
+        out[start:start + chunk] = np.lexsort((index, d2), axis=-1)[:, :k]
+    return out
 
 
-def _require_deterministic(spec: ScoreSpec, name: str):
-    if spec.randomized:
+def check_estimator(spec: ScoreSpec, estimator: EstimatorSpec):
+    """Raise unless ``estimator`` can estimate scores of ``spec``: a
+    randomized spec needs ``naive`` or ``nnm_r``, and ``nnm_r`` needs a
+    randomized spec and a single neighbor."""
+    if estimator.kind == "nnm_r":
+        if not spec.randomized:
+            raise ConfigurationError("nnm_r requires a randomized score spec")
+        if estimator.k != 1:
+            raise ConfigurationError("nnm_r uses a single matched neighbor")
+    elif spec.randomized and estimator.kind != "naive":
         raise ConfigurationError(
-            f"{name} is defined for deterministic scores; use nnm_r for "
-            "randomized specs")
-
-
-def _matched_scores(pseudo, records, estimator, u=None) -> np.ndarray:
-    """Own score at u plus the matched records' bias at u, averaged over the
-    k nearest; deterministic tables ignore u."""
-    matched = neighbor_match(pseudo, records, estimator)
-    bias = records.biases_at(matched, u)
-    if matched.ndim == 2:
-        bias = bias.mean(axis=1)
-    return pseudo.at(u) + bias
-
-
-def nnm_scores(pseudo: PseudoScores, records: LabeledRecords, spec: ScoreSpec,
-               estimator: EstimatorSpec = EstimatorSpec()) -> np.ndarray:
-    """Nearest-neighbor-matched scores: pseudo score + matched record bias.
-
-    With ``estimator.k > 1`` the arithmetic mean of the k nearest records'
-    biases is added instead.
-    """
-    _require_deterministic(spec, "nnm")
-    return _matched_scores(pseudo, records, estimator)
-
-
-def debias_scores(pseudo: PseudoScores, records: LabeledRecords,
-                  spec: ScoreSpec) -> np.ndarray:
-    """Pseudo scores shifted by the global mean labeled bias."""
-    _require_deterministic(spec, "debias")
-    if len(records) == 0:
-        raise EstimationError("cannot debias against an empty labeled set")
-    return pseudo.det + records.mean_bias()
-
-
-def random_match_scores(pseudo: PseudoScores, records: LabeledRecords,
-                        spec: ScoreSpec, stream_key) -> np.ndarray:
-    """Pseudo scores corrected by a uniformly drawn record's bias.
-
-    Draws are independent per unlabeled sample, with replacement, indexed by
-    sample position on the given stream.
-    """
-    _require_deterministic(spec, "random_match")
-    if len(records) == 0:
-        raise EstimationError("cannot match against an empty labeled set")
-    draws = rng.integers(stream_key, np.arange(len(pseudo)), len(records))
-    return pseudo.det + records.biases[draws]
-
-
-def nnm_r_scores(pseudo: PseudoScores, records: LabeledRecords, spec: ScoreSpec,
-                 u, estimator: EstimatorSpec = EstimatorSpec("nnm_r")) -> np.ndarray:
-    """Randomized nearest-neighbor-matched scores.
-
-    The neighbor is matched on deterministic pseudo scores; the sample's own
-    random factor u is then applied to all three score terms:
-    S(x, y_hat, u) + S(x_j, y_j, u) - S(x_j, y_hat_j, u).
-    """
-    if not spec.randomized:
-        raise ConfigurationError("nnm_r requires a randomized score spec")
-    if estimator.k != 1:
-        raise ConfigurationError("nnm_r uses a single matched neighbor")
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != len(pseudo):
-        raise InputError("one random factor per unlabeled sample is required")
-    return _matched_scores(pseudo, records, estimator, u)
+            f"estimator {estimator.kind!r} is deterministic-only; "
+            "use nnm_r or naive with a randomized score")
 
 
 def estimate_scores(pseudo: PseudoScores, records: LabeledRecords,
-                    spec: ScoreSpec, estimator: EstimatorSpec, stream_key=None,
-                    u=None) -> np.ndarray:
-    """Dispatch to the requested estimator (runner entry point)."""
-    if len(pseudo) == 0:
-        return np.empty(0, dtype=np.float64)
-    if estimator.kind == "naive":
-        return naive_scores(pseudo, spec, u if spec.randomized else None)
-    if estimator.kind == "debias":
-        return debias_scores(pseudo, records, spec)
-    if estimator.kind == "random_match":
+                    spec: ScoreSpec, estimator: EstimatorSpec = EstimatorSpec(),
+                    stream_key=None, u=None) -> np.ndarray:
+    """Estimated true scores of the unlabeled samples.
+
+    ``u`` holds one random factor per sample and is read only for a
+    randomized spec.  ``random_match`` draws one record per sample, with
+    replacement, indexed by sample position on ``stream_key``.  The matching
+    estimators add the mean bias of the k matched records; ``nnm_r`` matches
+    on deterministic pseudo scores and then evaluates all three terms at the
+    sample's own u: S(x, y_hat, u) + S(x_j, y_j, u) - S(x_j, y_hat_j, u).
+    """
+    check_estimator(spec, estimator)
+    kind = estimator.kind
+    if spec.randomized:
+        if u is None or np.shape(u) != (len(pseudo),):
+            raise InputError("a randomized spec needs one random factor per "
+                             "unlabeled sample")
+        u = np.asarray(u, dtype=np.float64)
+    else:
+        u = None
+    if len(pseudo) == 0 or kind == "naive":
+        return pseudo.at(u)
+    if len(records) == 0:
+        raise EstimationError(f"{kind} needs a nonempty labeled set")
+    if kind == "debias":
+        return pseudo.det + records.biases.mean()
+    if kind == "random_match":
         if stream_key is None:
             raise ConfigurationError("random_match needs an rng stream")
-        return random_match_scores(pseudo, records, spec, stream_key)
-    if estimator.kind == "nnm_r":
-        if u is None:
-            raise ConfigurationError("nnm_r needs per-sample u factors")
-        return nnm_r_scores(pseudo, records, spec, u, estimator)
-    return nnm_scores(pseudo, records, spec, estimator)
+        draws = rng.integers(stream_key, np.arange(len(pseudo)), len(records))
+        return pseudo.det + records.biases[draws]
+    matched = neighbor_match(pseudo, records, estimator)
+    if estimator.k > 1:  # nnm only, so the spec is deterministic
+        return pseudo.det + records.biases[matched].mean(axis=1)
+    return pseudo.at(u) + records.biases_at(matched[:, 0], u)

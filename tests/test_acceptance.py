@@ -26,8 +26,7 @@ from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _build_context, run_experiment,
                            run_trial)
 from semicp.scores import ScoreSpec, score_all_labels_batch
-from semicp.unlabeled import (EstimatorSpec, ScoreTables, naive_scores,
-                              nnm_r_scores, nnm_scores)
+from semicp.unlabeled import EstimatorSpec, ScoreTables, estimate_scores
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -136,8 +135,9 @@ def _ks_pair(tables, spec, n, big_n, trial, seed):
     unl = perm[n:n + big_n]
     pseudo = tables.queries(unl)
     true = tables.at(unl, tables.dataset.labels[unl])
-    return (ks_distance(nnm_scores(pseudo, rec, spec), true),
-            ks_distance(naive_scores(pseudo, spec), true))
+    return (ks_distance(estimate_scores(pseudo, rec, spec), true),
+            ks_distance(estimate_scores(pseudo, rec, spec,
+                                        EstimatorSpec("naive")), true))
 
 
 def test_criterion_05_nnm_distribution_matching():
@@ -212,10 +212,10 @@ def test_criterion_08_reductions_are_bit_identical():
     lab, unl = np.arange(200), np.arange(200, 900)
     det, rand = ScoreSpec("aps"), ScoreSpec("aps", randomized=True)
     det_t, rand_t = ScoreTables(ds, det), ScoreTables(ds, rand)
-    r_scores = nnm_r_scores(rand_t.queries(unl), rand_t.records(lab), rand,
-                            np.ones(len(unl)))
-    ok_b = np.array_equal(r_scores, nnm_scores(det_t.queries(unl),
-                                               det_t.records(lab), det))
+    r_scores = estimate_scores(rand_t.queries(unl), rand_t.records(lab), rand,
+                               EstimatorSpec("nnm_r"), u=np.ones(len(unl)))
+    ok_b = np.array_equal(r_scores, estimate_scores(det_t.queries(unl),
+                                                    det_t.records(lab), det))
 
     perfect = ExperimentConfig(
         n=30, N=1000,
@@ -311,15 +311,15 @@ def test_criterion_12_matching_complexity():
         n_classes=10, n_samples=1_000_000, signal=ACC80_SIGNAL, seed=5))
     big2 = generate_synthetic(SyntheticConfig(
         n_classes=10, n_samples=2_000_000, signal=ACC80_SIGNAL, seed=6))
-    nnm_scores(queries(ProbabilityDataset(big1.probs[:1000]), spec), rec,
-               spec)  # warm-up
+    estimate_scores(queries(ProbabilityDataset(big1.probs[:1000]), spec), rec,
+                    spec)  # warm-up
 
     # the timed work scores the whole pool, then matches it
     start = time.perf_counter()
-    nnm_scores(queries(big1, spec), rec, spec)
+    estimate_scores(queries(big1, spec), rec, spec)
     t1 = time.perf_counter() - start
     start = time.perf_counter()
-    nnm_scores(queries(big2, spec), rec, spec)
+    estimate_scores(queries(big2, spec), rec, spec)
     t2 = time.perf_counter() - start
     report(12, "matching complexity", t1 < 2.0 and t2 / t1 <= 2.5,
            f"n=1000, N=1e6 in {t1:.3f}s (<2s); doubling N scales by "

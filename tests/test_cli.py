@@ -221,6 +221,10 @@ BAD_CONFIG_FILES = {
     "alpha_beyond_float_range": json.dumps({**SWEEP_DOC, "alpha": 10**400}),
     "integer_too_long": json.dumps(SWEEP_DOC)[:-1] + ', "seed": 1' + "0" * 5000 + "}",
     "not_utf8": json.dumps(SWEEP_DOC).encode() + b"\xff",
+    "nnm_r_with_deterministic_score": json.dumps({**SWEEP_DOC, "estimator": {
+        "kind": "nnm_r"}}),
+    "nnm_r_with_two_neighbors": json.dumps({**SWEEP_DOC, "score": {
+        "kind": "aps", "randomized": True}, "estimator": {"kind": "nnm_r", "k": 2}}),
 }
 BAD_SWEEP_SECTIONS = {
     "no_values": {"axis": "n"},

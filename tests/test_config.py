@@ -6,6 +6,7 @@ oracle: on every valid document it and ``config_from_dict`` must give equal
 ``ConfigurationError``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,3 +201,16 @@ def test_top_level_estimator_reaches_only_semicp_strings():
     assert est == {"standard": None, "semicp": EstimatorSpec("naive"),
                    "own": EstimatorSpec("nnm", 1, "pseudo_score"),
                    "k3": EstimatorSpec("nnm", 3, "pseudo_score")}
+
+
+@pytest.mark.parametrize("score, estimator", [
+    ({"kind": "aps"}, {"kind": "nnm_r"}),
+    ({"kind": "aps", "randomized": True}, {"kind": "nnm_r", "k": 2}),
+    ({"kind": "aps", "randomized": True}, {"kind": "debias"}),
+])
+def test_estimator_the_score_does_not_admit_fails_at_parse(score, estimator):
+    doc = {"n": 5, "test_size": 5,
+           "data": {"synthetic": {"classes": 3, "samples": 100}},
+           "score": score, "estimator": estimator}
+    with pytest.raises(ConfigurationError):
+        config_from_dict(doc)

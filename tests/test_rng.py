@@ -39,6 +39,20 @@ def test_normals_moments():
     assert abs(np.mean(z ** 3)) < 0.02  # symmetric
 
 
+def test_normals_equal_the_box_muller_expression():
+    """In-place normals give the bits of the one-expression form, for the
+    broadcast (keys, counters) grid datagen draws and for one counter."""
+    keys = rng.mix64(np.uint64(3), np.arange(500, dtype=np.uint64))[:, None]
+    counters = np.arange(1, 8, dtype=np.uint64)[None, :]
+    for key, c in ((keys, counters), (rng.stream(5, 5), np.uint64(9))):
+        u1 = rng._uniforms_open_zero(key, c * np.uint64(2))
+        u2 = rng.uniforms(key, c * np.uint64(2) + np.uint64(1))
+        want = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        got = rng.normals(key, c)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_integers_bounds_and_uniformity():
     idx = rng.integers(rng.stream(9, 1), np.arange(60_000), 7)
     assert idx.min() >= 0 and idx.max() <= 6

@@ -8,10 +8,9 @@ from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
 from semicp.rng import stream
 from semicp.scores import ScoreSpec, score_all_labels_batch
-from semicp.unlabeled import (EstimatorSpec, LabeledRecords, debias_scores,
-                              estimate_scores, naive_scores, neighbor_match,
-                              nnm_r_scores, nnm_scores, pseudo_labels,
-                              random_match_scores, _match_sorted_1d)
+from semicp.unlabeled import (EstimatorSpec, LabeledRecords, PseudoScores,
+                              check_estimator, estimate_scores, neighbor_match,
+                              pseudo_labels)
 
 
 def rand_dataset(rs, m, k, with_channels=False):
@@ -30,6 +29,21 @@ def records_from_arrays(pseudo, biases):
     # hand-picked values need no tables: the pseudo-score criterion at u = 1
     # reads only these arrays
     return LabeledRecords(None, None, pseudo, pseudo + biases, biases)
+
+
+NO_RECORDS = records_from_arrays([], [])
+
+
+def naive(unl, spec):
+    return estimate_scores(unl, NO_RECORDS, spec, EstimatorSpec("naive"))
+
+
+def nnm(unl, rec, spec, estimator=EstimatorSpec()):
+    return estimate_scores(unl, rec, spec, estimator)
+
+
+def nnm_r(unl, rec, spec, u):
+    return estimate_scores(unl, rec, spec, EstimatorSpec("nnm_r"), u=u)
 
 
 def test_pseudo_label_ties():
@@ -56,14 +70,6 @@ def test_labeled_records_basics():
         records(ProbabilityDataset(probs=[[0.6, 0.4]], labels=[-1]), spec)
 
 
-def test_records_sorted_index_matches_full_sort():
-    rs = np.random.RandomState(0)
-    ds = rand_dataset(rs, 200, 5)
-    rec = records(ds, ScoreSpec("aps"))
-    assert np.array_equal(rec.sorted_pseudo, np.sort(rec.pseudo_scores))
-    assert np.array_equal(rec.pseudo_scores[rec.sort_order], rec.sorted_pseudo)
-
-
 def linear_scan_match(pseudo_scores, q):
     best, best_d = None, None
     for j, v in enumerate(pseudo_scores):
@@ -78,17 +84,17 @@ def test_nnm_examples_against_bruteforce():
     spec = ScoreSpec("thr")
     # unlabeled with pseudo score 0.35: p_max = 0.65
     ds = ProbabilityDataset(probs=[[0.65, 0.35]])
-    got = nnm_scores(queries(ds, spec), rec, spec)
+    got = nnm(queries(ds, spec), rec, spec)
     assert got[0] == pytest.approx(0.35 + 0.2)
     assert linear_scan_match(rec.pseudo_scores, 0.35) == 1
 
     # exact pseudo-score match adds that record's bias
     ds = ProbabilityDataset(probs=[[0.6, 0.4]])
-    assert nnm_scores(queries(ds, spec), rec, spec)[0] == pytest.approx(0.4 + 0.2)
+    assert nnm(queries(ds, spec), rec, spec)[0] == pytest.approx(0.4 + 0.2)
 
     # equidistant between 0.1 and 0.4: the smaller original index wins
     ds = ProbabilityDataset(probs=[[0.75, 0.25]])
-    assert nnm_scores(queries(ds, spec), rec, spec)[0] == pytest.approx(0.25 + 0.0)
+    assert nnm(queries(ds, spec), rec, spec)[0] == pytest.approx(0.25 + 0.0)
 
 
 def test_binary_search_equals_linear_scan():
@@ -105,7 +111,7 @@ def test_binary_search_equals_linear_scan():
         q = np.round(rs.rand(m) * 0.5, 2)
         probs = np.stack([1 - q, q], axis=1)
         pseudo_q = queries(ProbabilityDataset(probs=probs), spec)
-        got = nnm_scores(pseudo_q, rec, spec)
+        got = nnm(pseudo_q, rec, spec)
         for i in range(m):
             dists = np.abs(pseudo - pseudo_q.det[i])
             best = np.flatnonzero(dists == dists.min())[0]  # smallest index
@@ -115,12 +121,12 @@ def test_binary_search_equals_linear_scan():
 def test_naive_scores():
     spec = ScoreSpec("thr")
     ds = ProbabilityDataset(probs=[[0.7, 0.2, 0.1]])
-    assert naive_scores(queries(ds, spec), spec)[0] == pytest.approx(0.3)
+    assert naive(queries(ds, spec), spec)[0] == pytest.approx(0.3)
 
     rs = np.random.RandomState(2)
     unl = queries(rand_dataset(rs, 50, 4), spec)
     rec = records_from_arrays([0.2, 0.5], [0.0, 0.0])
-    assert np.array_equal(naive_scores(unl, spec), nnm_scores(unl, rec, spec))
+    assert np.array_equal(naive(unl, spec), nnm(unl, rec, spec))
 
 
 def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
@@ -128,10 +134,10 @@ def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
     ds = rand_dataset(rs, 300, 6)
     for kind in ("thr", "aps", "raps"):
         spec = ScoreSpec(kind)
-        naive = naive_scores(queries(ds, spec), spec)
+        plain = naive(queries(ds, spec), spec)
         true = np.array([score_all_labels_batch([ds.probs[i]], spec)[0, ds.labels[i]]
                          for i in range(len(ds))])
-        assert np.all(naive <= true + 1e-12)
+        assert np.all(plain <= true + 1e-12)
 
 
 def test_nnm_at_least_naive_for_deterministic_kinds():
@@ -142,29 +148,37 @@ def test_nnm_at_least_naive_for_deterministic_kinds():
         spec = ScoreSpec(kind)
         rec = records(lab, spec)
         assert np.all(rec.biases >= -1e-12)
-        nnm = nnm_scores(queries(unl, spec), rec, spec)
-        naive = naive_scores(queries(unl, spec), spec)
-        assert np.all(nnm >= naive - 1e-12)
-        assert naive.min() <= nnm.min() + 1e-12
+        matched = nnm(queries(unl, spec), rec, spec)
+        plain = naive(queries(unl, spec), spec)
+        assert np.all(matched >= plain - 1e-12)
+        assert plain.min() <= matched.min() + 1e-12
+
+
+def debias(unl, rec, spec):
+    return estimate_scores(unl, rec, spec, EstimatorSpec("debias"))
 
 
 def test_debias_scores():
     spec = ScoreSpec("thr")
     rec = records_from_arrays([0.1, 0.5, 0.9], [0.0, 0.2, 0.4])
     ds = ProbabilityDataset(probs=[[0.7, 0.3]])
-    assert debias_scores(queries(ds, spec), rec, spec)[0] == pytest.approx(0.3 + 0.2)
+    assert debias(queries(ds, spec), rec, spec)[0] == pytest.approx(0.3 + 0.2)
 
     single = records_from_arrays([0.5], [0.3])
     rs = np.random.RandomState(5)
     unl = queries(rand_dataset(rs, 30, 3), spec)
-    assert np.allclose(debias_scores(unl, single, spec),
-                       nnm_scores(unl, single, spec))
+    assert np.allclose(debias(unl, single, spec), nnm(unl, single, spec))
 
     rec = records_from_arrays(rs.rand(20), rs.rand(20))
-    got = debias_scores(unl, rec, spec)
-    naive = naive_scores(unl, spec)
-    expected = [naive[i] + np.mean(rec.biases) for i in range(len(unl))]
+    got = debias(unl, rec, spec)
+    plain = naive(unl, spec)
+    expected = [plain[i] + np.mean(rec.biases) for i in range(len(unl))]
     assert np.allclose(got, expected)
+
+
+def random_match(unl, rec, spec, key):
+    return estimate_scores(unl, rec, spec, EstimatorSpec("random_match"),
+                           stream_key=key)
 
 
 def test_random_match_scores():
@@ -174,18 +188,18 @@ def test_random_match_scores():
 
     single = records_from_arrays([0.5], [0.3])
     key = stream(123, 1)
-    assert np.array_equal(random_match_scores(unl, single, spec, key),
-                          nnm_scores(unl, single, spec))
+    assert np.array_equal(random_match(unl, single, spec, key),
+                          nnm(unl, single, spec))
 
     rec = records_from_arrays(rs.rand(10), rs.rand(10))
-    a = random_match_scores(unl, rec, spec, key)
-    b = random_match_scores(unl, rec, spec, key)
+    a = random_match(unl, rec, spec, key)
+    b = random_match(unl, rec, spec, key)
     assert np.array_equal(a, b)
 
     # law of large numbers: mean over many unlabeled points ~ mean bias
     big = queries(rand_dataset(rs, 10_000, 3), spec)
-    got = random_match_scores(big, rec, spec, stream(9, 2))
-    centered = got - naive_scores(big, spec)
+    got = random_match(big, rec, spec, stream(9, 2))
+    centered = got - naive(big, spec)
     assert abs(centered.mean() - rec.biases.mean()) < 0.01
 
 
@@ -195,8 +209,8 @@ def test_nnm_r_reduces_to_nnm_at_u_one():
     unl = rand_dataset(rs, 60, 4)
     det = ScoreSpec("aps")
     rand = ScoreSpec("aps", randomized=True)
-    got = nnm_r_scores(queries(unl, rand), records(lab, rand), rand, np.ones(60))
-    assert np.array_equal(got, nnm_scores(queries(unl, det), records(lab, det), det))
+    got = nnm_r(queries(unl, rand), records(lab, rand), rand, np.ones(60))
+    assert np.array_equal(got, nnm(queries(unl, det), records(lab, det), det))
 
 
 def test_nnm_r_hand_built_case_u_zero():
@@ -206,7 +220,7 @@ def test_nnm_r_hand_built_case_u_zero():
     rec = records(lab, rand)
     unl = queries(ProbabilityDataset(probs=[[0.8, 0.2]]), rand)
     # u=0: own = rho(hat)=0; record true (y=1, rank2): rho=0.6; pseudo: rho=0
-    got = nnm_r_scores(unl, rec, rand, np.zeros(1))
+    got = nnm_r(unl, rec, rand, np.zeros(1))
     assert got[0] == pytest.approx(0.0 + 0.6 - 0.0)
 
 
@@ -216,10 +230,10 @@ def test_nnm_r_matching_is_u_invariant():
     unl = rand_dataset(rs, 50, 4)
     det = ScoreSpec("raps")
     rand = ScoreSpec("raps", randomized=True)
-    matched = neighbor_match(queries(unl, det), records(lab, det))
+    matched = neighbor_match(queries(unl, det), records(lab, det))[:, 0]
     for u_val in (0.0, 0.3, 0.9):
-        got = nnm_r_scores(queries(unl, rand), records(lab, rand), rand,
-                           np.full(50, u_val))
+        got = nnm_r(queries(unl, rand), records(lab, rand), rand,
+                    np.full(50, u_val))
         assert np.allclose(got, _nnm_r_reference(unl, lab, det, matched, u_val))
 
 
@@ -249,22 +263,23 @@ def test_neighbor_match_criteria():
                              features=lab.features[:5].copy())
     got = neighbor_match(queries(unl, spec), rec,
                          EstimatorSpec(criterion="feature"))
-    assert np.array_equal(got, np.arange(5))
+    assert np.array_equal(got, np.arange(5)[:, None])
 
     # pseudo-score criterion agrees with nnm matching on random cases
     unl = queries(rand_dataset(rs, 100, 4, with_channels=True), spec)
     fast = neighbor_match(unl, rec, EstimatorSpec(criterion="pseudo_score"))
     brute = neighbor_match(unl, rec,
                            EstimatorSpec(criterion="pseudo_score", k=2))
-    assert np.array_equal(fast, brute[:, 0])
+    assert np.array_equal(fast, brute[:, :1])
 
     # logit criterion equals an independent brute-force nearest neighbor
     unl = rand_dataset(rs, 50, 4, with_channels=True)
     got = neighbor_match(queries(unl, spec), rec,
                          EstimatorSpec(criterion="logit"))
+    assert got.shape == (50, 1)
     for i in range(50):
         d = np.sum((lab.logits - unl.logits[i]) ** 2, axis=1)
-        assert got[i] == np.flatnonzero(d == d.min())[0]
+        assert got[i, 0] == np.flatnonzero(d == d.min())[0]
 
     # missing channel is named in the error
     bare = queries(ProbabilityDataset(probs=unl.probs), spec)
@@ -276,30 +291,99 @@ def test_knn_mean_bias():
     rec = records_from_arrays([0.1, 0.2, 0.9], [0.0, 0.4, 1.0])
     spec = ScoreSpec("thr")
     ds = ProbabilityDataset(probs=[[0.85, 0.15]])  # pseudo score 0.15
-    got = nnm_scores(queries(ds, spec), rec, spec,
-                     EstimatorSpec(criterion="pseudo_score", k=2))
+    got = nnm(queries(ds, spec), rec, spec,
+              EstimatorSpec(criterion="pseudo_score", k=2))
     assert got[0] == pytest.approx(0.15 + (0.0 + 0.4) / 2)
 
 
 def test_estimator_dispatch_and_errors():
     rs = np.random.RandomState(10)
     spec = ScoreSpec("thr")
+    rand = ScoreSpec("aps", randomized=True)
     rec = records(rand_dataset(rs, 10, 3), spec)
     unl = queries(rand_dataset(rs, 20, 3), spec)
     for kind in ("nnm", "naive", "debias", "random_match"):
         got = estimate_scores(unl, rec, spec, EstimatorSpec(kind),
                               stream_key=stream(1, 2))
         assert got.shape == (20,)
-    with pytest.raises(ConfigurationError):
-        nnm_scores(unl, rec, ScoreSpec("aps", randomized=True))
-    with pytest.raises(ConfigurationError):
-        nnm_r_scores(unl, rec, spec, np.ones(20))
+    with pytest.raises(ConfigurationError, match="deterministic-only"):
+        nnm(unl, rec, rand)
+    with pytest.raises(ConfigurationError, match="randomized"):
+        nnm_r(unl, rec, spec, np.ones(20))
+    with pytest.raises(ConfigurationError, match="single"):
+        estimate_scores(unl, rec, rand, EstimatorSpec("nnm_r", k=2), u=np.ones(20))
+    with pytest.raises(InputError):
+        estimate_scores(unl, rec, rand, EstimatorSpec("naive"))
+    with pytest.raises(InputError):
+        nnm_r(unl, rec, rand, np.ones(19))
+    with pytest.raises(ConfigurationError, match="stream"):
+        estimate_scores(unl, rec, spec, EstimatorSpec("random_match"))
     empty = records(ProbabilityDataset(
         probs=np.empty((0, 3)), labels=np.empty(0, dtype=int)), spec)
-    with pytest.raises(EstimationError):
-        nnm_scores(unl, empty, spec)
+    for kind in ("nnm", "debias", "random_match"):
+        with pytest.raises(EstimationError):
+            estimate_scores(unl, empty, spec, EstimatorSpec(kind),
+                            stream_key=stream(1, 2))
     with pytest.raises(ConfigurationError):
         neighbor_match(unl, rec, EstimatorSpec(criterion="pseudo_score", k=11))
+
+
+def test_check_estimator_decides_spec_and_estimator_fit():
+    det, rand = ScoreSpec("aps"), ScoreSpec("aps", randomized=True)
+    for kind in ("nnm", "naive", "debias", "random_match"):
+        check_estimator(det, EstimatorSpec(kind, k=2))
+    for kind in ("naive", "nnm_r"):
+        check_estimator(rand, EstimatorSpec(kind))
+    for spec, estimator in ((rand, EstimatorSpec("nnm")),
+                            (rand, EstimatorSpec("debias")),
+                            (rand, EstimatorSpec("random_match")),
+                            (det, EstimatorSpec("nnm_r")),
+                            (rand, EstimatorSpec("nnm_r", k=2))):
+        with pytest.raises(ConfigurationError):
+            check_estimator(spec, estimator)
+
+
+class ValueTables:
+    """Score tables whose row i scores values[i] at every label and has
+    confidence values[i], so both 1-D criteria match on the given values."""
+
+    def __init__(self, values):
+        self.confidences = np.asarray(values, dtype=np.float64)
+        self.hats = np.zeros(len(values), dtype=np.int64)
+
+    def at(self, rows, labels, u=None):
+        return self.confidences[rows]
+
+
+def match_1d(values, queries, k, criterion="pseudo_score"):
+    """neighbor_match of the queries against records with the given
+    values, under a 1-D criterion."""
+    rows = np.arange(len(values))
+    rec = LabeledRecords(ValueTables(values), rows, np.asarray(values, float),
+                         np.asarray(values, float), np.zeros(len(values)))
+    unl = PseudoScores(ValueTables(queries), np.arange(len(queries)))
+    return neighbor_match(unl, rec, EstimatorSpec(k=k, criterion=criterion))
+
+
+def match_sorted_1d_reference(values, queries):
+    """The k = 1 matcher that the sorted k-NN replaced, kept as the
+    reference for its first column: binary search, then the nearer of the
+    two neighbouring equal-value runs, each represented by its smallest
+    original index."""
+    sort_order = np.argsort(values, kind="stable")
+    sorted_vals = values[sort_order]
+    n = sorted_vals.shape[0]
+    q = np.asarray(queries, dtype=np.float64)
+    pos = np.searchsorted(sorted_vals, q, side="left")
+    run_start = np.searchsorted(sorted_vals, sorted_vals, side="left")
+    left = np.clip(pos - 1, 0, n - 1)
+    right = np.clip(pos, 0, n - 1)
+    d_left = np.where(pos > 0, np.abs(q - sorted_vals[left]), np.inf)
+    d_right = np.where(pos < n, np.abs(q - sorted_vals[right]), np.inf)
+    left_c = run_start[left]
+    take_left = (d_left < d_right) | (
+        (d_left == d_right) & (sort_order[left_c] < sort_order[right]))
+    return sort_order[np.where(take_left, left_c, right)]
 
 
 def _tied_values_and_queries(data, level):
@@ -314,25 +398,43 @@ def _tied_values_and_queries(data, level):
              + [ordered[0] - 1.0, ordered[-1] + 1.0])
     queries = np.array(data.draw(st.lists(st.sampled_from(spots), min_size=1,
                                           max_size=30)))
-    order = np.argsort(values, kind="stable")
-    return values, queries, _match_sorted_1d(values[order], order, queries)
+    k = data.draw(st.integers(1, n))
+    criterion = data.draw(st.sampled_from(["pseudo_score", "confidence"]))
+    return values, queries, k, match_1d(values, queries, k, criterion)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_match_sorted_1d_equals_bruteforce_under_heavy_ties(data):
+def test_neighbor_match_1d_equals_bruteforce_under_heavy_ties(data):
     # eighths in [-4, 4]: every distance is exact, so ties in value and in
     # distance are real ties and the smaller original index must win
-    values, queries, got = _tied_values_and_queries(
+    values, queries, k, got = _tied_values_and_queries(
         data, st.integers(-32, 32).map(lambda i: i / 8))
     n = len(values)
-    want = [min(range(n), key=lambda j: (abs(q - values[j]), j)) for q in queries]
+    want = [sorted(range(n), key=lambda j: (abs(q - values[j]), j))[:k]
+            for q in queries]
     assert got.tolist() == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_match_sorted_1d_is_nearest_for_any_floats(data):
-    values, queries, got = _tied_values_and_queries(data, st.floats(-10.0, 10.0))
-    for q, j in zip(queries, got):
-        assert abs(q - values[j]) == np.abs(q - values).min()
+def test_neighbor_match_1d_rows_are_nearest_for_any_floats(data):
+    values, queries, k, got = _tied_values_and_queries(data, st.floats(-10.0, 10.0))
+    assert got.shape == (len(queries), k)
+    dists = np.abs(queries[:, None] - values[None, :])
+    for q, row, d in zip(queries, got, dists):
+        # k distinct records whose distances are the k smallest
+        assert len(set(row.tolist())) == k
+        assert np.array_equal(np.sort(d[row]), np.sort(d)[:k])
+    # the nearest column is the k = 1 match, which is the replaced matcher's
+    assert np.array_equal(got[:, :1], match_1d(values, queries, 1))
+    assert np.array_equal(got[:, 0], match_sorted_1d_reference(values, queries))
+
+
+def test_rounding_tie_ranks_the_k1_match_first():
+    # |-1 - v| rounds to 1.0 for both values, though -1.1e-308 is nearer:
+    # every k takes the nearer value first, as k = 1 does
+    values = [0.0, -1.1125369292536007e-308]
+    for criterion in ("pseudo_score", "confidence"):
+        assert match_1d(values, [-1.0], 1, criterion).tolist() == [[1]]
+        assert match_1d(values, [-1.0], 2, criterion).tolist() == [[1, 0]]
