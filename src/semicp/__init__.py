@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .calibration import (ScoredPool, Threshold, cluster_classes,
-                          conditional_thresholds, conformal_quantile,
-                          epsilon_bias, interpolated_quantile,
-                          prediction_mask, semicp_threshold)
+from .calibration import (Threshold, cluster_classes, conditional_thresholds,
+                          conformal_quantile, epsilon_bias,
+                          interpolated_quantile, prediction_mask)
 from .datagen import (SyntheticConfig, calibrate_signal_for_accuracy,
                       generate_synthetic, measure_top1_accuracy)
 from .dataio import load_dataset, save_dataset, write_results

@@ -7,22 +7,22 @@ sorting the pool.  When l exceeds m no finite threshold exists and an
 include-all sentinel is produced instead of a float infinity (explicit and
 serializable).
 
-Semi-supervised calibration concatenates labeled true scores with estimated
-unlabeled scores and applies the same rule to the merged pool;
-interpolation refines the plain quantile between adjacent order statistics.
+Semi-supervised calibration applies that rule to one pool: the labeled
+true scores followed by the estimated unlabeled scores.  Interpolation
+refines the plain quantile between adjacent order statistics.
 
 Conditional calibration takes the same quantile per group.  A group map
-gives each labeled and each unlabeled score a group id, and
-:func:`conditional_thresholds` returns one threshold per group plus the
-marginal one, which id -1 selects.  Group-conditional calibration groups
-samples; class-conditional calibration groups by class, so a test cell
-(sample, candidate label) takes the threshold of the candidate label; and
-clustered calibration groups by the cluster of the class
-(:func:`cluster_classes`), with rare classes left to the marginal pool.
+gives each score of the pool a group id, and :func:`conditional_thresholds`
+returns one threshold per group plus the marginal one, which id -1
+selects.  Group-conditional calibration groups samples; class-conditional
+calibration groups by class, so a test cell (sample, candidate label) takes
+the threshold of the candidate label; and clustered calibration groups by
+the cluster of the class (:func:`cluster_classes`), with rare classes left
+to the marginal pool.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,28 +63,6 @@ class Threshold:
         value = math.nan if include_all else float(d["value"])
         return cls(value, include_all, int(d["level_index"]),
                    int(d["pool_size"]), float(d["alpha"]))
-
-
-@dataclass(frozen=True)
-class ScoredPool:
-    """Labeled true scores plus estimated unlabeled scores."""
-
-    labeled_scores: np.ndarray
-    unlabeled_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "labeled_scores",
-                           np.asarray(self.labeled_scores, dtype=np.float64))
-        object.__setattr__(self, "unlabeled_scores",
-                           np.asarray(self.unlabeled_scores, dtype=np.float64))
-        if self.labeled_scores.size < 1:
-            raise CalibrationError("scored pool needs at least one labeled score")
-        for arr in (self.labeled_scores, self.unlabeled_scores):
-            if not np.all(np.isfinite(arr)):
-                raise InputError("scores must be finite")
-
-    def merged(self) -> np.ndarray:
-        return np.concatenate([self.labeled_scores, self.unlabeled_scores])
 
 
 def quantile_level(pool_size: int, alpha: float) -> int:
@@ -131,11 +109,6 @@ def conformal_quantile(scores, alpha: float) -> Threshold:
     return Threshold(value, False, level, m, alpha)
 
 
-def semicp_threshold(pool: ScoredPool, alpha: float) -> Threshold:
-    """Threshold over the merged labeled + estimated-unlabeled pool."""
-    return conformal_quantile(pool.merged(), alpha)
-
-
 def interpolated_quantile(scores, alpha: float) -> Threshold:
     """Linearly interpolated quantile between adjacent order statistics.
 
@@ -168,30 +141,27 @@ def prediction_mask(probs, spec: ScoreSpec, threshold: Threshold, u=None) -> np.
     return scores <= threshold.value
 
 
-def conditional_thresholds(pool: ScoredPool, group_of_labeled,
-                           group_of_unlabeled, n_groups: int,
+def conditional_thresholds(scores, group_ids, n_groups: int,
                            alpha: float) -> tuple:
-    """One semi-supervised threshold per group (Mondrian-style).
+    """One threshold per group of a score pool (Mondrian-style).
 
-    Group ids run over 0..n_groups-1; id -1 puts a score into the marginal
-    pool only.  Returns n_groups + 1 thresholds: entry g is group g's, and
-    the last is the marginal one over the whole pool, so that indexing with
-    -1 finds it.  A group with an empty pool gets the marginal threshold.
+    ``group_ids`` gives each score its group in 0..n_groups-1; id -1 puts
+    a score into the marginal pool only.  Returns n_groups + 1 thresholds:
+    entry g is group g's, and the last is the marginal one over the whole
+    pool, so that indexing with -1 finds it.  A group with an empty pool
+    gets the marginal threshold.
     """
-    labeled_ids = np.asarray(group_of_labeled, dtype=np.int64)
-    unlabeled_ids = np.asarray(group_of_unlabeled, dtype=np.int64)
-    for ids, scores in ((labeled_ids, pool.labeled_scores),
-                        (unlabeled_ids, pool.unlabeled_scores)):
-        if ids.shape != scores.shape:
-            raise InputError("one group id per score is required")
-        if ids.size and (ids.min() < -1 or ids.max() >= n_groups):
-            raise InputError(f"group id outside -1..{n_groups - 1}")
-    marginal = semicp_threshold(pool, alpha)
+    scores = np.asarray(scores, dtype=np.float64)
+    ids = np.asarray(group_ids, dtype=np.int64)
+    if ids.shape != scores.shape:
+        raise InputError("one group id per score is required")
+    if ids.size and (ids.min() < -1 or ids.max() >= n_groups):
+        raise InputError(f"group id outside -1..{n_groups - 1}")
+    marginal = conformal_quantile(scores, alpha)
     per_group = []
     for g in range(n_groups):
-        scores = np.concatenate([pool.labeled_scores[labeled_ids == g],
-                                 pool.unlabeled_scores[unlabeled_ids == g]])
-        per_group.append(conformal_quantile(scores, alpha) if scores.size
+        members = scores[ids == g]
+        per_group.append(conformal_quantile(members, alpha) if members.size
                          else marginal)
     return (*per_group, marginal)
 

@@ -20,8 +20,8 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import rng, runner
-from .calibration import (ScoredPool, Threshold, epsilon_bias, prediction_mask,
-                          semicp_threshold)
+from .calibration import (Threshold, conformal_quantile, epsilon_bias,
+                          prediction_mask)
 from .datagen import SyntheticConfig, generate_at_accuracy, \
     generate_synthetic, measure_top1_accuracy
 from .dataio import check_writable, load_dataset, load_threshold, \
@@ -181,7 +181,8 @@ def _cmd_calibrate(args) -> int:
                                      stream_key=rng.stream(_seed(args), 0, 3),
                                      u=u_unlab)
 
-    threshold = semicp_threshold(ScoredPool(lab_scores, est_scores), args.alpha)
+    threshold = conformal_quantile(np.concatenate([lab_scores, est_scores]),
+                                   args.alpha)
     eps = 0.0
     if big_n and not threshold.include_all:
         eps = epsilon_bias(lab_scores, est_scores, threshold, n, big_n)
@@ -246,7 +247,8 @@ def _cmd_run(args) -> int:
     summaries = runner.run_experiment(config, jobs=args.jobs)
     _print_summaries(summaries)
     if args.out:
-        runner.write_experiment_results(config, summaries, args.out, args.format)
+        write_results(runner.results_records(config, summaries), args.out,
+                      args.format)
         print(f"wrote results to {args.out}")
     return 0
 

@@ -1,10 +1,16 @@
 """Multi-trial experiment orchestration.
 
-Each trial draws disjoint labeled / unlabeled / test pools from the data
-source, estimates unlabeled scores, calibrates a threshold per requested
-method and calibration mode, and evaluates coverage and set size on the
-test pool.  All per-trial randomness comes from counter-based streams keyed
-by (base_seed, trial_index, purpose), so trials can run on any number of
+Each trial draws disjoint labeled / unlabeled / test pools: the pools that
+share a source are consecutive slices of one prefix of its permutation,
+and a pool with a source of its own takes a prefix of that source's
+permutation.  Each method calibrates on one pool, the labeled true scores
+followed by its unlabeled scores, with the quantile rule of the
+calibration mode, and its test mask holds every test cell to its group's
+threshold (the marginal one outside the conditional modes).  Coverage and
+set size are evaluated on the test pool.
+
+All per-trial randomness comes from counter-based streams keyed by
+(base_seed, trial_index, purpose), so trials can run on any number of
 workers and still produce byte-identical output.  Score tables do not
 depend on the trial (a randomized score's factor u only enters as
 A + B * u), so each data source is scored once per experiment and a trial
@@ -29,10 +35,10 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import rng
-from .calibration import (ScoredPool, cluster_classes, conditional_thresholds,
-                          interpolated_quantile, semicp_threshold)
+from .calibration import (cluster_classes, conditional_thresholds,
+                          conformal_quantile, interpolated_quantile)
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
-from .dataio import load_dataset, write_results
+from .dataio import load_dataset
 from .dataset import ProbabilityDataset
 from .errors import ConfigurationError, DataError, InputError, SemicpError
 from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
@@ -149,19 +155,12 @@ class _Context:
     """Score tables of the data sources, built once per experiment.
 
     ``labeled`` and ``test`` are the ``main`` tables themselves when their
-    pools are drawn from the main dataset.
+    pools are drawn from the main dataset, the source of the unlabeled
+    pool.
     """
     main: ScoreTables
     labeled: ScoreTables
     test: ScoreTables
-
-    @property
-    def shared_labeled(self) -> bool:
-        return self.labeled is self.main
-
-    @property
-    def shared_test(self) -> bool:
-        return self.test is self.main
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
@@ -215,23 +214,24 @@ def _validate_sources(config: ExperimentConfig, main: ProbabilityDataset,
 
 
 def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int):
-    """Row indices of the trial's labeled, unlabeled and test pools: the
-    leading entries of per-source permutations."""
-    n, big_n, t = config.n, config.N, config.test_size
+    """Row indices of the trial's labeled, unlabeled and test pools.
 
+    The pools drawn from the main source are consecutive slices, in that
+    order, of one prefix of its permutation, so they are disjoint; a pool
+    with a source of its own takes the prefix of that source's permutation.
+    """
     def head(tag, tables, size):
         return rng.permutation(rng.stream(config.base_seed, trial_index, tag),
                                len(tables.dataset), size)
 
-    if ctx.shared_labeled and ctx.shared_test:
-        perm = head(_TAG_SPLIT_MAIN, ctx.main, n + big_n + t)
-        return perm[:n], perm[n:n + big_n], perm[n + big_n:]
-    lab = head(_TAG_SPLIT_LABELED, ctx.labeled, n)
-    if ctx.shared_test:
-        perm = head(_TAG_SPLIT_MAIN, ctx.main, big_n + t)
-        return lab, perm[:big_n], perm[big_n:]
-    return (lab, head(_TAG_SPLIT_MAIN, ctx.main, big_n),
-            head(_TAG_SPLIT_TEST, ctx.test, t))
+    n, big_n, t = config.n, config.N, config.test_size
+    n_main = n if ctx.labeled is ctx.main else 0
+    t_main = t if ctx.test is ctx.main else 0
+    perm = head(_TAG_SPLIT_MAIN, ctx.main, n_main + big_n + t_main)
+    lab = perm[:n] if n_main else head(_TAG_SPLIT_LABELED, ctx.labeled, n)
+    test = perm[n_main + big_n:] if t_main \
+        else head(_TAG_SPLIT_TEST, ctx.test, t)
+    return lab, perm[n_main:n_main + big_n], test
 
 
 def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
@@ -247,10 +247,6 @@ def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
     if np.any(out < 0) or np.any(out >= g):
         raise DataError(f"external group column holds ids outside 0..{g - 1}")
     return out
-
-
-def _cutoff(threshold):
-    return np.inf if threshold.include_all else threshold.value
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None):
@@ -299,7 +295,9 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     records = ctx.labeled.records(pools.lab)
     lab_scores = records.true_at(u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
-    pseudo = ctx.main.queries(pools.unlab)
+    estimating = config.N > 0 and any(m.kind == "semicp"
+                                      for m in config.methods)
+    pseudo = ctx.main.queries(pools.unlab) if estimating else None
     test_rows = np.arange(config.test_size)
 
     oracle_labels = oracle_scores = None
@@ -312,19 +310,19 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     results = {}
     for position, method in enumerate(config.methods):
         if method.kind == "standard" or config.N == 0:
-            pool = ScoredPool(lab_scores, np.empty(0))
+            unlab = _NO_SCORES
         elif method.kind == "oracle":
-            pool = ScoredPool(lab_scores, oracle_scores)
+            unlab = oracle_scores
         else:
             # random-match draws get a per-method substream so estimator
             # variants in one run are not artificially correlated
             rm_stream = rng.stream(config.base_seed, trial_index,
                                    _TAG_RANDOM_MATCH, position)
-            est = estimate_scores(pseudo, records, spec, method.estimator,
-                                  stream_key=rm_stream, u=u_unlab)
-            pool = ScoredPool(lab_scores, est)
-        mask = _calibrate_and_predict(config, method, pool, groups,
-                                      test_scores)
+            unlab = estimate_scores(pseudo, records, spec, method.estimator,
+                                    stream_key=rm_stream, u=u_unlab)
+        mask = _calibrate_and_predict(config, method,
+                                      np.concatenate([lab_scores, unlab]),
+                                      groups, test_scores)
         hits = mask[test_rows, pools.test_labels]
         results[method.name] = TrialResult(
             method=method.name,
@@ -336,25 +334,31 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     return results
 
 
+_NO_SCORES = np.empty(0)
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def _calibrate_and_predict(config, method, pool, groups, test_scores):
-    """One method's test membership mask, from its threshold(s).
+    """One method's test membership mask over its pool: the labeled true
+    scores, then its unlabeled scores.
 
-    The conditional modes differ only in their trial's group map; each then
-    takes one threshold per group and gives every test cell its group's
-    cutoff.
+    The mode gives the quantile rule.  The marginal modes take one
+    threshold, which cell -1 selects; the conditional modes take one per
+    group of the trial's group map, and each test cell its group's.
     """
-    alpha = config.alpha
-    if config.calibration.mode == "marginal":
-        return test_scores <= _cutoff(semicp_threshold(pool, alpha))
-    if config.calibration.mode == "interpolation":
-        return test_scores <= interpolated_quantile(pool.merged(), alpha).value
-    unlab_groups = groups.unlabeled.get(method.kind, _NO_IDS)
-    thresholds = conditional_thresholds(pool, groups.labeled, unlab_groups,
-                                        groups.n_groups, alpha)
-    return _group_mask(test_scores, thresholds, groups.test_cells)
+    mode, alpha = config.calibration.mode, config.alpha
+    if groups is None:
+        rule = conformal_quantile if mode == "marginal" \
+            else interpolated_quantile
+        thresholds, cells = (rule(pool, alpha),), -1
+    else:
+        ids = np.concatenate([groups.labeled,
+                              groups.unlabeled.get(method.kind, _NO_IDS)])
+        thresholds = conditional_thresholds(pool, ids, groups.n_groups, alpha)
+        cells = groups.test_cells
+    cutoffs = np.array([np.inf if t.include_all else t.value
+                        for t in thresholds])
+    return test_scores <= cutoffs[cells]
 
 
 @dataclass
@@ -410,12 +414,6 @@ def _group_map(config, pools, lab_scores, k, oracle_labels):
     return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
                      plan.n_clusters,
                      {kind: cluster[classes] for kind, classes in views.items()})
-
-
-def _group_mask(test_scores, thresholds, test_groups):
-    """Membership mask with each test cell held to its group's threshold."""
-    cutoffs = np.array([_cutoff(t) for t in thresholds])
-    return test_scores <= cutoffs[test_groups]
 
 
 def _per_group_coverage(hits, groups):
@@ -674,6 +672,3 @@ def sweep_from_config(path):
             "list of 'values'")
     return config, sweep["axis"], sweep["values"]
 
-
-def write_experiment_results(config, summaries, out, fmt="json"):
-    write_results(results_records(config, summaries), out, fmt)

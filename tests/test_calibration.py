@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantile_oracle import exact_quantile_oracle
-from semicp.calibration import (ScoredPool, Threshold, cluster_classes,
+from semicp.calibration import (Threshold, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
-                                prediction_mask, quantile_level,
-                                semicp_threshold)
+                                prediction_mask, quantile_level)
 from semicp.errors import CalibrationError, ConfigurationError, InputError
 from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
@@ -138,19 +137,22 @@ def test_quantile_level_float_robust():
         quantile_level(10, 1.2)
 
 
+def semicp_quantile(labeled, unlabeled, alpha):
+    """The semicp threshold: the quantile of labeled plus estimated scores."""
+    return conformal_quantile(np.concatenate([labeled, unlabeled]), alpha)
+
+
 def test_semicp_threshold_examples():
-    pool = ScoredPool([0.2, 0.8], [0.4, 0.6])
-    assert semicp_threshold(pool, 0.5).value == 0.6
+    assert semicp_quantile([0.2, 0.8], [0.4, 0.6], 0.5).value == 0.6
 
     labeled = np.array([0.5, 0.1, 0.9])
-    merged = semicp_threshold(ScoredPool(labeled, []), 0.2)
+    merged = semicp_quantile(labeled, np.empty(0), 0.2)
     direct = conformal_quantile(labeled, 0.2)
     assert merged == direct  # bit-identical reduction at N=0
 
-    const = ScoredPool([0.3, 0.3], [0.3, 0.3])
-    t = semicp_threshold(const, 0.5)
+    t = semicp_quantile([0.3, 0.3], [0.3, 0.3], 0.5)
     assert t.value == 0.3
-    assert semicp_threshold(const, 0.05).include_all
+    assert semicp_quantile([0.3, 0.3], [0.3, 0.3], 0.05).include_all
 
 
 def test_empty_pool_errors():
@@ -159,7 +161,7 @@ def test_empty_pool_errors():
     with pytest.raises(CalibrationError):
         interpolated_quantile([], 0.1)
     with pytest.raises(CalibrationError):
-        ScoredPool([], [])
+        conditional_thresholds([], [], 2, 0.1)
 
 
 def test_interpolated_quantile():
@@ -207,65 +209,61 @@ def test_threshold_monotone_in_alpha_and_nested_sets():
 
 
 def test_conditional_thresholds_disjoint_and_fallback():
-    pool = ScoredPool([0.1, 0.2, 0.7, 0.8], [0.15, 0.75])
-    cond = conditional_thresholds(pool, [0, 0, 1, 1], [0, 1], 2, 0.5)
+    # labeled scores, then estimated unlabeled ones
+    pool = [0.1, 0.2, 0.7, 0.8, 0.15, 0.75]
+    cond = conditional_thresholds(pool, [0, 0, 1, 1, 0, 1], 2, 0.5)
     own0 = conformal_quantile([0.1, 0.2, 0.15], 0.5)
     own1 = conformal_quantile([0.7, 0.8, 0.75], 0.5)
     assert cond[0] == own0
     assert cond[1] == own1
-    assert cond[-1] == semicp_threshold(pool, 0.5)  # marginal comes last
+    assert cond[-1] == conformal_quantile(pool, 0.5)  # marginal comes last
 
     # empty group falls back to marginal pooled threshold
-    cond = conditional_thresholds(pool, [0, 0, 0, 0], [0, 0], 3, 0.5)
+    cond = conditional_thresholds(pool, [0, 0, 0, 0, 0, 0], 3, 0.5)
     assert cond[1] == cond[-1]
 
     # id -1 puts a score into the marginal pool only
-    cond = conditional_thresholds(pool, [0, 0, -1, -1], [0, -1], 1, 0.5)
+    cond = conditional_thresholds(pool, [0, 0, -1, -1, 0, -1], 1, 0.5)
     assert cond[0] == own0
-    assert cond[-1] == semicp_threshold(pool, 0.5)
+    assert cond[-1] == conformal_quantile(pool, 0.5)
 
     # single group: identical to the marginal semicp threshold
-    cond = conditional_thresholds(pool, [0, 0, 0, 0], [0, 0], 1, 0.3)
-    assert cond[0] == semicp_threshold(pool, 0.3)
+    cond = conditional_thresholds(pool, [0, 0, 0, 0, 0, 0], 1, 0.3)
+    assert cond[0] == conformal_quantile(pool, 0.3)
 
 
-def masked_conditional_thresholds(pool, group_of_labeled, group_of_unlabeled,
-                                  n_groups, alpha):
-    """conditional_thresholds as one masked concatenation and one stable
-    sort per group: the reference for the selecting version."""
-    labeled_ids = np.asarray(group_of_labeled, dtype=np.int64)
-    unlabeled_ids = np.asarray(group_of_unlabeled, dtype=np.int64)
-    marginal = sorted_conformal_quantile(pool.merged(), alpha)
+def masked_conditional_thresholds(scores, group_ids, n_groups, alpha):
+    """conditional_thresholds as one masked selection and one stable sort
+    per group: the reference for the selecting version."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ids = np.asarray(group_ids, dtype=np.int64)
+    marginal = sorted_conformal_quantile(scores, alpha)
     per_group = []
     for g in range(n_groups):
-        scores = np.concatenate([pool.labeled_scores[labeled_ids == g],
-                                 pool.unlabeled_scores[unlabeled_ids == g]])
-        per_group.append(sorted_conformal_quantile(scores, alpha)
-                         if scores.size else marginal)
+        members = scores[ids == g]
+        per_group.append(sorted_conformal_quantile(members, alpha)
+                         if members.size else marginal)
     return (*per_group, marginal)
 
 
 @st.composite
 def grouped_pool(draw):
-    """(pool, labeled ids, unlabeled ids, n_groups): tied scores, ids in
+    """(scores, ids, n_groups): a nonempty pool of tied scores with ids in
     -1..n_groups-1, so some groups are empty and some scores marginal-only."""
     n_groups = draw(st.integers(1, 6))
     ids = st.integers(-1, n_groups - 1)
     score = st.integers(0, 8).map(lambda i: i / 8)
-    labeled = draw(st.lists(st.tuples(score, ids), min_size=1, max_size=80))
-    unlabeled = draw(st.lists(st.tuples(score, ids), max_size=200))
-    pool = ScoredPool([s for s, _ in labeled], [s for s, _ in unlabeled])
-    return (pool, [g for _, g in labeled],
-            np.array([g for _, g in unlabeled], dtype=np.int64), n_groups)
+    pool = draw(st.lists(st.tuples(score, ids), min_size=1, max_size=280))
+    return ([s for s, _ in pool],
+            np.array([g for _, g in pool], dtype=np.int64), n_groups)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=grouped_pool(), alpha=ALPHA)
 def test_conditional_thresholds_match_masked_sort_reference(case, alpha):
-    pool, lab_ids, unlab_ids, n_groups = case
-    got = conditional_thresholds(pool, lab_ids, unlab_ids, n_groups, alpha)
-    want = masked_conditional_thresholds(pool, lab_ids, unlab_ids, n_groups,
-                                         alpha)
+    scores, ids, n_groups = case
+    got = conditional_thresholds(scores, ids, n_groups, alpha)
+    want = masked_conditional_thresholds(scores, ids, n_groups, alpha)
     assert len(got) == len(want) == n_groups + 1
     assert all(same_threshold(a, b) for a, b in zip(got, want))
 
@@ -277,11 +275,12 @@ def clustered(labeled, unlabeled, alpha, n_clusters, min_class_count=2):
         return np.concatenate([np.full(len(a), c, dtype=np.int64)
                                for c, a in enumerate(parts)])
     labels, pseudo = classes_of(labeled), classes_of(unlabeled)
-    pool = ScoredPool(np.concatenate(labeled), np.concatenate(unlabeled))
-    cluster = cluster_classes(pool.labeled_scores, labels, len(labeled),
-                              n_clusters, min_class_count)
-    thresholds = conditional_thresholds(pool, cluster[labels], cluster[pseudo],
-                                        n_clusters, alpha)
+    lab_scores = np.concatenate(labeled)
+    pool = np.concatenate([lab_scores, np.concatenate(unlabeled)])
+    cluster = cluster_classes(lab_scores, labels, len(labeled), n_clusters,
+                              min_class_count)
+    thresholds = conditional_thresholds(
+        pool, cluster[np.concatenate([labels, pseudo])], n_clusters, alpha)
     return cluster, [thresholds[g] for g in cluster], thresholds[-1]
 
 
@@ -290,8 +289,8 @@ def test_clustercp_single_cluster_and_identical_classes():
     labeled = [rs.rand(20) for _ in range(4)]
     unlabeled = [rs.rand(50) for _ in range(4)]
     _, per_class, _ = clustered(labeled, unlabeled, 0.1, n_clusters=1)
-    pooled = semicp_threshold(
-        ScoredPool(np.concatenate(labeled), np.concatenate(unlabeled)), 0.1)
+    pooled = semicp_quantile(np.concatenate(labeled),
+                             np.concatenate(unlabeled), 0.1)
     assert all(t == pooled for t in per_class)
 
     # identical score multisets embed identically -> same cluster
@@ -346,13 +345,15 @@ def test_threshold_roundtrip_and_mask():
 
 
 def test_group_map_validation():
-    pool = ScoredPool([0.1, 0.2], [0.3])
+    pool = [0.1, 0.2, 0.3]
     with pytest.raises(InputError):
-        conditional_thresholds(pool, [0, 3], [0], 2, 0.1)
+        conditional_thresholds(pool, [0, 3, 0], 2, 0.1)
     with pytest.raises(InputError):
-        conditional_thresholds(pool, [0, -2], [0], 2, 0.1)
+        conditional_thresholds(pool, [0, -2, 0], 2, 0.1)
     with pytest.raises(InputError):
-        conditional_thresholds(pool, [0], [0], 2, 0.1)  # one id per score
+        conditional_thresholds(pool, [0, 0], 2, 0.1)  # one id per score
+    with pytest.raises(InputError):  # ids of another shape
+        conditional_thresholds(pool, [[0, 0, 0]], 2, 0.1)
     with pytest.raises(ConfigurationError):
         cluster_classes([0.1, 0.2], [0, 1], 2, n_clusters=1, min_class_count=0)
     with pytest.raises(ConfigurationError):

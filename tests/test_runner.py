@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from semicp import runner
 from semicp.calibration import cluster_classes
 from semicp.datagen import SyntheticConfig
+from semicp.dataio import write_results
 from semicp.errors import ConfigurationError
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _per_group_coverage, apply_sweep_value,
                            config_from_dict, results_records, run_experiment,
-                           run_sweep, run_trial, write_experiment_results)
+                           run_sweep, run_trial)
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import EstimatorSpec
 
@@ -120,7 +121,7 @@ def test_same_seed_identical_result_files(tmp_path):
     paths = [tmp_path / f"r{i}.json" for i in range(2)]
     for p in paths:
         summaries = run_experiment(config)
-        write_experiment_results(config, summaries, p)
+        write_results(results_records(config, summaries), p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -320,15 +321,20 @@ def test_external_column_group_rule(tmp_path):
 
 
 def test_class_threshold_broadcast_uses_candidate_label():
-    from semicp.calibration import Threshold
-    from semicp.runner import _group_mask
-    thresholds = [Threshold(0.2, False, 1, 1, 0.1),
-                  Threshold(0.9, False, 1, 1, 0.1),
-                  Threshold(float("nan"), True, 2, 1, 0.1)]
+    from semicp.runner import _calibrate_and_predict, _GroupMap
+    config = small_config(calibration=CalibrationPlan("class_conditional"),
+                          alpha=0.4)
+    # labeled scores of classes 0, 0, 1, 1 and one of class 2: group
+    # thresholds 0.2 and 0.9, and include-all for the lone class-2 score
+    pool = np.array([0.1, 0.2, 0.8, 0.9, 0.3])
+    groups = _GroupMap(labeled=np.array([0, 0, 1, 1, 2]),
+                       test_cells=np.arange(3), coverage=None,
+                       n_groups=3, unlabeled={})
     scores = np.array([[0.1, 0.95, 0.5],
                        [0.3, 0.3, 2.0]])
     # class-based group map: each candidate-label column is its own group
-    mask = _group_mask(scores, thresholds, np.arange(3))
+    mask = _calibrate_and_predict(config, MethodSpec("standard", "standard"),
+                                  pool, groups, scores)
     assert mask.tolist() == [[True, False, True], [False, True, True]]
 
 
@@ -504,6 +510,28 @@ def test_results_records_byte_identical_to_pinned(name, matrix_files):
     configs = {**_synthetic_matrix(), **_file_matrix(matrix_files)}
     assert set(configs) == set(PINNED_DIGESTS)
     assert _records_digest(configs[name]) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("layout", ["single", "labeled_is_pool",
+                                    "pool_is_test", "separate"])
+def test_pools_drawn_from_one_source_are_disjoint(layout, matrix_files):
+    lab, pool, test = (matrix_files[k] for k in ("lab", "pool", "test"))
+    files = {"single": dict(labeled_file=pool),
+             "labeled_is_pool": dict(labeled_file=pool, test_file=test),
+             "pool_is_test": dict(labeled_file=lab, unlabeled_file=pool),
+             "separate": dict(labeled_file=lab, unlabeled_file=pool,
+                              test_file=test)}[layout]
+    config = ExperimentConfig(source=DataSource(**files), n=50, N=300,
+                              test_size=120, trials=5, base_seed=3)
+    ctx = runner._build_context(config)
+    sources = (ctx.labeled, ctx.main, ctx.test)
+    for t in range(config.trials):
+        pools = runner._split_indices(config, ctx, t)
+        assert [len(p) for p in pools] == [config.n, config.N, config.test_size]
+        for source in sources:
+            rows = np.concatenate([p for p, s in zip(pools, sources)
+                                   if s is source])
+            assert np.unique(rows).size == rows.size
 
 
 @pytest.mark.parametrize("plan", [
