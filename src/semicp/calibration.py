@@ -1,11 +1,12 @@
-"""Thresholds and prediction sets.
+"""Thresholds.
 
 The conformal quantile of a pool of m scores at miscoverage alpha is the
 l-th smallest score with l = ceil((m+1)(1-alpha)).  Only that order
 statistic matters, so it is selected with ``np.partition`` rather than by
 sorting the pool.  When l exceeds m no finite threshold exists and an
 include-all sentinel is produced instead of a float infinity (explicit and
-serializable).
+serializable).  A prediction set holds the labels whose score is at most
+the threshold's ``cutoff``, which is infinite for include-all.
 
 Semi-supervised calibration applies that rule to one pool: the labeled
 true scores followed by the estimated unlabeled scores.  Interpolation
@@ -29,7 +30,6 @@ import numpy as np
 from . import rng
 from .errors import CalibrationError, ConfigurationError, InputError
 from .metrics import empirical_cdf
-from .scores import ScoreSpec, score_all_labels_batch
 
 _KMEANS_TAG = 0x6B6D65616E73  # "kmeans"
 
@@ -47,6 +47,11 @@ class Threshold:
     level_index: int
     pool_size: int
     alpha: float
+
+    @property
+    def cutoff(self) -> float:
+        """The bound a score is held to: inf when every label is admitted."""
+        return math.inf if self.include_all else self.value
 
     def to_dict(self) -> dict:
         return {
@@ -131,14 +136,6 @@ def interpolated_quantile(scores, alpha: float) -> Threshold:
         lo, hi = np.partition(scores, (k - 1, k))[k - 1:k + 1]
         value = float(lo + gamma * (hi - lo))
     return Threshold(value, False, k, m, alpha)
-
-
-def prediction_mask(probs, spec: ScoreSpec, threshold: Threshold, u=None) -> np.ndarray:
-    """Boolean (m, K) membership mask of the prediction sets of a batch."""
-    scores = score_all_labels_batch(probs, spec, u)
-    if threshold.include_all:
-        return np.ones(scores.shape, dtype=bool)
-    return scores <= threshold.value
 
 
 def conditional_thresholds(scores, group_ids, n_groups: int,

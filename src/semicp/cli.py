@@ -20,8 +20,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import rng, runner
-from .calibration import (Threshold, conformal_quantile, epsilon_bias,
-                          prediction_mask)
+from .calibration import Threshold, conformal_quantile, epsilon_bias
 from .datagen import SyntheticConfig, generate_at_accuracy, \
     generate_synthetic, measure_top1_accuracy
 from .dataio import check_writable, load_dataset, load_threshold, \
@@ -156,15 +155,16 @@ def _cmd_gen(args) -> int:
 def _cmd_calibrate(args) -> int:
     spec = _score_spec(args)
     labeled = load_dataset(args.labeled)
-    records = ScoreTables(labeled, spec).records(np.nonzero(labeled.labels >= 0)[0])
-    n = len(records)
+    tables = ScoreTables(labeled, spec)
+    rows = np.nonzero(labeled.labels >= 0)[0]
+    n = len(rows)
     if n == 0:
         raise EstimationError("labeled calibration set is empty")
 
     u_lab = None
     if spec.randomized:
         u_lab = rng.uniforms(rng.stream(_seed(args), 0, 1), np.arange(n))
-    lab_scores = records.true_at(u_lab)
+    lab_scores = tables.at(rows, labeled.labels[rows], u_lab)
 
     est_scores = np.empty(0)
     big_n = 0
@@ -177,9 +177,9 @@ def _cmd_calibrate(args) -> int:
         if spec.randomized:
             u_unlab = rng.uniforms(rng.stream(_seed(args), 0, 2), np.arange(big_n))
         pseudo = ScoreTables(unlabeled, spec).queries(np.arange(big_n))
-        est_scores = estimate_scores(pseudo, records, spec, estimator,
-                                     stream_key=rng.stream(_seed(args), 0, 3),
-                                     u=u_unlab)
+        est_scores = estimate_scores(
+            pseudo, tables.records(rows), spec, estimator,
+            stream_key=rng.stream(_seed(args), 0, 3), u=u_unlab)
 
     threshold = conformal_quantile(np.concatenate([lab_scores, est_scores]),
                                    args.alpha)
@@ -216,7 +216,8 @@ def _cmd_predict(args) -> int:
     u = None
     if spec.randomized:
         u = rng.uniforms(rng.stream(_seed(args), 0, 4), np.arange(len(test)))
-    mask = prediction_mask(test.probs, spec, threshold, u)
+    mask = ScoreTables(test, spec).all_labels(np.arange(len(test)), u) \
+        <= threshold.cutoff
 
     labeled_rows = test.labels >= 0
     print(f"samples={len(test)} avg_size={avg_size(mask):.6g}")

@@ -16,10 +16,10 @@ Dataset CSV contract (version v1)::
   messages count the lines after the header, blank lines included.
 
 The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
-``READ_CHUNK`` characters each) and each chunk is validated as one array;
-only when that fails are the chunk's rows walked one by one, to name the
-first bad row.  Rows are written in blocks, one ``%`` format per block and
-channel.
+``READ_CHUNK`` characters each), and each chunk is checked against the row
+contract of ``dataset.row_breach`` as one array; only when that fails are
+the chunk's lines walked one by one, to name the first bad row.  Rows are
+written in blocks, one ``%`` format per block and channel.
 
 Results files carry one record per (method, configuration) with the fields
 method, score, n, N, alpha, trials, cov_gap, over_cov_gap, under_cov_gap,
@@ -37,9 +37,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .calibration import Threshold
-from .dataset import ProbabilityDataset
+from .dataset import ProbabilityDataset, row_breach
 from .errors import DataError
-from .scores import PROB_SUM_TOL
 
 MAGIC_PREFIX = "#semicp,v1,"
 
@@ -209,7 +208,8 @@ def _read_rows(fh, path, k, n_cols, n_probs):
             except ValueError as exc:
                 raise _first_bad_row(path, lines, rows_before, k, n_cols,
                                      n_probs, exc) from None
-            if table.shape[1] != n_cols or _row_problem(table, k, n_probs):
+            if table.shape[1] != n_cols or row_breach(
+                    table, table[:, 0], table[:, 1:1 + n_probs], k):
                 raise _first_bad_row(path, lines, rows_before, k, n_cols,
                                      n_probs)
             tables.append(table)
@@ -229,30 +229,6 @@ def _blank_lines_emptied(text):
     return text
 
 
-def _row_problem(table, k, n_probs):
-    """The contract breach of the first bad row of ``table``, or None.
-
-    Checked per row in this order: finite values, the label, and the
-    probability columns (nonnegative, summing to 1).
-    """
-    finite = np.isfinite(table).all(axis=1)
-    labels = table[:, 0]
-    label_ok = (labels == np.trunc(labels)) & (labels >= -1) & (labels < k)
-    probs = table[:, 1:1 + n_probs]
-    sums = probs.sum(axis=1)
-    bad = ~(finite & label_ok)
-    if n_probs:
-        bad |= (probs < 0).any(axis=1) | (np.abs(sums - 1.0) > PROB_SUM_TOL)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if not finite[i]:
-        return "non-finite value"
-    if not label_ok[i]:
-        return f"label {labels[i]} outside {{-1, 0..{k - 1}}}"
-    return f"invalid probability row (sum={sums[i]:.8f})"
-
-
 def _first_bad_row(path, lines, rows_before, k, n_cols, n_probs,
                    parse_error=None):
     """A DataError naming the first bad row of a chunk, found by walking its
@@ -270,9 +246,9 @@ def _first_bad_row(path, lines, rows_before, k, n_cols, n_probs,
             values = np.array([[float(v) for v in parts]])
         except ValueError as exc:
             return DataError(f"{path} row {row_idx}: {exc}")
-        problem = _row_problem(values, k, n_probs)
-        if problem:
-            return DataError(f"{path} row {row_idx}: {problem}")
+        found = row_breach(values, values[:, 0], values[:, 1:1 + n_probs], k)
+        if found:
+            return DataError(f"{path} row {row_idx}: {found[1]}")
     # float() accepts a few spellings loadtxt does not, such as "1_000"
     return DataError(f"{path}: unreadable data rows ({parse_error})")
 

@@ -1,13 +1,43 @@
-"""In-memory dataset of per-sample softmax rows with optional channels."""
+"""Per-sample softmax rows with optional channels, and their row contract."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .scores import PROB_SUM_TOL
 
 UNLABELED = -1
+
+PROB_SUM_TOL = 1e-6
+
+
+def row_breach(values, labels, probs, k: int):
+    """The first row that breaks the row contract and its breach, as
+    (row, message), or None when every row keeps it.
+
+    A row keeps the contract when its ``values`` are finite, its label is an
+    integer in {-1, 0..k-1} and its ``probs`` are nonnegative and sum to 1;
+    the probability check is skipped when ``probs`` has no columns.  One
+    pass over the whole arrays decides; only when it fails are the rows
+    checked one by one, in that order, to name the first bad one.
+    """
+    label_ok = (labels == np.trunc(labels)) & (labels >= UNLABELED) & (labels < k)
+    if np.isfinite(values).all() and label_ok.all() and (
+            not probs.size or probs.min() >= 0
+            and np.abs(probs.sum(axis=1) - 1.0).max() <= PROB_SUM_TOL):
+        return None
+    finite = np.isfinite(values).all(axis=1)
+    with np.errstate(invalid="ignore"):  # a row with inf and -inf sums to nan
+        sums = probs.sum(axis=1)
+    bad = ~(finite & label_ok)
+    if probs.shape[1]:
+        bad |= (probs < 0).any(axis=1) | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        return i, "non-finite value"
+    if not label_ok[i]:
+        return i, f"label {float(labels[i])} outside {{-1, 0..{k - 1}}}"
+    return i, f"invalid probability row (sum={sums[i]:.8f})"
 
 
 @dataclass
@@ -43,18 +73,11 @@ class ProbabilityDataset:
         self.validate()
 
     def validate(self):
-        if not np.all(np.isfinite(self.probs)):
-            raise InputError("probs contain non-finite values")
-        if np.any(self.probs < 0):
-            raise InputError("probs contain negative values")
-        sums = self.probs.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
-        if bad.size:
-            raise InputError(f"row {bad[0]}: probabilities sum to {sums[bad[0]]:.8f}")
-        k = self.probs.shape[1]
-        if np.any(self.labels < UNLABELED) or np.any(self.labels >= k):
-            bad = np.nonzero((self.labels < UNLABELED) | (self.labels >= k))[0][0]
-            raise InputError(f"row {bad}: label {self.labels[bad]} outside {{-1, 0..{k - 1}}}")
+        """Raise InputError naming the first row that breaks the row
+        contract (see :func:`row_breach`)."""
+        found = row_breach(self.probs, self.labels, self.probs, self.n_classes)
+        if found:
+            raise InputError(f"row {found[0]}: {found[1]}")
 
     def __len__(self):
         return self.probs.shape[0]

@@ -29,6 +29,7 @@ pools (distribution-shift mode); no reweighting is applied.
 
 import json
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
@@ -154,9 +155,9 @@ class ExperimentConfig:
 class _Context:
     """Score tables of the data sources, built once per experiment.
 
-    ``labeled`` and ``test`` are the ``main`` tables themselves when their
-    pools are drawn from the main dataset, the source of the unlabeled
-    pool.
+    ``main`` is the source of the unlabeled pool.  A source that serves
+    several roles is one tables object, so that the pools drawn from it
+    come from one permutation.
     """
     main: ScoreTables
     labeled: ScoreTables
@@ -168,33 +169,31 @@ def _build_context(config: ExperimentConfig) -> _Context:
     if src.synthetic is not None:
         main = labeled = test = generate_synthetic(src.synthetic)
     else:
-        labeled = load_dataset(src.labeled_file)
-        main = labeled if src.unlabeled_file is None else load_dataset(src.unlabeled_file)
-        test = main if src.test_file is None else load_dataset(src.test_file)
+        main_file = src.labeled_file if src.unlabeled_file is None \
+            else src.unlabeled_file
+        files = (src.labeled_file, main_file,
+                 main_file if src.test_file is None else src.test_file)
+        loaded = {}  # each file once, however many roles name it
+        for path in files:
+            if os.path.realpath(path) not in loaded:
+                loaded[os.path.realpath(path)] = load_dataset(path)
+        labeled, main, test = (loaded[os.path.realpath(p)] for p in files)
     _validate_sources(config, main, labeled, test)
-    tables = ScoreTables(main, config.score)
-    return _Context(
-        tables,
-        tables if labeled is main else ScoreTables(labeled, config.score),
-        tables if test is main else ScoreTables(test, config.score))
+    distinct = {id(ds): ds for ds in (main, labeled, test)}
+    tables = {key: ScoreTables(ds, config.score) for key, ds in distinct.items()}
+    return _Context(*(tables[id(ds)] for ds in (main, labeled, test)))
 
 
 def _validate_sources(config: ExperimentConfig, main: ProbabilityDataset,
                       labeled: ProbabilityDataset, test: ProbabilityDataset):
-    need_main = config.N + (config.n if labeled is main else 0) \
-        + (config.test_size if test is main else 0)
-    if len(main) < need_main:
-        raise ConfigurationError(
-            f"infeasible partition: source has {len(main)} samples but "
-            f"each trial needs {need_main}")
-    if labeled is not main and len(labeled) < config.n:
-        raise ConfigurationError(
-            f"infeasible partition: labeled file has {len(labeled)} "
-            f"samples but n={config.n}")
-    if test is not main and len(test) < config.test_size:
-        raise ConfigurationError(
-            f"infeasible partition: test file has {len(test)} samples "
-            f"but test_size={config.test_size}")
+    pools = ((labeled, config.n), (main, config.N), (test, config.test_size))
+    for ds, name in ((main, "source"), (labeled, "labeled file"),
+                     (test, "test file")):
+        need = sum(size for source, size in pools if source is ds)
+        if len(ds) < need:
+            raise ConfigurationError(
+                f"infeasible partition: {name} has {len(ds)} samples but "
+                f"each trial needs {need}")
     if any(m.kind == "oracle" for m in config.methods) and not main.fully_labeled:
         raise ConfigurationError(
             "the oracle method needs true labels on the unlabeled pool source")
@@ -216,22 +215,26 @@ def _validate_sources(config: ExperimentConfig, main: ProbabilityDataset,
 def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int):
     """Row indices of the trial's labeled, unlabeled and test pools.
 
-    The pools drawn from the main source are consecutive slices, in that
-    order, of one prefix of its permutation, so they are disjoint; a pool
-    with a source of its own takes the prefix of that source's permutation.
+    The pools drawn from one source are consecutive slices, in that order,
+    of one prefix of its permutation, so they are disjoint.  The main
+    source's permutation has its own stream tag; any other source takes
+    the tag of the first pool drawn from it.
     """
-    def head(tag, tables, size):
-        return rng.permutation(rng.stream(config.base_seed, trial_index, tag),
-                               len(tables.dataset), size)
-
-    n, big_n, t = config.n, config.N, config.test_size
-    n_main = n if ctx.labeled is ctx.main else 0
-    t_main = t if ctx.test is ctx.main else 0
-    perm = head(_TAG_SPLIT_MAIN, ctx.main, n_main + big_n + t_main)
-    lab = perm[:n] if n_main else head(_TAG_SPLIT_LABELED, ctx.labeled, n)
-    test = perm[n_main + big_n:] if t_main \
-        else head(_TAG_SPLIT_TEST, ctx.test, t)
-    return lab, perm[n_main:n_main + big_n], test
+    roles = ((ctx.labeled, config.n, _TAG_SPLIT_LABELED),
+             (ctx.main, config.N, _TAG_SPLIT_MAIN),
+             (ctx.test, config.test_size, _TAG_SPLIT_TEST))
+    drawn = {}  # source tables -> [permutation prefix, rows taken so far]
+    pools = []
+    for tables, size, tag in roles:
+        if tables not in drawn:
+            total = sum(s for source, s, _ in roles if source is tables)
+            key = rng.stream(config.base_seed, trial_index,
+                             _TAG_SPLIT_MAIN if tables is ctx.main else tag)
+            drawn[tables] = [rng.permutation(key, len(tables.dataset), total), 0]
+        perm, start = drawn[tables]
+        pools.append(perm[start:start + size])
+        drawn[tables][1] = start + size
+    return tuple(pools)
 
 
 def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
@@ -292,12 +295,12 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
         u_test = rng.uniforms(rng.stream(config.base_seed, trial_index,
                                          _TAG_U_TEST), np.arange(config.test_size))
 
-    records = ctx.labeled.records(pools.lab)
-    lab_scores = records.true_at(u_lab)
+    lab_scores = ctx.labeled.at(pools.lab, pools.lab_labels, u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
-    estimating = config.N > 0 and any(m.kind == "semicp"
-                                      for m in config.methods)
-    pseudo = ctx.main.queries(pools.unlab) if estimating else None
+    records = pseudo = None
+    if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
+        records = ctx.labeled.records(pools.lab)
+        pseudo = ctx.main.queries(pools.unlab)
     test_rows = np.arange(config.test_size)
 
     oracle_labels = oracle_scores = None
@@ -356,8 +359,7 @@ def _calibrate_and_predict(config, method, pool, groups, test_scores):
                               groups.unlabeled.get(method.kind, _NO_IDS)])
         thresholds = conditional_thresholds(pool, ids, groups.n_groups, alpha)
         cells = groups.test_cells
-    cutoffs = np.array([np.inf if t.include_all else t.value
-                        for t in thresholds])
+    cutoffs = np.array([t.cutoff for t in thresholds])
     return test_scores <= cutoffs[cells]
 
 

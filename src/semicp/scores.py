@@ -10,8 +10,9 @@ Four score families are supported, in deterministic and randomized forms:
   ``p_max + weight * (rank_y - 2 + u)``
 
 Every family is affine in the random factor u, ``score = A + B * u``, and
-the deterministic variant is the randomized one evaluated at u = 1.  The
-batch entry points below exploit that decomposition.
+the deterministic variant is the randomized one evaluated at u = 1.  This
+module computes the parts A and B of a batch; ``unlabeled.ScoreTables``
+keeps them per dataset and is the one place scores are read from.
 
 Classes are ranked by descending probability with ties broken by ascending
 class index, so ranks are deterministic.
@@ -24,8 +25,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 SCORE_KINDS = ("thr", "aps", "raps", "saps")
-
-PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,31 +100,3 @@ def score_components_batch(probs, spec: ScoreSpec):
     a[top] = 0.0
     b[top] = np.broadcast_to(p_max, probs.shape)[top]
     return a, b
-
-
-def _check_u(spec: ScoreSpec, u):
-    if spec.randomized:
-        if u is None:
-            raise ConfigurationError(
-                f"randomized {spec.kind} score requires a random factor u"
-            )
-        return u
-    if u is not None:
-        raise ConfigurationError(
-            "random factor u supplied but the score spec is not randomized"
-        )
-    return None
-
-
-def score_all_labels_batch(probs, spec: ScoreSpec, u=None):
-    """Scores for every label of every row; u is one draw per row.
-
-    ``u`` must be present iff ``spec.randomized``; the same u is reused for
-    all K labels of a row.
-    """
-    u = _check_u(spec, u)
-    a, b = score_components_batch(probs, spec)
-    if u is None:
-        return a + b
-    u = np.asarray(u, dtype=np.float64)
-    return a + b * u[:, None]

@@ -101,12 +101,6 @@ class LabeledRecords:
     def __len__(self):
         return self.pseudo_scores.shape[0]
 
-    def true_at(self, u=None) -> np.ndarray:
-        """True-label scores at one random factor per record."""
-        if u is None:
-            return self.true_scores
-        return self.tables.at(self.rows, self.tables.dataset.labels[self.rows], u)
-
     def biases_at(self, matched, u=None) -> np.ndarray:
         """Biases of the ``matched`` records at one random factor per row of
         ``matched``; deterministic tables ignore u."""

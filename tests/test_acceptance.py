@@ -25,7 +25,7 @@ from semicp.metrics import (TrialResult, beta_cdf, cov_gap, improvement,
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _build_context, run_experiment,
                            run_trial)
-from semicp.scores import ScoreSpec, score_all_labels_batch
+from semicp.scores import ScoreSpec
 from semicp.unlabeled import EstimatorSpec, ScoreTables, estimate_scores
 
 REPO = Path(__file__).resolve().parents[1]
@@ -79,8 +79,8 @@ def _coverage_trials(n, trials, test_size, k, seed, alpha=0.1,
         cfg = SyntheticConfig(n_classes=k, n_samples=ct * per_trial,
                               signal=2.0, seed=seed * 100_000 + chunk_idx)
         ds = generate_synthetic(cfg)
-        scores = score_all_labels_batch(ds.probs, spec)[
-            np.arange(len(ds)), ds.labels].reshape(ct, per_trial)
+        scores = ScoreTables(ds, spec).at(
+            np.arange(len(ds)), ds.labels).reshape(ct, per_trial)
         for i in range(ct):
             t = conformal_quantile(scores[i, :n], alpha)
             covs[done + i] = np.mean(scores[i, n:] <= t.value)

@@ -10,10 +10,12 @@ from quantile_oracle import exact_quantile_oracle
 from semicp.calibration import (Threshold, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
-                                prediction_mask, quantile_level)
+                                quantile_level)
+from semicp.dataset import ProbabilityDataset
 from semicp.errors import CalibrationError, ConfigurationError, InputError
 from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
+from semicp.unlabeled import ScoreTables
 
 
 def test_conformal_quantile_examples():
@@ -173,9 +175,16 @@ def test_interpolated_quantile():
     assert interpolated_quantile([0.7], 0.1).value == 0.7
 
 
+def set_mask(probs, spec, threshold):
+    """Membership mask of the prediction sets of the rows, as `predict`
+    forms it."""
+    tables = ScoreTables(ProbabilityDataset(probs), spec)
+    return tables.all_labels(np.arange(len(tables.dataset))) <= threshold.cutoff
+
+
 def members(p, spec, threshold):
     """Sorted class indices in one row's prediction set."""
-    return np.flatnonzero(prediction_mask([p], spec, threshold)[0]).tolist()
+    return np.flatnonzero(set_mask([p], spec, threshold)[0]).tolist()
 
 
 def test_predict_set_examples():
@@ -340,7 +349,7 @@ def test_epsilon_bias():
 def test_threshold_roundtrip_and_mask():
     t = conformal_quantile([0.4, 0.2, 0.9], 0.3)
     assert Threshold.from_dict(t.to_dict()) == t
-    mask = prediction_mask(np.array([[0.7, 0.2, 0.1]]), ScoreSpec("thr"), t)
+    mask = set_mask(np.array([[0.7, 0.2, 0.1]]), ScoreSpec("thr"), t)
     assert mask.shape == (1, 3)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from semicp import runner
 from semicp.cli import main
 from semicp.calibration import conformal_quantile
 from semicp.dataio import load_dataset
-from semicp.scores import ScoreSpec, score_all_labels_batch
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,8 +46,8 @@ def test_calibrate_without_unlabeled_matches_plain_quantile(tmp_path, capsys):
     assert main(["calibrate", "--labeled", str(lab), "--alpha", "0.2"]) == 0
     out = capsys.readouterr().out
     ds = load_dataset(lab)
-    scores = score_all_labels_batch(ds.probs, ScoreSpec("thr"))
-    expected = conformal_quantile(scores[range(len(ds)), ds.labels], 0.2)
+    thr_scores = 1.0 - ds.probs[range(len(ds)), ds.labels]
+    expected = conformal_quantile(thr_scores, 0.2)
     assert f"threshold={expected.value:.12g}" in out
     assert "N=0" in out and "epsilon=0" in out
 
@@ -167,6 +167,44 @@ def test_predict_with_numeric_threshold(tmp_path, capsys):
                  "--score", "aps"]) == 0
     out = capsys.readouterr().out
     assert "avg_size=" in out and "coverage=" in out
+
+
+INCLUDE_ALL = ('{"value": null, "include_all": true, "level_index": 11, '
+               '"pool_size": 10, "alpha": 0.1}')
+# sha256 of the `predict --out` file; "{thr}" stands for an include-all
+# threshold file
+PREDICT_DIGESTS = {
+    "aps": (
+        ["--score", "aps", "--threshold", "0.9"],
+        "fa5c213225d5524bf8d4e06395a86d14c0790528f49ad579b08224157deb663e"),
+    "raps_randomized": (
+        ["--score", "raps", "--randomized", "--seed", "5", "--threshold",
+         "0.95"],
+        "dd43a3e16166bd162be9fec9a069de4d59a7d125be652d547eb8965298034355"),
+    "saps_randomized_include_all": (
+        ["--score", "saps", "--randomized", "--threshold-file", "{thr}"],
+        "a22bc043ebd48bdd46e8921e7f9c9b2e388719a3796e74d225fca1532ea39a8f"),
+    "thr_include_all": (
+        ["--score", "thr", "--threshold-file", "{thr}"],
+        "a22bc043ebd48bdd46e8921e7f9c9b2e388719a3796e74d225fca1532ea39a8f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICT_DIGESTS))
+def test_predict_sets_byte_identical_to_pinned(tmp_path, capsys, case):
+    from semicp.dataio import save_dataset
+    from semicp.datagen import SyntheticConfig, generate_synthetic
+    ds = generate_synthetic(SyntheticConfig(n_classes=5, n_samples=240,
+                                            signal=1.5, seed=21))
+    ds.labels[::7] = -1  # unlabeled rows leave `covered` empty
+    data, thr, out = (tmp_path / name for name in ("d.csv", "t.json", "s.csv"))
+    save_dataset(ds, data)
+    thr.write_text(INCLUDE_ALL)
+    flags, digest = PREDICT_DIGESTS[case]
+    flags = [f.replace("{thr}", str(thr)) for f in flags]
+    assert main(["predict", "--test", str(data), "--out", str(out)]
+                + flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sweep_flag_pairing_enforced(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from semicp.dataio import (RESULT_FIELDS, check_writable, load_dataset,
 from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
 from semicp.calibration import conformal_quantile
-from semicp.errors import DataError
+from semicp.errors import DataError, InputError
 
 
 def toy_dataset():
@@ -330,6 +331,27 @@ def test_bad_row_names_its_line_counting_blank_lines(tmp_path, monkeypatch,
     path.write_text(K2_HEADER + f"0,0.5,0.5\n{blank}\n{row}\n1,nan,0.5\n")
     with pytest.raises(DataError, match=rf"row 3: {message}"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("kind", ["label_range", "negative_prob", "non_finite",
+                                  "prob_sum"])
+def test_bad_row_built_in_memory_breaks_the_same_contract(kind):
+    label, *probs = (float(v) for v in BAD_ROWS[kind][0].split(","))
+    # as from a file, a later bad row must not be reported before the first
+    with pytest.raises(InputError, match=rf"row 1: {BAD_ROWS[kind][1]}"):
+        ProbabilityDataset(probs=[[0.5, 0.5], probs, [np.nan, 0.5]],
+                           labels=[0, label, 1])
+
+
+def test_row_of_inf_and_minus_inf_is_non_finite_without_warning(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text(K2_HEADER + "0,inf,-inf\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no nan-sum warning first
+        with pytest.raises(DataError, match="row 1: non-finite value"):
+            load_dataset(path)
+        with pytest.raises(InputError, match="row 0: non-finite value"):
+            ProbabilityDataset([[np.inf, -np.inf]])
 
 
 def test_hash_ends_no_row_early(tmp_path):

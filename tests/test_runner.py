@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -513,24 +514,37 @@ def test_results_records_byte_identical_to_pinned(name, matrix_files):
 
 
 @pytest.mark.parametrize("layout", ["single", "labeled_is_pool",
-                                    "pool_is_test", "separate"])
+                                    "pool_is_test", "separate",
+                                    "labeled_file_is_unlabeled_file",
+                                    "labeled_file_is_test_file"])
 def test_pools_drawn_from_one_source_are_disjoint(layout, matrix_files):
     lab, pool, test = (matrix_files[k] for k in ("lab", "pool", "test"))
+    pool_again = os.path.join(os.path.dirname(pool), ".", "pool.csv")
     files = {"single": dict(labeled_file=pool),
              "labeled_is_pool": dict(labeled_file=pool, test_file=test),
              "pool_is_test": dict(labeled_file=lab, unlabeled_file=pool),
              "separate": dict(labeled_file=lab, unlabeled_file=pool,
-                              test_file=test)}[layout]
-    config = ExperimentConfig(source=DataSource(**files), n=50, N=300,
-                              test_size=120, trials=5, base_seed=3)
+                              test_file=test),
+             # one file under two roles, the second by another spelling
+             "labeled_file_is_unlabeled_file": dict(
+                 labeled_file=pool, unlabeled_file=pool_again, test_file=test),
+             "labeled_file_is_test_file": dict(
+                 labeled_file=pool, unlabeled_file=test,
+                 test_file=pool_again)}[layout]
+    source = DataSource(**files)
+    config = ExperimentConfig(source=source, n=50, N=300, test_size=120,
+                              trials=5, base_seed=3)
+    # the file each pool is read from, as the config names it
+    unlabeled_file = source.unlabeled_file or source.labeled_file
+    pool_files = [os.path.realpath(f) for f in (
+        source.labeled_file, unlabeled_file, source.test_file or unlabeled_file)]
     ctx = runner._build_context(config)
-    sources = (ctx.labeled, ctx.main, ctx.test)
     for t in range(config.trials):
         pools = runner._split_indices(config, ctx, t)
         assert [len(p) for p in pools] == [config.n, config.N, config.test_size]
-        for source in sources:
-            rows = np.concatenate([p for p, s in zip(pools, sources)
-                                   if s is source])
+        for path in set(pool_files):
+            rows = np.concatenate([p for p, f in zip(pools, pool_files)
+                                   if f == path])
             assert np.unique(rows).size == rows.size
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, InputError
-from semicp.scores import ScoreSpec, rank_and_cummass_batch, score_all_labels_batch
+from semicp.scores import ScoreSpec, rank_and_cummass_batch
 from semicp.unlabeled import ScoreTables
 
 
@@ -12,9 +12,15 @@ def random_prob_rows(rs, m, k):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+def all_labels(rows, spec, u=None):
+    """Scores of every label of the rows, read off their score tables."""
+    return ScoreTables(ProbabilityDataset(rows), spec).all_labels(
+        np.arange(len(rows)), None if u is None else np.asarray(u))
+
+
 def score_at(p, y, spec, u=None):
-    """Score of one probability row at label y, read off the batch."""
-    return score_all_labels_batch([p], spec, None if u is None else [u])[0, y]
+    """Score of one probability row at label y."""
+    return all_labels([p], spec, None if u is None else [u])[0, y]
 
 
 def test_rank_and_cummass_examples():
@@ -60,9 +66,9 @@ def test_saps_randomized_against_reference():
 
 
 def test_score_all_labels_examples():
-    got = score_all_labels_batch([[0.7, 0.2, 0.1]], ScoreSpec("thr"))[0]
+    got = all_labels([[0.7, 0.2, 0.1]], ScoreSpec("thr"))[0]
     assert np.allclose(got, [0.3, 0.8, 0.9])
-    got = score_all_labels_batch([[0.5, 0.3, 0.2]], ScoreSpec("aps"))[0]
+    got = all_labels([[0.5, 0.3, 0.2]], ScoreSpec("aps"))[0]
     assert np.allclose(got, [0.5, 0.8, 1.0])
 
 
@@ -77,7 +83,7 @@ def test_batch_matches_per_label_calls_bitwise():
                         (ScoreSpec("aps", randomized=True), True),
                         (ScoreSpec("raps", randomized=True), True),
                         (ScoreSpec("saps", randomized=True), True)]:
-        batch = score_all_labels_batch(rows, spec, u if use_u else None)
+        batch = all_labels(rows, spec, u if use_u else None)
         for i in range(rows.shape[0]):
             for y in range(rows.shape[1]):
                 ref = score_at(rows[i], y, spec, u[i] if use_u else None)
@@ -89,8 +95,8 @@ def test_deterministic_equals_randomized_at_u_one():
     rows = random_prob_rows(rs, 50, 6)
     ones = np.ones(50)
     for kind in ("aps", "raps", "saps"):
-        det = score_all_labels_batch(rows, ScoreSpec(kind))
-        rand = score_all_labels_batch(rows, ScoreSpec(kind, randomized=True), ones)
+        det = all_labels(rows, ScoreSpec(kind))
+        rand = all_labels(rows, ScoreSpec(kind, randomized=True), ones)
         assert np.array_equal(det, rand)
 
 
@@ -99,11 +105,11 @@ def test_monotonicity_invariants():
     rows = random_prob_rows(rs, 50, 7)
     all_ranks, _ = rank_and_cummass_batch(rows)
     for kind in ("aps", "raps"):
-        scores = score_all_labels_batch(rows, ScoreSpec(kind))
+        scores = all_labels(rows, ScoreSpec(kind))
         for i in range(50):
             by_rank = scores[i][np.argsort(all_ranks[i])]
             assert np.all(np.diff(by_rank) >= -1e-15)
-    thr = score_all_labels_batch(rows, ScoreSpec("thr"))
+    thr = all_labels(rows, ScoreSpec("thr"))
     order = np.argsort(rows, axis=1)
     for i in range(50):
         assert np.all(np.diff(thr[i][order[i]]) <= 1e-15)
@@ -112,7 +118,7 @@ def test_monotonicity_invariants():
 def test_aps_range_invariant():
     rs = np.random.RandomState(3)
     rows = random_prob_rows(rs, 200, 9)
-    scores = score_all_labels_batch(rows, ScoreSpec("aps"))
+    scores = all_labels(rows, ScoreSpec("aps"))
     assert np.allclose(scores.min(axis=1), rows.max(axis=1), atol=1e-12)
     assert np.allclose(scores.max(axis=1), 1.0, atol=1e-12)
 
@@ -122,16 +128,12 @@ def test_scores_at_labels_matches_batch():
     rows = random_prob_rows(rs, 30, 4)
     labels = rs.randint(4, size=30)
     spec = ScoreSpec("aps")
-    batch = score_all_labels_batch(rows, spec)
+    batch = all_labels(rows, spec)
     got = ScoreTables(ProbabilityDataset(rows), spec).at(np.arange(30), labels)
     assert np.array_equal(got, batch[np.arange(30), labels])
 
 
 def test_error_cases():
-    with pytest.raises(ConfigurationError):
-        score_all_labels_batch([[0.5, 0.5]], ScoreSpec("aps", randomized=True))
-    with pytest.raises(ConfigurationError):
-        score_all_labels_batch([[0.5, 0.5]], ScoreSpec("aps"), u=[0.5])
     with pytest.raises(InputError):
         ProbabilityDataset([[0.5, 0.4]])  # sums to 0.9
     with pytest.raises(ConfigurationError):

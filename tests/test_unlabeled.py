@@ -7,10 +7,10 @@ from gathered import queries, records
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
 from semicp.rng import stream
-from semicp.scores import ScoreSpec, score_all_labels_batch
+from semicp.scores import ScoreSpec
 from semicp.unlabeled import (EstimatorSpec, LabeledRecords, PseudoScores,
-                              check_estimator, estimate_scores, neighbor_match,
-                              pseudo_labels)
+                              ScoreTables, check_estimator, estimate_scores,
+                              neighbor_match, pseudo_labels)
 
 
 def rand_dataset(rs, m, k, with_channels=False):
@@ -135,8 +135,7 @@ def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
     for kind in ("thr", "aps", "raps"):
         spec = ScoreSpec(kind)
         plain = naive(queries(ds, spec), spec)
-        true = np.array([score_all_labels_batch([ds.probs[i]], spec)[0, ds.labels[i]]
-                         for i in range(len(ds))])
+        true = ScoreTables(ds, spec).at(np.arange(len(ds)), ds.labels)
         assert np.all(plain <= true + 1e-12)
 
 
