@@ -11,9 +11,9 @@ from .dataio import load_dataset, save_dataset, write_results
 from .dataset import ProbabilityDataset
 from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
                      DataError, EstimationError, InputError, SemicpError)
-from .metrics import (MetricsSummary, TrialResult, avg_size, beta_cdf, cov_gap,
-                      coverage, empirical_cdf, improvement, ks_distance,
-                      over_under_gaps, summarize)
+from .metrics import (MetricsSummary, TrialResult, avg_size, cov_gap, coverage,
+                      empirical_cdf, improvement, ks_distance, over_under_gaps,
+                      summarize)
 from .runner import (CalibrationPlan, DataSource, ExperimentConfig, MethodSpec,
                      config_from_dict, load_config, run_experiment, run_sweep,
                      run_trial)

@@ -163,14 +163,10 @@ def conditional_thresholds(scores, group_ids, n_groups: int,
     return (*per_group, marginal)
 
 
-def _decile_embedding(scores: np.ndarray) -> np.ndarray:
-    return np.percentile(scores, np.arange(10, 100, 10))
-
-
-def _kmeans(points: np.ndarray, k: int, seed: int = 0, iters: int = 50) -> np.ndarray:
-    """Plain Lloyd k-means with farthest-point init, deterministic given seed."""
+def _kmeans(points: np.ndarray, k: int) -> np.ndarray:
+    """Plain Lloyd k-means, at most 50 steps, with farthest-point init."""
     n = points.shape[0]
-    key = rng.stream(seed, _KMEANS_TAG)
+    key = rng.stream(0, _KMEANS_TAG)
     first = int(rng.integers(key, np.asarray([0]), n)[0])
     center_idx = [first]
     d2 = np.sum((points - points[first]) ** 2, axis=1)
@@ -180,7 +176,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int = 0, iters: int = 50) -> np.nd
         d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
     centers = points[center_idx].copy()
     assign = None
-    for _ in range(iters):
+    for _ in range(50):
         dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(dist2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -194,7 +190,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int = 0, iters: int = 50) -> np.nd
 
 
 def cluster_classes(labeled_scores, labels, n_classes: int, n_clusters: int,
-                    min_class_count: int = 2, seed: int = 0) -> np.ndarray:
+                    min_class_count: int = 2) -> np.ndarray:
     """Class -> cluster map of clustered CP: classes with similar labeled
     score distributions share a cluster, and so a threshold.
 
@@ -214,9 +210,10 @@ def cluster_classes(labeled_scores, labels, n_classes: int, n_clusters: int,
                   if by_class[c].size >= min_class_count]
     cluster_of_class = np.full(n_classes, -1, dtype=np.int64)
     if embeddable:
-        emb = np.stack([_decile_embedding(by_class[c]) for c in embeddable])
+        emb = np.stack([np.percentile(by_class[c], np.arange(10, 100, 10))
+                        for c in embeddable])
         cluster_of_class[embeddable] = _kmeans(
-            emb, min(n_clusters, len(embeddable)), seed=seed)
+            emb, min(n_clusters, len(embeddable)))
     return cluster_of_class
 
 

@@ -25,8 +25,8 @@ from .datagen import SyntheticConfig, generate_at_accuracy, \
     generate_synthetic, measure_top1_accuracy
 from .dataio import check_writable, load_dataset, load_threshold, \
     save_dataset, save_threshold, write_prediction_sets, write_results
-from .errors import ConfigurationError, EstimationError, SemicpError, \
-    exit_code_for
+from .errors import ConfigurationError, EstimationError, InputError, \
+    SemicpError, exit_code_for
 from .metrics import avg_size, coverage
 from .scores import SCORE_KINDS, ScoreSpec
 from .unlabeled import (CRITERION_KINDS, ESTIMATOR_KINDS, EstimatorSpec,
@@ -127,19 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     if args.out is None:
         raise ConfigurationError("gen requires --out")
+    if args.samples < 1:  # the library allows 0 rows; a file of them is void
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     prior = None
     if args.prior:
         try:
             prior = tuple(float(x) for x in args.prior.split(","))
-        except ValueError:
-            prior = None
-        if prior is None or not all(map(math.isfinite, prior)):
-            raise ConfigurationError(f"--prior must be comma-separated finite "
-                                     f"numbers, got {args.prior!r}")
-    cfg = SyntheticConfig(n_classes=args.classes, n_samples=args.samples,
-                          signal=args.signal, noise_sigma=args.noise_sigma,
-                          temperature=args.temperature, prior=prior,
-                          seed=_seed(args))
+        except ValueError:  # SyntheticConfig checks the numbers themselves
+            raise ConfigurationError(f"--prior must be comma-separated "
+                                     f"numbers, got {args.prior!r}") from None
+    try:
+        cfg = SyntheticConfig(n_classes=args.classes, n_samples=args.samples,
+                              signal=args.signal, noise_sigma=args.noise_sigma,
+                              temperature=args.temperature, prior=prior,
+                              seed=_seed(args))
+    except InputError as exc:  # as for the same values in a config
+        raise ConfigurationError(f"bad gen flag: {exc}") from None
     if args.target_accuracy is not None:
         ds, signal, achieved = generate_at_accuracy(args.target_accuracy, cfg)
         print(f"signal={signal:.6f} for target accuracy "
@@ -161,9 +164,7 @@ def _cmd_calibrate(args) -> int:
     if n == 0:
         raise EstimationError("labeled calibration set is empty")
 
-    u_lab = None
-    if spec.randomized:
-        u_lab = rng.uniforms(rng.stream(_seed(args), 0, 1), np.arange(n))
+    u_lab = rng.factors(spec.randomized, n, _seed(args), 0, 1)
     lab_scores = tables.at(rows, labeled.labels[rows], u_lab)
 
     est_scores = np.empty(0)
@@ -173,9 +174,7 @@ def _cmd_calibrate(args) -> int:
         big_n = len(unlabeled)
         estimator = EstimatorSpec(kind=args.estimator, k=args.neighbors,
                                   criterion=args.criterion)
-        u_unlab = None
-        if spec.randomized:
-            u_unlab = rng.uniforms(rng.stream(_seed(args), 0, 2), np.arange(big_n))
+        u_unlab = rng.factors(spec.randomized, big_n, _seed(args), 0, 2)
         pseudo = ScoreTables(unlabeled, spec).queries(np.arange(big_n))
         est_scores = estimate_scores(
             pseudo, tables.records(rows), spec, estimator,
@@ -183,9 +182,8 @@ def _cmd_calibrate(args) -> int:
 
     threshold = conformal_quantile(np.concatenate([lab_scores, est_scores]),
                                    args.alpha)
-    eps = 0.0
-    if big_n and not threshold.include_all:
-        eps = epsilon_bias(lab_scores, est_scores, threshold, n, big_n)
+    eps = epsilon_bias(lab_scores, est_scores, threshold, n, big_n) \
+        if big_n else 0.0
 
     print(f"n={n} N={big_n} alpha={args.alpha} pool={threshold.pool_size}")
     if threshold.include_all:
@@ -213,9 +211,7 @@ def _cmd_predict(args) -> int:
     else:
         threshold = Threshold(value=args.threshold, include_all=False,
                               level_index=0, pool_size=0, alpha=0.0)
-    u = None
-    if spec.randomized:
-        u = rng.uniforms(rng.stream(_seed(args), 0, 4), np.arange(len(test)))
+    u = rng.factors(spec.randomized, len(test), _seed(args), 0, 4)
     mask = ScoreTables(test, spec).all_labels(np.arange(len(test)), u) \
         <= threshold.cutoff
 

@@ -9,9 +9,11 @@ model stays (deliberately) miscalibrated in general.
 Sample i is generated from its own counter-based stream mix64(seed, i), so
 output is independent of generation order and chunking.  Generation is two
 steps: a draw (labels and scaled noise, which do not depend on the signal)
-and a finish (the signal and the softmax).  The signal bisection draws its
-probe rows once and only finishes them per probe, and a dataset of the
-probe size generated at the found signal finishes that same draw.
+and a finish (the signal and the softmax).  The signal bisection is one
+loop, :func:`generate_at_accuracy`: it draws its probe rows once and only
+finishes them per probe, and a dataset of the probe size is the last probe,
+the draw finished at the found signal.  :func:`calibrate_signal_for_accuracy`
+runs the same loop at the probe size and keeps only the signal.
 """
 
 from dataclasses import dataclass, replace
@@ -41,11 +43,11 @@ class SyntheticConfig:
             raise InputError("need at least 2 classes")
         if self.n_samples < 0:
             raise InputError("n_samples must be nonnegative")
-        if self.signal < 0:
+        if not self.signal >= 0:  # NaN fails each of these comparisons
             raise InputError("signal must be nonnegative")
-        if self.noise_sigma <= 0:
+        if not self.noise_sigma > 0:
             raise InputError("noise_sigma must be positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise InputError("temperature must be positive")
         if self.prior is not None:
             p = np.asarray(self.prior, dtype=np.float64)
@@ -121,64 +123,52 @@ def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
                                   tolerance: float = 0.01,
                                   probe_samples: int = 50_000,
                                   max_iters: int = 60):
-    """Bisect the signal strength until pseudo-label accuracy hits a target.
+    """Bisect the signal strength until pseudo-label accuracy hits a target;
+    returns (signal, achieved).  See :func:`generate_at_accuracy`."""
+    return generate_at_accuracy(target_acc,
+                                replace(template, n_samples=probe_samples),
+                                tolerance, probe_samples, max_iters)[1:]
+
+
+def generate_at_accuracy(target_acc: float, template: SyntheticConfig,
+                         tolerance: float = 0.01, probe_samples: int = 50_000,
+                         max_iters: int = 60):
+    """The template's dataset at the signal whose pseudo-label accuracy is
+    within ``tolerance`` of a target; returns (dataset, signal, achieved).
 
     Probes use a fixed ``probe_samples``-sample dataset drawn from the
     template's seed; with common noise draws, accuracy is monotone in the
     signal, so bisection on [0, 50] is exact.  The labels and the noise are
     drawn once for the whole bisection; each probe copies the drawn logits
     and only adds its signal and softmaxes, so it measures exactly the
-    accuracy of ``generate_synthetic`` at that signal.  Returns
-    (signal, achieved).
+    accuracy of ``generate_synthetic`` at that signal.  When the dataset has
+    the probe size, it is the last probe, so the draw is finished at the
+    found signal instead of being drawn again; otherwise it is generated at
+    that signal.  Either way it equals ``generate_synthetic`` there.
     """
-    signal, achieved, _ = _bisect_signal(target_acc, template, tolerance,
-                                         probe_samples, max_iters)
-    return signal, achieved
-
-
-def generate_at_accuracy(target_acc: float, template: SyntheticConfig):
-    """The template's dataset at the signal that
-    :func:`calibrate_signal_for_accuracy` finds for ``target_acc``; returns
-    (dataset, signal, achieved).
-
-    When the dataset has the probe size, its rows are the probe rows, so
-    the bisection's draw is finished at the found signal instead of being
-    drawn again; the result equals ``generate_synthetic`` at that signal.
-    """
-    signal, achieved, (labels, drawn) = _bisect_signal(target_acc, template)
-    cfg = replace(template, signal=signal)
-    if cfg.n_samples != labels.size:
-        return generate_synthetic(cfg), signal, achieved
-    probs = _finish_rows(drawn, labels, signal, cfg.temperature)
-    return ProbabilityDataset(probs=probs, labels=labels, logits=drawn,
-                              features=drawn), signal, achieved
-
-
-def _bisect_signal(target_acc, template, tolerance=0.01, probe_samples=50_000,
-                   max_iters=60):
-    """(signal, achieved, (labels, drawn logits)) of the bisection
-    described at :func:`calibrate_signal_for_accuracy`; the drawn logits
-    are left without signal."""
     k = template.n_classes
     if not 1.0 / k < target_acc < 1.0:
         raise ConfigurationError(
             f"target accuracy must lie strictly between 1/K={1.0 / k:.4f} and 1")
-    cfg = replace(template, n_samples=probe_samples)
-    labels, drawn = _draw_rows(cfg, 0, probe_samples)
-
-    def probe(signal):
-        probs = _finish_rows(drawn.copy(), labels, signal, cfg.temperature)
-        return measure_top1_accuracy(ProbabilityDataset(probs=probs, labels=labels))
+    labels, drawn = _draw_rows(template, 0, probe_samples)
 
     lo, hi = 0.0, 50.0
     best_signal, best_acc = None, None
     for _ in range(max_iters):
         mid = 0.5 * (lo + hi)
-        acc = probe(mid)
+        probe = None  # free the last probe's rows before finishing the next
+        logits = drawn.copy()
+        probe = ProbabilityDataset(
+            probs=_finish_rows(logits, labels, mid, template.temperature),
+            labels=labels, logits=logits, features=logits)
+        acc = measure_top1_accuracy(probe)
         if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
             best_signal, best_acc = mid, acc
         if abs(acc - target_acc) <= tolerance:
-            return mid, acc, (labels, drawn)
+            if template.n_samples != probe_samples:
+                probe = logits = drawn = None  # free the probe rows first
+                probe = generate_synthetic(replace(template, signal=mid))
+            return probe, mid, acc
         if acc < target_acc:
             lo = mid
         else:

@@ -84,6 +84,14 @@ def uniforms(key, counters):
     return (raw(key, counters) >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def factors(randomized: bool, size: int, seed, *tags):
+    """A randomized score's factors u, the first ``size`` uniforms of stream
+    ``stream(seed, *tags)``; None, and no key built, for a deterministic one."""
+    if not randomized:
+        return None
+    return uniforms(stream(seed, *tags), np.arange(size))
+
+
 def _uniforms_open_zero(key, counters):
     # (0, 1]: safe as a log() argument.
     w = (raw(key, counters) >> np.uint64(11)) + np.uint64(1)

@@ -60,8 +60,6 @@ _TAG_U_LABELED = 0x756C6162
 _TAG_U_UNLABELED = 0x75756E6C
 _TAG_U_TEST = 0x75747374
 
-_CLUSTERCP_KMEANS_SEED = 0
-
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -286,14 +284,10 @@ def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     spec = config.score
     pools = _Pools(ctx, *_split_indices(config, ctx, trial_index))
 
-    u_lab = u_unlab = u_test = None
-    if spec.randomized:
-        u_lab = rng.uniforms(rng.stream(config.base_seed, trial_index,
-                                        _TAG_U_LABELED), np.arange(config.n))
-        u_unlab = rng.uniforms(rng.stream(config.base_seed, trial_index,
-                                          _TAG_U_UNLABELED), np.arange(config.N))
-        u_test = rng.uniforms(rng.stream(config.base_seed, trial_index,
-                                         _TAG_U_TEST), np.arange(config.test_size))
+    u_lab, u_unlab, u_test = (
+        rng.factors(spec.randomized, size, config.base_seed, trial_index, tag)
+        for size, tag in ((config.n, _TAG_U_LABELED), (config.N, _TAG_U_UNLABELED),
+                          (config.test_size, _TAG_U_TEST)))
 
     lab_scores = ctx.labeled.at(pools.lab, pools.lab_labels, u_lab)
     test_scores = ctx.test.all_labels(pools.test, u_test)
@@ -411,8 +405,7 @@ def _group_map(config, pools, lab_scores, k, oracle_labels):
     # clustercp: the clusters depend only on the labeled scores, shared by
     # all methods
     cluster = cluster_classes(lab_scores, pools.lab_labels, k,
-                              plan.n_clusters, plan.min_class_count,
-                              seed=_CLUSTERCP_KMEANS_SEED)
+                              plan.n_clusters, plan.min_class_count)
     return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
                      plan.n_clusters,
                      {kind: cluster[classes] for kind, classes in views.items()})
@@ -437,16 +430,15 @@ def _worker_init(config):
 
 
 def _worker_run(bounds):
-    start, stop = bounds
-    return [(t, run_trial(_WORKER_CONFIG, t, _WORKER_CTX))
-            for t in range(start, stop)]
+    return [run_trial(_WORKER_CONFIG, t, _WORKER_CTX) for t in range(*bounds)]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
     """Run all trials and aggregate; returns {method name: MetricsSummary}.
 
     Output is invariant to the worker count: every trial's randomness is
-    pre-assigned and aggregation follows trial order.
+    pre-assigned and aggregation follows trial order.  The pool has at most
+    as many workers as there are usable CPUs and chunks of trials.
     """
     ctx = _build_context(config)
     m = config.trials
@@ -455,13 +447,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     else:
         chunk = max(1, -(-m // (jobs * 4)))
         bounds = [(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-        gathered = []
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+        cpus = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(jobs, cpus, len(bounds)),
+                                 initializer=_worker_init,
                                  initargs=(config,)) as pool:
-            for part in pool.map(_worker_run, bounds):
-                gathered.extend(part)
-        gathered.sort(key=lambda item: item[0])
-        per_trial = [res for _, res in gathered]
+            # map yields the chunks in trial order
+            per_trial = [res for part in pool.map(_worker_run, bounds)
+                         for res in part]
 
     summaries = {}
     for method in config.methods:

@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beta_oracle import beta_cdf
 from gathered import queries, records
 from quantile_oracle import exact_quantile_oracle
 from semicp import rng
 from semicp.calibration import conformal_quantile
 from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
-from semicp.metrics import (TrialResult, beta_cdf, cov_gap, improvement,
-                            ks_distance, over_under_gaps, summarize)
+from semicp.metrics import (TrialResult, cov_gap, improvement, ks_distance,
+                            over_under_gaps, summarize)
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _build_context, run_experiment,
                            run_trial)

@@ -207,6 +207,71 @@ def test_predict_sets_byte_identical_to_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `calibrate` stdout, with its tmp directory written "{tmp}", and
+# of its --out file; "{pool}" stands for the unlabeled file
+CALIBRATE_DIGESTS = {
+    "thr": (
+        ["--score", "thr"],
+        "d33864eaff221cfe48c327b579ccecc00fd8f0cf1dc14ecb8997b60a34a0b4ed",
+        "04764b75f4db6f6c0a059c7b584b8d7e9bee3bf34521500f6adfaa04e19b11d6"),
+    "aps_nnm": (
+        ["--score", "aps", "--unlabeled", "{pool}", "--estimator", "nnm"],
+        "330142cab72ce443baf660aebc7ec688ffd2224183137add1dd44d28ab3a5586",
+        "58b2fff0fd02e87c4d126de15f9fcb267374345c05c4121c4076a14672c93785"),
+    "aps_nnm_k3_confidence": (
+        ["--score", "aps", "--unlabeled", "{pool}", "--estimator", "nnm",
+         "--neighbors", "3", "--criterion", "confidence"],
+        "6356043a5866d5f866f9690b99b53b3aa574a48ff233c8b128a7b8391d654b72",
+        "a1f2ff6b8a308b4e18b7cec83d49b0350ec44d89f479fed8b7a8fe3c96e4c220"),
+    "aps_debias": (
+        ["--score", "aps", "--unlabeled", "{pool}", "--estimator", "debias"],
+        "1f3b8d25c4ce4076c1c5928a845d6e8235e638547538c3abde8c0fe35ed85052",
+        "6dc4ee38f9718191c614ded4e0ac0df349588283e4a0c5820d7f9217d28bcb40"),
+    "aps_random_match": (
+        ["--score", "aps", "--unlabeled", "{pool}", "--estimator",
+         "random_match", "--seed", "3"],
+        "a7ce38ce8d25fc1daba6896285893ed7b56f38c118333832ab068665b37d00e3",
+        "28d34c3006a6b48a57d1abc51a99564ad9e9cfbf4fac1105772fecb134baa0e1"),
+    "raps_randomized_nnm_r": (
+        ["--score", "raps", "--randomized", "--unlabeled", "{pool}",
+         "--estimator", "nnm_r", "--seed", "5"],
+        "85b081bbf24e40f46bf43be217acf7a8958720acd89545629c08a48bad07bf2e",
+        "568361be36c6fb72a444411b6089804270c6e5258b4770d19db6003e5ff13aba"),
+    "saps_randomized_naive": (
+        ["--score", "saps", "--randomized", "--unlabeled", "{pool}",
+         "--estimator", "naive"],
+        "6f8777a44f2827fb8987f1991d39331ca32915b61a83b60b637cd9c626406b09",
+        "62f8afc0bd1983a525ead8f0f8fb1229869dca14e2a37d33d304c19240c0872f"),
+    "aps_include_all": (
+        ["--score", "aps", "--unlabeled", "{pool}", "--alpha", "0.001"],
+        "059e6f655169359621b71460403700dbc9ca2bf7cb6c058612d12ebb9e103714",
+        "4afdf52a4e6b29ea075c1878d3e3fafa09f69d05bf742f7e2abbdc5961a86d6f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATE_DIGESTS))
+def test_calibrate_byte_identical_to_pinned(tmp_path, capsys, case):
+    from semicp.dataio import save_dataset
+    from semicp.datagen import SyntheticConfig, generate_synthetic
+    lab = generate_synthetic(SyntheticConfig(n_classes=5, n_samples=240,
+                                             signal=1.5, seed=21))
+    lab.labels[::7] = -1  # calibrate reads the labeled rows only
+    pool = generate_synthetic(SyntheticConfig(n_classes=5, n_samples=300,
+                                              signal=1.5, seed=22))
+    data, unlabeled, out = (tmp_path / name
+                            for name in ("d.csv", "u.csv", "t.json"))
+    save_dataset(lab, data)
+    save_dataset(pool, unlabeled)
+    flags, stdout_digest, out_digest = CALIBRATE_DIGESTS[case]
+    flags = [f.replace("{pool}", str(unlabeled)) for f in flags]
+    capsys.readouterr()
+    assert main(["calibrate", "--labeled", str(data), "--out", str(out)]
+                + flags) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "{tmp}")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+
+
 def test_sweep_flag_pairing_enforced(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -366,6 +431,25 @@ CLI_ERRORS = {
     "gen_prior_nan": (lambda t: ["gen", "--classes", "2", "--samples", "10",
                                  "--prior", "0.5,nan", "--out",
                                  str(t / "g.csv")], 2),
+    "gen_classes_one": (lambda t: ["gen", "--classes", "1", "--samples", "10",
+                                   "--out", str(t / "g.csv")], 2),
+    "gen_signal_negative": (lambda t: ["gen", "--classes", "3", "--samples",
+                                       "10", "--signal", "-1", "--out",
+                                       str(t / "g.csv")], 2),
+    "gen_signal_nan": (lambda t: ["gen", "--classes", "3", "--samples", "10",
+                                  "--signal", "nan", "--out",
+                                  str(t / "g.csv")], 2),
+    "gen_noise_sigma_nan": (lambda t: ["gen", "--classes", "3", "--samples",
+                                       "10", "--noise-sigma", "nan", "--out",
+                                       str(t / "g.csv")], 2),
+    "gen_temperature_zero": (lambda t: ["gen", "--classes", "3", "--samples",
+                                        "10", "--temperature", "0", "--out",
+                                        str(t / "g.csv")], 2),
+    "gen_prior_not_summing_to_one": (lambda t: [
+        "gen", "--classes", "2", "--samples", "10", "--prior", "0.5,0.6",
+        "--out", str(t / "g.csv")], 2),
+    "gen_samples_zero": (lambda t: ["gen", "--classes", "3", "--samples", "0",
+                                    "--out", str(t / "g.csv")], 2),
     "predict_threshold_nan": (lambda t: ["predict", "--test", _data_file(t),
                                          "--threshold", "nan"], 2),
     "plan_unknown_group_rule": (lambda t: _run_with_plan(
@@ -399,6 +483,13 @@ def test_cli_input_error_exits_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == want
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_gen_without_samples_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["gen", "--classes", "3", "--samples", "0", "--out",
+                 str(out)]) == 2
+    assert not out.exists()
 
 
 def test_calibrate_labeled_file_without_labels_names_the_empty_set(tmp_path,

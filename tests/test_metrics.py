@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from beta_oracle import beta_cdf
 from semicp.errors import InputError
-from semicp.metrics import (TrialResult, avg_size, beta_cdf,
+from semicp.metrics import (TrialResult, avg_size,
                             cov_gap, coverage, coverage_histogram,
                             empirical_cdf, improvement, ks_distance,
                             over_under_gaps, summarize)

@@ -133,6 +133,40 @@ def test_parallel_equals_sequential(tmp_path):
     assert seq == par
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the initializer and ``map`` in this process, so no process starts."""
+
+    sizes = []  # max_workers of each pool made; each test sets a new list
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, trials", [(5000, 10), (5000, 1), (2, 1)])
+def test_workers_capped_at_usable_cpus_and_chunks(monkeypatch, jobs, trials):
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    # the fake runs the initializer here; restore the worker globals after
+    monkeypatch.setattr(runner, "_WORKER_CONFIG", None)
+    monkeypatch.setattr(runner, "_WORKER_CTX", None)
+    config = small_config(trials=trials)
+    got = run_experiment(config, jobs=jobs)
+    cpus = len(os.sched_getaffinity(0))
+    assert InProcessPool.sizes == [min(cpus, trials)]
+    assert got == run_experiment(config, jobs=1)
+
+
 def test_infeasible_partition_rejected_before_trials():
     config = small_config(N=5000)  # 20 + 5000 + 200 > 4000 source samples
     with pytest.raises(ConfigurationError, match="infeasible"):
