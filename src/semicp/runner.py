@@ -13,8 +13,8 @@ All per-trial randomness comes from counter-based streams keyed by
 (base_seed, trial_index, purpose), so trials can run on any number of
 workers and still produce byte-identical output.  Score tables do not
 depend on the trial (a randomized score's factor u only enters as
-A + B * u), so each data source is scored once per experiment and a trial
-only gathers rows of its tables.
+A + B * u), so each data source is scored once per run or sweep group and
+a trial only gathers rows of its tables.
 
 Methods:
 
@@ -32,6 +32,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .calibration import (cluster_classes, conditional_thresholds,
                           conformal_quantile, interpolated_quantile)
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
 from .dataio import load_dataset
-from .dataset import ProbabilityDataset
 from .errors import ConfigurationError, DataError, InputError, SemicpError
 from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
 from .scores import ScoreSpec
@@ -151,7 +151,7 @@ class ExperimentConfig:
 
 @dataclass
 class _Context:
-    """Score tables of the data sources, built once per experiment.
+    """Score tables of the data sources, built once per run or sweep group.
 
     ``main`` is the source of the unlabeled pool.  A source that serves
     several roles is one tables object, so that the pools drawn from it
@@ -163,6 +163,7 @@ class _Context:
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
+    """The config's sources, loaded and scored; see ``_validate_sources``."""
     src = config.source
     if src.synthetic is not None:
         main = labeled = test = generate_synthetic(src.synthetic)
@@ -176,14 +177,13 @@ def _build_context(config: ExperimentConfig) -> _Context:
             if os.path.realpath(path) not in loaded:
                 loaded[os.path.realpath(path)] = load_dataset(path)
         labeled, main, test = (loaded[os.path.realpath(p)] for p in files)
-    _validate_sources(config, main, labeled, test)
     distinct = {id(ds): ds for ds in (main, labeled, test)}
     tables = {key: ScoreTables(ds, config.score) for key, ds in distinct.items()}
     return _Context(*(tables[id(ds)] for ds in (main, labeled, test)))
 
 
-def _validate_sources(config: ExperimentConfig, main: ProbabilityDataset,
-                      labeled: ProbabilityDataset, test: ProbabilityDataset):
+def _validate_sources(config: ExperimentConfig, ctx: _Context):
+    main, labeled, test = (t.dataset for t in (ctx.main, ctx.labeled, ctx.test))
     pools = ((labeled, config.n), (main, config.N), (test, config.test_size))
     for ds, name in ((main, "source"), (labeled, "labeled file"),
                      (test, "test file")):
@@ -281,6 +281,7 @@ class _Pools:
 def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
     if ctx is None:
         ctx = _build_context(config)
+        _validate_sources(config, ctx)
     spec = config.score
     pools = _Pools(ctx, *_split_indices(config, ctx, trial_index))
 
@@ -419,18 +420,59 @@ def _per_group_coverage(hits, groups):
     return {int(g): float(covered[g] / counts[g]) for g in np.flatnonzero(counts)}
 
 
-_WORKER_CTX = None
-_WORKER_CONFIG = None
+_WORKER = None  # (configs, context) of the pool's group
 
 
-def _worker_init(config):
-    global _WORKER_CTX, _WORKER_CONFIG
-    _WORKER_CONFIG = config
-    _WORKER_CTX = _build_context(config)
+def _worker_init(configs, ctx):
+    global _WORKER
+    _WORKER = configs, ctx
 
 
-def _worker_run(bounds):
-    return [run_trial(_WORKER_CONFIG, t, _WORKER_CTX) for t in range(*bounds)]
+def _run_chunk(task, group=None):
+    """Results of trials lo..hi-1 of experiment i of the group (configs,
+    context), by default the pool worker's, in trial order."""
+    (configs, ctx), (i, lo, hi) = group or _WORKER, task
+    return [run_trial(configs[i], t, ctx) for t in range(lo, hi)]
+
+
+def _run_group(configs, jobs):
+    """Summaries of configs that share one source and score, in order.
+
+    The sources are scored once and checked against every config before any
+    trial runs.  One pool runs every experiment's chunks; its workers get
+    the context through ``initargs`` (inherited memory under fork).
+    """
+    ctx = _build_context(configs[0])
+    for config in configs:
+        _validate_sources(config, ctx)
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(jobs, cpus, sum(c.trials for c in configs)))
+    tasks = []  # (experiment, first trial, end): about four per worker each
+    for i, c in enumerate(configs):
+        chunk = -(-c.trials // (workers * 4))
+        tasks += [(i, lo, min(lo + chunk, c.trials))
+                  for lo in range(0, c.trials, chunk)]
+    if jobs <= 1:
+        return _summaries(configs, tasks,
+                          (_run_chunk(task, (configs, ctx)) for task in tasks))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+                             initargs=(configs, ctx)) as pool:
+        # map yields the chunks in task order
+        return _summaries(configs, tasks, pool.map(_run_chunk, tasks))
+
+
+def _summaries(configs, tasks, parts):
+    """{method name: MetricsSummary} of each config, from chunks in task order."""
+    out, per_trial = [], []
+    for (i, _, hi), part in zip(tasks, parts):
+        per_trial += part
+        if hi == configs[i].trials:
+            out.append({m.name: summarize([r[m.name] for r in per_trial],
+                                          configs[i].alpha)
+                        for m in configs[i].methods})
+            per_trial = []
+    return out
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
@@ -438,29 +480,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
 
     Output is invariant to the worker count: every trial's randomness is
     pre-assigned and aggregation follows trial order.  The pool has at most
-    as many workers as there are usable CPUs and chunks of trials.
+    as many workers as there are usable CPUs and trials.
     """
-    ctx = _build_context(config)
-    m = config.trials
-    if jobs <= 1:
-        per_trial = [run_trial(config, t, ctx) for t in range(m)]
-    else:
-        chunk = max(1, -(-m // (jobs * 4)))
-        bounds = [(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-        cpus = len(os.sched_getaffinity(0)) \
-            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(jobs, cpus, len(bounds)),
-                                 initializer=_worker_init,
-                                 initargs=(config,)) as pool:
-            # map yields the chunks in trial order
-            per_trial = [res for part in pool.map(_worker_run, bounds)
-                         for res in part]
-
-    summaries = {}
-    for method in config.methods:
-        summaries[method.name] = summarize(
-            [per_trial[t][method.name] for t in range(m)], config.alpha)
-    return summaries
+    return _run_group([config], jobs)[0]
 
 
 def results_records(config: ExperimentConfig, summaries, extra: dict = None):
@@ -522,13 +544,16 @@ def _apply_sweep_value(config: ExperimentConfig, axis: str, value):
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1):
-    """Run one experiment per sweep value; returns flattened records."""
+    """Run one experiment per sweep value; returns flattened records.
+
+    Consecutive values with the same source and score share one context."""
+    configs = [apply_sweep_value(config, axis, value) for value in values]
+    summaries = [s for _, group in groupby(configs, lambda c: (c.source, c.score))
+                 for s in _run_group(list(group), jobs)]
     records = []
-    for value in values:
-        cfg = apply_sweep_value(config, axis, value)
-        summaries = run_experiment(cfg, jobs=jobs)
+    for cfg, value, s in zip(configs, values, summaries):
         records.extend(results_records(
-            cfg, summaries, extra={"sweep_axis": axis, "sweep_value": value}))
+            cfg, s, extra={"sweep_axis": axis, "sweep_value": value}))
     return records
 
 

@@ -49,9 +49,9 @@ class ScoreSpec:
         if self.kind == "raps":
             if self.k_reg < 1:
                 raise ConfigurationError("raps k_reg must be a positive integer")
-            if self.lam < 0:
+            if not self.lam >= 0:
                 raise ConfigurationError("raps lam must be nonnegative")
-        if self.kind == "saps" and self.weight < 0:
+        if self.kind == "saps" and not self.weight >= 0:
             raise ConfigurationError("saps weight must be nonnegative")
         if self.randomized and self.kind == "thr":
             raise ConfigurationError("thr has no randomized form")

@@ -452,6 +452,12 @@ CLI_ERRORS = {
                                     "--out", str(t / "g.csv")], 2),
     "predict_threshold_nan": (lambda t: ["predict", "--test", _data_file(t),
                                          "--threshold", "nan"], 2),
+    "calibrate_raps_lambda_nan": (lambda t: [
+        "calibrate", "--labeled", _data_file(t), "--score", "raps",
+        "--lambda", "nan"], 2),
+    "calibrate_saps_weight_nan": (lambda t: [
+        "calibrate", "--labeled", _data_file(t), "--score", "saps",
+        "--weight", "nan"], 2),
     "plan_unknown_group_rule": (lambda t: _run_with_plan(
         t, mode="group_conditional", groups=2, rule="nope"), 2),
     "plan_min_class_count_zero": (lambda t: _run_with_plan(

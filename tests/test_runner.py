@@ -158,13 +158,69 @@ def test_workers_capped_at_usable_cpus_and_chunks(monkeypatch, jobs, trials):
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
     # the fake runs the initializer here; restore the worker globals after
-    monkeypatch.setattr(runner, "_WORKER_CONFIG", None)
-    monkeypatch.setattr(runner, "_WORKER_CTX", None)
+    monkeypatch.setattr(runner, "_WORKER", None)
     config = small_config(trials=trials)
     got = run_experiment(config, jobs=jobs)
     cpus = len(os.sched_getaffinity(0))
     assert InProcessPool.sizes == [min(cpus, trials)]
     assert got == run_experiment(config, jobs=1)
+
+
+CONDITIONAL_MODES = ["group_conditional", "class_conditional", "clustercp"]
+
+
+def conditional_config(**kw):
+    return small_config(n=60, calibration=CalibrationPlan(
+        mode="group_conditional", n_groups=3, n_clusters=2), **kw)
+
+
+@pytest.mark.parametrize("axis, values, jobs, builds, pools", [
+    ("calibration", CONDITIONAL_MODES, 2, 1, 1),
+    ("n", [10, 20, 50], 1, 1, 0),
+    ("score", ["aps", "raps", "thr"], 1, 3, 0),
+])
+def test_sweep_scores_each_source_once_per_group(monkeypatch, axis, values,
+                                                 jobs, builds, pools):
+    config = conditional_config(trials=4)
+    want = [r for v in values for r in results_records(
+        apply_sweep_value(config, axis, v),
+        run_experiment(apply_sweep_value(config, axis, v)),
+        extra={"sweep_axis": axis, "sweep_value": v})]
+    made = []
+
+    class CountedTables(runner.ScoreTables):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(runner, "ScoreTables", CountedTables)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(runner, "_WORKER", None)
+    assert run_sweep(config, axis, values, jobs=jobs) == want
+    # one synthetic source per context: one tables object per build
+    assert len(made) == builds and len(InProcessPool.sizes) == pools
+
+
+def test_sweep_records_equal_across_jobs():
+    config = conditional_config(
+        trials=6, score=ScoreSpec("raps", randomized=True),
+        methods=(MethodSpec("standard", "standard"),
+                 MethodSpec("semicp", "semicp", EstimatorSpec("nnm_r")),
+                 MethodSpec("oracle", "oracle")))
+    seq = run_sweep(config, "calibration", CONDITIONAL_MODES, jobs=1)
+    par = run_sweep(config, "calibration", CONDITIONAL_MODES, jobs=2)
+    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+
+
+def test_sweep_validates_every_value_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the infeasible value was found")
+
+    monkeypatch.setattr(runner, "run_trial", no_trials)
+    with pytest.raises(ConfigurationError, match="infeasible partition"):
+        # 5000 + 300 + 200 > 4000 source samples
+        run_sweep(small_config(), "n", [10, 20, 5000])
 
 
 def test_infeasible_partition_rejected_before_trials():
