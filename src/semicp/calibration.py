@@ -106,8 +106,13 @@ def conformal_quantile(scores, alpha: float) -> Threshold:
     level l either zero may be returned (the scores of ``scores.py`` never
     produce -0.0).
     """
-    scores, level = _checked_pool(scores, alpha)
+    return _order_statistic(_checked_pool(scores, alpha)[0], alpha)
+
+
+def _order_statistic(scores, alpha: float) -> Threshold:
+    """:func:`conformal_quantile` of a checked, nonempty float pool."""
     m = scores.size
+    level = quantile_level(m, alpha)
     if level > m:
         return Threshold(math.nan, True, level, m, alpha)
     value = float(np.partition(scores, level - 1)[level - 1])
@@ -158,7 +163,7 @@ def conditional_thresholds(scores, group_ids, n_groups: int,
     per_group = []
     for g in range(n_groups):
         members = scores[ids == g]
-        per_group.append(conformal_quantile(members, alpha) if members.size
+        per_group.append(_order_statistic(members, alpha) if members.size
                          else marginal)
     return (*per_group, marginal)
 

@@ -14,7 +14,10 @@ All per-trial randomness comes from counter-based streams keyed by
 workers and still produce byte-identical output.  Score tables do not
 depend on the trial (a randomized score's factor u only enters as
 A + B * u), so each data source is scored once per run or sweep group and
-a trial only gathers rows of its tables.
+a trial only gathers rows of its tables.  Nor does a trial's draw (its
+pools, factors, gathered scores and calibration pools) depend on alpha,
+the calibration plan or the trial count: a sweep draws each trial once
+per run of consecutive values that keep n, N and test_size.
 
 Methods:
 
@@ -32,7 +35,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -250,86 +253,93 @@ def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
     return out
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None):
+def _draw_key(config: ExperimentConfig):
+    """What a trial's draw depends on besides the group's source and score."""
+    return (config.n, config.N, config.test_size, config.base_seed,
+            tuple(m.kind for m in config.methods))
+
+
+class _Draw:
+    """One trial's draw: its pools' rows and labels, random factors and
+    gathered scores, and each method's calibration pool once made."""
+
+    def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int):
+        self.ctx, self.trial_index = ctx, trial_index
+        self.lab, self.unlab, self.test = _split_indices(config, ctx, trial_index)
+        self.lab_labels = ctx.labeled.dataset.labels[self.lab]
+        self.test_labels = ctx.test.dataset.labels[self.test]
+        u_lab, self.u_unlab, u_test = (
+            rng.factors(config.score.randomized, size, config.base_seed,
+                        trial_index, tag)
+            for size, tag in ((config.n, _TAG_U_LABELED),
+                              (config.N, _TAG_U_UNLABELED),
+                              (config.test_size, _TAG_U_TEST)))
+        self.lab_scores = ctx.labeled.at(self.lab, self.lab_labels, u_lab)
+        self.test_scores = ctx.test.all_labels(self.test, u_test)
+        self.records = self.pseudo = None
+        if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
+            self.records = ctx.labeled.records(self.lab)
+            self.pseudo = ctx.main.queries(self.unlab)
+        self.oracle_labels = self.oracle_scores = None
+        if any(m.kind == "oracle" for m in config.methods) and config.N:
+            self.oracle_labels = ctx.main.dataset.labels[self.unlab]
+            self.oracle_scores = ctx.main.at(self.unlab, self.oracle_labels,
+                                             self.u_unlab)
+        self.pools = {}  # (method position, method) -> calibration pool
+
+    def pool(self, config, position, method):
+        """The labeled true scores, then the method's unlabeled scores."""
+        key = position, method
+        if key not in self.pools:
+            if method.kind == "standard" or config.N == 0:
+                unlab = _NO_SCORES
+            elif method.kind == "oracle":
+                unlab = self.oracle_scores
+            else:
+                # random-match draws get a per-method substream so estimator
+                # variants in one run are not artificially correlated
+                rm_stream = rng.stream(config.base_seed, self.trial_index,
+                                       _TAG_RANDOM_MATCH, position)
+                unlab = estimate_scores(self.pseudo, self.records, config.score,
+                                        method.estimator, stream_key=rm_stream,
+                                        u=self.u_unlab)
+            self.pools[key] = np.concatenate([self.lab_scores, unlab])
+        return self.pools[key]
+
+
+def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
+              draws: dict = None):
     """Execute one trial; returns {method name: TrialResult}.
 
+    ``draws`` maps trial indices to draws shared by configs with one
+    ``_draw_key``: a missing draw is made and added, a present one reused.
     Errors raised by the underlying modules are re-raised annotated with
     the trial index.
     """
     try:
-        return _run_trial(config, trial_index, ctx)
+        if ctx is None:
+            ctx = _build_context(config)
+            _validate_sources(config, ctx)
+        draws = {} if draws is None else draws
+        draw = draws.get(trial_index) \
+            or draws.setdefault(trial_index, _Draw(config, ctx, trial_index))
+        groups = _group_map(config, draw)
+        results = {}
+        for position, method in enumerate(config.methods):
+            mask = _calibrate_and_predict(
+                config, method, draw.pool(config, position, method),
+                groups, draw.test_scores)
+            hits = mask[np.arange(config.test_size), draw.test_labels]
+            results[method.name] = TrialResult(
+                method=method.name,
+                coverage=float(np.mean(hits)),
+                avg_size=avg_size(mask),
+                per_group_coverage=None if groups is None
+                else _per_group_coverage(hits, groups.coverage),
+            )
+        return results
     except SemicpError as exc:
         raise type(exc)(f"trial {trial_index}: {exc}") from exc
-
-
-@dataclass
-class _Pools:
-    """One trial's row indices into the context's sources, and the labels
-    of its labeled and test pools."""
-    ctx: _Context
-    lab: np.ndarray
-    unlab: np.ndarray
-    test: np.ndarray
-    lab_labels: np.ndarray = field(init=False)
-    test_labels: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.lab_labels = self.ctx.labeled.dataset.labels[self.lab]
-        self.test_labels = self.ctx.test.dataset.labels[self.test]
-
-
-def _run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context):
-    if ctx is None:
-        ctx = _build_context(config)
-        _validate_sources(config, ctx)
-    spec = config.score
-    pools = _Pools(ctx, *_split_indices(config, ctx, trial_index))
-
-    u_lab, u_unlab, u_test = (
-        rng.factors(spec.randomized, size, config.base_seed, trial_index, tag)
-        for size, tag in ((config.n, _TAG_U_LABELED), (config.N, _TAG_U_UNLABELED),
-                          (config.test_size, _TAG_U_TEST)))
-
-    lab_scores = ctx.labeled.at(pools.lab, pools.lab_labels, u_lab)
-    test_scores = ctx.test.all_labels(pools.test, u_test)
-    records = pseudo = None
-    if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
-        records = ctx.labeled.records(pools.lab)
-        pseudo = ctx.main.queries(pools.unlab)
-    test_rows = np.arange(config.test_size)
-
-    oracle_labels = oracle_scores = None
-    if any(m.kind == "oracle" for m in config.methods) and config.N:
-        oracle_labels = ctx.main.dataset.labels[pools.unlab]
-        oracle_scores = ctx.main.at(pools.unlab, oracle_labels, u_unlab)
-    groups = _group_map(config, pools, lab_scores, test_scores.shape[1],
-                        oracle_labels)
-
-    results = {}
-    for position, method in enumerate(config.methods):
-        if method.kind == "standard" or config.N == 0:
-            unlab = _NO_SCORES
-        elif method.kind == "oracle":
-            unlab = oracle_scores
-        else:
-            # random-match draws get a per-method substream so estimator
-            # variants in one run are not artificially correlated
-            rm_stream = rng.stream(config.base_seed, trial_index,
-                                   _TAG_RANDOM_MATCH, position)
-            unlab = estimate_scores(pseudo, records, spec, method.estimator,
-                                    stream_key=rm_stream, u=u_unlab)
-        mask = _calibrate_and_predict(config, method,
-                                      np.concatenate([lab_scores, unlab]),
-                                      groups, test_scores)
-        hits = mask[test_rows, pools.test_labels]
-        results[method.name] = TrialResult(
-            method=method.name,
-            coverage=float(np.mean(hits)),
-            avg_size=avg_size(mask),
-            per_group_coverage=None if groups is None
-            else _per_group_coverage(hits, groups.coverage),
-        )
-    return results
 
 
 _NO_SCORES = np.empty(0)
@@ -377,37 +387,38 @@ class _GroupMap:
     unlabeled: dict
 
 
-def _group_map(config, pools, lab_scores, k, oracle_labels):
+def _group_map(config, draw):
     """The trial's group map, or None in the marginal modes.
 
-    ``oracle_labels`` are the unlabeled pool's true labels when an oracle
-    method reads them, else None, so no other method can see them.
+    The draw's ``oracle_labels`` are the unlabeled pool's true labels when an
+    oracle method reads them, else None, so no other method can see them.
     """
-    plan, ctx = config.calibration, pools.ctx
+    plan, ctx = config.calibration, draw.ctx
     if plan.mode in ("marginal", "interpolation"):
         return None
-    views = {} if oracle_labels is None else {"oracle": oracle_labels}
+    k = draw.test_scores.shape[1]
+    views = {} if draw.oracle_labels is None else {"oracle": draw.oracle_labels}
     if config.N and any(m.kind == "semicp" for m in config.methods):
-        views["semicp"] = ctx.main.hats[pools.unlab]
+        views["semicp"] = ctx.main.hats[draw.unlab]
     if plan.mode == "group_conditional":
-        test = _group_ids(ctx.test, pools.test, pools.test_labels, plan)
+        test = _group_ids(ctx.test, draw.test, draw.test_labels, plan)
         if plan.group_rule == "true_label" or not views:
-            unlabeled = {kind: _group_ids(ctx.main, pools.unlab, classes, plan)
+            unlabeled = {kind: _group_ids(ctx.main, draw.unlab, classes, plan)
                          for kind, classes in views.items()}
         else:  # the other rules give every method the same ids
             unlabeled = dict.fromkeys(
-                views, _group_ids(ctx.main, pools.unlab, None, plan))
+                views, _group_ids(ctx.main, draw.unlab, None, plan))
         return _GroupMap(
-            _group_ids(ctx.labeled, pools.lab, pools.lab_labels, plan),
+            _group_ids(ctx.labeled, draw.lab, draw.lab_labels, plan),
             test[:, None], test, plan.n_groups, unlabeled)
     if plan.mode == "class_conditional":
-        return _GroupMap(pools.lab_labels, np.arange(k), pools.test_labels, k,
+        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels, k,
                          views)
     # clustercp: the clusters depend only on the labeled scores, shared by
     # all methods
-    cluster = cluster_classes(lab_scores, pools.lab_labels, k,
+    cluster = cluster_classes(draw.lab_scores, draw.lab_labels, k,
                               plan.n_clusters, plan.min_class_count)
-    return _GroupMap(cluster[pools.lab_labels], cluster, pools.test_labels,
+    return _GroupMap(cluster[draw.lab_labels], cluster, draw.test_labels,
                      plan.n_clusters,
                      {kind: cluster[classes] for kind, classes in views.items()})
 
@@ -429,49 +440,63 @@ def _worker_init(configs, ctx):
 
 
 def _run_chunk(task, group=None):
-    """Results of trials lo..hi-1 of experiment i of the group (configs,
-    context), by default the pool worker's, in trial order."""
-    (configs, ctx), (i, lo, hi) = group or _WORKER, task
-    return [run_trial(configs[i], t, ctx) for t in range(lo, hi)]
+    """Results of trials lo..hi-1 of a run of the group (configs, context),
+    by default the pool worker's: per trial, {config index: results} over
+    the run's configs that have it, which share its draw until it ends."""
+    (configs, ctx), (run, lo, hi) = group or _WORKER, task
+    out = []
+    for t in range(lo, hi):
+        draws = {}
+        out.append({i: run_trial(configs[i], t, ctx, draws)
+                    for i in run if t < configs[i].trials})
+    return out
 
 
 def _run_group(configs, jobs):
     """Summaries of configs that share one source and score, in order.
 
     The sources are scored once and checked against every config before any
-    trial runs.  One pool runs every experiment's chunks; its workers get
-    the context through ``initargs`` (inherited memory under fork).
+    trial runs.  Consecutive configs with one ``_draw_key`` form a run, whose
+    trials are each drawn once.  One pool runs every run's chunks; its
+    workers get the context through ``initargs`` (inherited memory under
+    fork).  When only one worker would start, the chunks run in process.
     """
     ctx = _build_context(configs[0])
     for config in configs:
         _validate_sources(config, ctx)
+    runs = [list(run) for _, run in
+            groupby(range(len(configs)), lambda i: _draw_key(configs[i]))]
+    trials = [max(configs[i].trials for i in run) for run in runs]
     cpus = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = max(1, min(jobs, cpus, sum(c.trials for c in configs)))
-    tasks = []  # (experiment, first trial, end): about four per worker each
-    for i, c in enumerate(configs):
-        chunk = -(-c.trials // (workers * 4))
-        tasks += [(i, lo, min(lo + chunk, c.trials))
-                  for lo in range(0, c.trials, chunk)]
-    if jobs <= 1:
-        return _summaries(configs, tasks,
-                          (_run_chunk(task, (configs, ctx)) for task in tasks))
+    workers = max(1, min(jobs, cpus, sum(trials)))
+    tasks = []  # (run, first trial, end): about four per worker each
+    for run, total in zip(runs, trials):
+        chunk = -(-total // (workers * 4))
+        tasks += [(run, lo, min(lo + chunk, total))
+                  for lo in range(0, total, chunk)]
+    if workers == 1:
+        return _summaries(configs, (_run_chunk(task, (configs, ctx))
+                                    for task in tasks))
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(configs, ctx)) as pool:
         # map yields the chunks in task order
-        return _summaries(configs, tasks, pool.map(_run_chunk, tasks))
+        return _summaries(configs, pool.map(_run_chunk, tasks))
 
 
-def _summaries(configs, tasks, parts):
-    """{method name: MetricsSummary} of each config, from chunks in task order."""
-    out, per_trial = [], []
-    for (i, _, hi), part in zip(tasks, parts):
-        per_trial += part
-        if hi == configs[i].trials:
-            out.append({m.name: summarize([r[m.name] for r in per_trial],
-                                          configs[i].alpha)
-                        for m in configs[i].methods})
-            per_trial = []
+def _summaries(configs, parts):
+    """{method name: MetricsSummary} of each config, from chunks in task
+    order; as soon as a config's last trial arrives it is summarized and
+    its per-trial results are dropped, before the next trial runs."""
+    out, per_trial = [None] * len(configs), {}
+    for trial in chain.from_iterable(parts):
+        for i, results in trial.items():
+            per_trial.setdefault(i, []).append(results)
+            if len(per_trial[i]) == configs[i].trials:
+                out[i] = {m.name: summarize([r[m.name] for r in per_trial[i]],
+                                            configs[i].alpha)
+                          for m in configs[i].methods}
+                del per_trial[i]
     return out
 
 

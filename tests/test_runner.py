@@ -161,8 +161,9 @@ def test_workers_capped_at_usable_cpus_and_chunks(monkeypatch, jobs, trials):
     monkeypatch.setattr(runner, "_WORKER", None)
     config = small_config(trials=trials)
     got = run_experiment(config, jobs=jobs)
-    cpus = len(os.sched_getaffinity(0))
-    assert InProcessPool.sizes == [min(cpus, trials)]
+    # one worker runs in process: no pool starts
+    workers = min(len(os.sched_getaffinity(0)), trials)
+    assert InProcessPool.sizes == ([workers] if workers > 1 else [])
     assert got == run_experiment(config, jobs=1)
 
 
@@ -200,6 +201,52 @@ def test_sweep_scores_each_source_once_per_group(monkeypatch, axis, values,
     assert run_sweep(config, axis, values, jobs=jobs) == want
     # one synthetic source per context: one tables object per build
     assert len(made) == builds and len(InProcessPool.sizes) == pools
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("axis, values, draws, estimates", [
+    ("alpha", [0.05, 0.1, 0.2], 4, 8),
+    ("calibration", CONDITIONAL_MODES, 4, 8),
+    ("trials", [3, 5, 4], 5, 10),
+    # every semicp method takes the value; random_match's stream is keyed
+    # by the method's position, so two of them must not share an estimate
+    ("estimator", ["random_match", "nnm", "debias"], 4, 24),
+    ("n", [10, 20, 50], 12, 24),
+])
+def test_sweep_draws_each_trial_once_per_run(monkeypatch, axis, values, draws,
+                                             estimates, jobs):
+    config = conditional_config(trials=4, methods=(
+        MethodSpec("standard", "standard"),
+        MethodSpec("semicp", "semicp"),
+        MethodSpec("rm", "semicp", EstimatorSpec("random_match")),
+        MethodSpec("oracle", "oracle")))
+    want = [r for v in values for r in results_records(
+        apply_sweep_value(config, axis, v),
+        run_experiment(apply_sweep_value(config, axis, v)),
+        extra={"sweep_axis": axis, "sweep_value": v})]
+    calls = {"permutation": 0, "estimate_scores": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(runner.rng, "permutation")
+    counted(runner, "estimate_scores")
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(runner, "_WORKER", None)
+    got = run_sweep(config, axis, values, jobs=jobs)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    # one source: one permutation per drawn trial
+    assert calls == {"permutation": draws, "estimate_scores": estimates}
+    if axis == "estimator":
+        semicp, rm = ({k: v for k, v in r.items() if k != "method"}
+                      for r in got[1:3])
+        assert semicp != rm
 
 
 def test_sweep_records_equal_across_jobs():
