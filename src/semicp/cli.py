@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
         if args.out is not None:
             check_writable(args.out)
         return _COMMANDS[args.command](args)

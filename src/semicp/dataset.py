@@ -61,7 +61,9 @@ class ProbabilityDataset:
         if self.labels is None:
             self.labels = np.full(self.probs.shape[0], UNLABELED, dtype=np.int64)
         else:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = np.asarray(self.labels)
+            if self.labels.dtype.kind not in "iu":  # checked before the cast
+                self.labels = self.labels.astype(np.float64)
         if self.logits is not None:
             self.logits = np.asarray(self.logits, dtype=np.float64)
         if self.features is not None:
@@ -71,6 +73,7 @@ class ProbabilityDataset:
             if arr is not None and arr.shape[0] != self.probs.shape[0]:
                 raise InputError(f"{name} length does not match probs")
         self.validate()
+        self.labels = self.labels.astype(np.int64, copy=False)
 
     def validate(self):
         """Raise InputError naming the first row that breaks the row

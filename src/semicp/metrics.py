@@ -71,7 +71,7 @@ def avg_size(mask) -> float:
     membership mask of the sets."""
     if mask.shape[0] == 0:
         raise InputError("average size of an empty batch is undefined")
-    return float(mask.sum(axis=1).mean())
+    return float(np.count_nonzero(mask) / mask.shape[0])
 
 
 def cov_gap(coverages, alpha: float) -> float:

@@ -22,15 +22,17 @@ rows gathered from :class:`ScoreTables` (:class:`PseudoScores` for the
 unlabeled samples, :class:`LabeledRecords` for the labeled ones), so a data
 source is scored once and each pool drawn from it only gathers rows.
 
-Matching on a 1-D criterion (pseudo score, confidence) sorts the n records
-and merges two walks outward from each query's binary-search insertion
-point, so the k nearest of N samples cost O(n log n + N (log n + k)).  At
-every k, records at equal distance |q - v| are taken by the smaller
-original index, except that a walk takes a nearer value before a farther
-one even where float rounding makes their distances equal; the first
-column is always the k = 1 match.  The vector criteria (full score vector,
-logits, features) rank squared Euclidean distances, ties again by index, by
-brute force in O(n N) and are intended for desk-scale ablations.
+Matching on the pseudo score sorts the n records and merges two walks
+outward from each query's binary-search insertion point, so the k nearest
+of N samples cost O(n log n + N (log n + k)).  At every k, records at equal
+distance |q - v| are taken by the smaller original index, except that a
+walk takes a nearer value before a farther one even where float rounding
+makes their distances equal; the first column is always the k = 1 match.
+``confidence`` is a spelling of ``pseudo_score``: at the pseudo-label every
+deterministic score is p_max or 1 - p_max, which order records alike.  The
+vector criteria (full score vector, logits, features) rank squared
+Euclidean distances, ties again by index, by brute force in O(n N) and are
+intended for desk-scale ablations.
 """
 
 from dataclasses import dataclass
@@ -62,6 +64,8 @@ class EstimatorSpec:
             raise ConfigurationError(f"unknown estimator {self.kind!r}")
         if self.criterion not in CRITERION_KINDS:
             raise ConfigurationError(f"unknown neighbor criterion {self.criterion!r}")
+        if self.criterion == "confidence":
+            object.__setattr__(self, "criterion", "pseudo_score")
         if self.k < 1:
             raise ConfigurationError("neighbor count k must be >= 1")
 
@@ -119,8 +123,7 @@ class ScoreTables:
 
     A deterministic spec keeps the single (m, K) table A + B; a randomized
     spec keeps A and B, so a score at random factor u is A + B * u.  Both
-    keep the pseudo-labels and the confidences.  The tables take one or two
-    times the memory of ``dataset.probs``.
+    keep the pseudo-labels and take 1x or 2x the memory of ``dataset.probs``.
     """
 
     def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec):
@@ -132,7 +135,6 @@ class ScoreTables:
             a += b  # a is a fresh array for every score kind
             self.a, self.b = a, None
         self.hats = pseudo_labels(dataset.probs)
-        self.confidences = dataset.probs.max(axis=1)
 
     def at(self, rows, labels, u=None) -> np.ndarray:
         """Score of each row at one label; ``u`` is one draw per row, and
@@ -225,8 +227,8 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
     """Matched record indices per unlabeled sample, shape (N, k), nearest
     first; ties are broken by the smaller original record index.
 
-    The 1-D criteria (pseudo score, confidence) merge two sorted walks;
-    the vector criteria rank squared Euclidean distances by brute force.
+    The pseudo score criterion merges two sorted walks; the vector criteria
+    rank squared Euclidean distances by brute force.
     """
     k = estimator.k
     if len(records) == 0:
@@ -235,9 +237,6 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
         raise ConfigurationError(f"k={k} exceeds the {len(records)} labeled records")
     if estimator.criterion == "pseudo_score":
         return _knn_sorted_1d(records.pseudo_scores, pseudo.det, k)
-    if estimator.criterion == "confidence":
-        return _knn_sorted_1d(records.tables.confidences[records.rows],
-                              pseudo.tables.confidences[pseudo.rows], k)
 
     q = _criterion_vectors(pseudo.tables, pseudo.rows, estimator.criterion)
     r = _criterion_vectors(records.tables, records.rows, estimator.criterion)

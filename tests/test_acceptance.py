@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from beta_oracle import beta_cdf
+from coverage_law import expected_cov_gap
 from gathered import queries, records
 from quantile_oracle import exact_quantile_oracle
 from semicp import rng
@@ -325,3 +326,34 @@ def test_criterion_12_matching_complexity():
     report(12, "matching complexity", t1 < 2.0 and t2 / t1 <= 2.5,
            f"n=1000, N=1e6 in {t1:.3f}s (<2s); doubling N scales by "
            f"{t2 / t1:.2f}x (<=2.5x)")
+
+
+def test_criterion_13_exact_coverage_gap_law():
+    # standard calibrates on m = n true scores and oracle on m = n + N, so
+    # their expected gaps follow the exact Beta-binomial law; semicp's
+    # excess over the exact oracle value is the estimator's error term,
+    # reported and not gated
+    n, test_size, trials, alpha = 20, 500, 400, 0.1
+    methods = tuple(MethodSpec(k, k) for k in ("standard", "semicp", "oracle"))
+    worst, details = 0.0, []
+    for kind in ("thr", "aps"):
+        for big_n in (0, 250, 1000, 4000):
+            config = ExperimentConfig(
+                source=acc80_source(), n=n, N=big_n, test_size=test_size,
+                alpha=alpha, trials=trials, score=ScoreSpec(kind),
+                methods=methods, base_seed=20240601)
+            ctx = _build_context(config)
+            devs = {m.name: np.empty(trials) for m in methods}
+            for t in range(trials):
+                for name, res in run_trial(config, t, ctx).items():
+                    devs[name][t] = 100.0 * abs(res.coverage - (1 - alpha))
+            for name, m in (("standard", n), ("oracle", n + big_n)):
+                exact = expected_cov_gap(m, test_size, alpha)
+                se = devs[name].std(ddof=1) / math.sqrt(trials)
+                worst = max(worst, abs(devs[name].mean() - exact) / se)
+            excess = devs["semicp"].mean() - expected_cov_gap(
+                n + big_n, test_size, alpha)
+            details.append(f"{kind} N={big_n} semicp excess {excess:+.2f}")
+    report(13, "exact coverage-gap law", worst <= 3.0,
+           f"standard and oracle cov_gap at most {worst:.2f} SE (<=3) from "
+           f"the Beta-binomial value over 400 trials; " + "; ".join(details))

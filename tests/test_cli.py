@@ -423,6 +423,10 @@ CLI_ERRORS = {
                                           _unwritable(t)], 3),
     "run_out_unwritable": (lambda t: ["run", "--config", _config_file(t),
                                       "--out", _unwritable(t)], 3),
+    "run_jobs_zero": (lambda t: ["run", "--config", _config_file(t),
+                                 "--jobs", "0"], 2),
+    "sweep_jobs_negative": (lambda t: ["sweep", "--config", _config_file(t),
+                                       "--jobs", "-3"], 2),
     "sweep_out_unwritable": (lambda t: ["sweep", "--config", _config_file(t),
                                         "--out", _unwritable(t)], 3),
     "gen_prior_not_numbers": (lambda t: ["gen", "--classes", "3", "--samples",

@@ -333,14 +333,21 @@ def test_bad_row_names_its_line_counting_blank_lines(tmp_path, monkeypatch,
         load_dataset(path)
 
 
-@pytest.mark.parametrize("kind", ["label_range", "negative_prob", "non_finite",
-                                  "prob_sum"])
+@pytest.mark.parametrize("kind", ["label_fraction", "label_range",
+                                  "negative_prob", "non_finite", "prob_sum"])
 def test_bad_row_built_in_memory_breaks_the_same_contract(kind):
     label, *probs = (float(v) for v in BAD_ROWS[kind][0].split(","))
     # as from a file, a later bad row must not be reported before the first
     with pytest.raises(InputError, match=rf"row 1: {BAD_ROWS[kind][1]}"):
         ProbabilityDataset(probs=[[0.5, 0.5], probs, [np.nan, 0.5]],
                            labels=[0, label, 1])
+
+
+@pytest.mark.parametrize("label", [np.nan, 1e30, -np.inf])
+def test_label_is_checked_before_the_integer_cast(label):
+    # a cast first would raise a bare ValueError or OverflowError
+    with pytest.raises(InputError, match=r"row 0: label .* outside"):
+        ProbabilityDataset(probs=[[0.5, 0.5], [0.3, 0.7]], labels=[label, 0])
 
 
 def test_row_of_inf_and_minus_inf_is_non_finite_without_warning(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from beta_oracle import beta_cdf
+from coverage_law import expected_cov_gap
 from semicp.errors import InputError
 from semicp.metrics import (TrialResult, avg_size,
                             cov_gap, coverage, coverage_histogram,
@@ -108,6 +109,19 @@ def test_beta_cdf_against_scipy():
         b = rs.uniform(0.1, 60)
         x = rs.rand()
         assert abs(beta_cdf(x, a, b) - special.betainc(a, b, x)) < 1e-10
+
+
+def test_expected_cov_gap_examples():
+    assert expected_cov_gap(20, 500, 0.1) == pytest.approx(5.0932, abs=5e-5)
+    # level 6 > m = 5: every set holds every label, so coverage is 1
+    assert expected_cov_gap(5, 500, 0.1) == pytest.approx(10.0, abs=1e-12)
+    for m, t, alpha in ((20, 500, 0.1), (100, 37, 0.2), (7, 1, 0.3),
+                        (2020, 500, 0.1)):
+        level = (m + 1) - int(np.floor((m + 1) * alpha))
+        k = np.arange(t + 1)
+        pmf = stats.betabinom.pmf(k, t, level, m + 1 - level)
+        want = 100.0 * np.sum(pmf * np.abs(k / t - (1.0 - alpha)))
+        assert expected_cov_gap(m, t, alpha) == pytest.approx(want, rel=1e-9)
 
 
 def test_beta_cdf_domain_errors():

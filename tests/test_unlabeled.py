@@ -9,8 +9,8 @@ from semicp.errors import ConfigurationError, EstimationError, InputError
 from semicp.rng import stream
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import (EstimatorSpec, LabeledRecords, PseudoScores,
-                              ScoreTables, check_estimator, estimate_scores,
-                              neighbor_match, pseudo_labels)
+                              ScoreTables, _knn_sorted_1d, check_estimator,
+                              estimate_scores, neighbor_match, pseudo_labels)
 
 
 def rand_dataset(rs, m, k, with_channels=False):
@@ -343,15 +343,15 @@ def test_check_estimator_decides_spec_and_estimator_fit():
 
 
 class ValueTables:
-    """Score tables whose row i scores values[i] at every label and has
-    confidence values[i], so both 1-D criteria match on the given values."""
+    """Score tables whose row i scores values[i] at every label, so the
+    pseudo-score criterion matches on the given values."""
 
     def __init__(self, values):
-        self.confidences = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64)
         self.hats = np.zeros(len(values), dtype=np.int64)
 
     def at(self, rows, labels, u=None):
-        return self.confidences[rows]
+        return self.values[rows]
 
 
 def match_1d(values, queries, k, criterion="pseudo_score"):
@@ -437,3 +437,65 @@ def test_rounding_tie_ranks_the_k1_match_first():
     for criterion in ("pseudo_score", "confidence"):
         assert match_1d(values, [-1.0], 1, criterion).tolist() == [[1]]
         assert match_1d(values, [-1.0], 2, criterion).tolist() == [[1, 0]]
+
+
+def test_confidence_is_a_spelling_of_pseudo_score():
+    assert EstimatorSpec("nnm", criterion="confidence") == EstimatorSpec("nnm")
+    assert EstimatorSpec("nnm", 3, "confidence").criterion == "pseudo_score"
+
+
+def confidence_match_reference(unl, lab, k):
+    """The retired confidence matcher, kept as the oracle for its spelling:
+    the sorted 1-D k-NN on p_max values."""
+    return _knn_sorted_1d(lab.probs.max(axis=1), unl.probs.max(axis=1), k)
+
+
+def _weight_rows(data, n, k, top_half):
+    """n probability rows of small integer weights, so that p_max values
+    tie often; with ``top_half`` the first weight is at least the rest's
+    sum, so every p_max is >= 0.5."""
+    rows = []
+    for _ in range(n):
+        w = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        if top_half:
+            w[0] = max(w[0], sum(w[1:]))
+        rows.append(np.array(w, dtype=np.float64) / sum(w))
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_confidence_spelling_matches_the_retired_confidence_matcher(data):
+    # at the pseudo-label aps, raps and saps score p_max bit for bit, and
+    # thr scores 1 - p_max, which is exact (Sterbenz) when p_max >= 0.5
+    kind = data.draw(st.sampled_from(["thr", "aps", "raps", "saps"]))
+    spec = ScoreSpec(kind, randomized=kind != "thr" and data.draw(st.booleans()))
+    k_classes = data.draw(st.integers(2, 4))
+    n, big_n = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    lab = ProbabilityDataset(
+        probs=_weight_rows(data, n, k_classes, kind == "thr"),
+        labels=data.draw(st.lists(st.integers(0, k_classes - 1), min_size=n,
+                                  max_size=n)))
+    unl = ProbabilityDataset(
+        probs=_weight_rows(data, big_n, k_classes, kind == "thr"))
+    k = data.draw(st.integers(1, n))
+    got = neighbor_match(queries(unl, spec), records(lab, spec),
+                         EstimatorSpec(k=k, criterion="confidence"))
+    assert np.array_equal(got, confidence_match_reference(unl, lab, k))
+
+
+def test_thr_confidences_closer_than_the_pseudo_score_resolution_tie():
+    # Under thr, 1 - p rounds for p < 0.5: the confidences 0.3 and the next
+    # double above it share the pseudo score 0.7.  The retired confidence
+    # matcher took record 1, the exact match; the pseudo score, which is
+    # the score NNM estimates, sees a tie and takes the smaller index.
+    above = np.nextafter(0.3, 1.0)
+    lab = ProbabilityDataset(probs=[[0.3, 0.25, 0.25, 0.2],
+                                    [above, 0.25, 0.25, 0.2]], labels=[0, 1])
+    unl = ProbabilityDataset(probs=[[above, 0.25, 0.25, 0.2]])
+    spec = ScoreSpec("thr")
+    assert confidence_match_reference(unl, lab, 1).tolist() == [[1]]
+    for criterion in ("confidence", "pseudo_score"):
+        got = neighbor_match(queries(unl, spec), records(lab, spec),
+                             EstimatorSpec(criterion=criterion))
+        assert got.tolist() == [[0]]
