@@ -19,7 +19,9 @@ The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
 ``READ_CHUNK`` characters each), and each chunk is checked against the row
 contract of ``dataset.row_breach`` as one array; only when that fails are
 the chunk's lines walked one by one, to name the first bad row.  Rows are
-written in blocks, one ``%`` format per block and channel.
+written in blocks of about ``SAVE_CELLS`` cells, each formatted by
+``_g17.format_rows``: exact ``'%.17g'`` digits from numpy integer
+arithmetic, with Python's ``%`` for zero, subnormal and out-of-range cells.
 
 Results files carry one record per (method, configuration) with the fields
 method, score, n, N, alpha, trials, cov_gap, over_cov_gap, under_cov_gap,
@@ -36,9 +38,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._g17 import format_rows
 from .calibration import Threshold
 from .dataset import ProbabilityDataset, row_breach
-from .errors import DataError
+from .errors import DataError, InputError
 
 MAGIC_PREFIX = "#semicp,v1,"
 
@@ -46,8 +49,11 @@ RESULT_FIELDS = ("method", "score", "n", "N", "alpha", "trials", "cov_gap",
                  "over_cov_gap", "under_cov_gap", "avg_size", "improvement",
                  "histogram", "mean_coverage", "group_cov_gap")
 
-# rows formatted per write by save_dataset
+# rows formatted per write by write_prediction_sets
 WRITE_BLOCK = 1024
+# output cells formatted per write by save_dataset; bounds the arrays a
+# block holds, about 130 bytes a cell
+SAVE_CELLS = 1 << 13
 # characters read per np.loadtxt call by load_dataset (then up to the end of
 # the line); bounds the text and line objects a load holds at once
 READ_CHUNK = 1 << 20
@@ -90,42 +96,40 @@ def check_writable(path):
 def save_dataset(dataset: ProbabilityDataset, path):
     """Write ``dataset`` following the CSV contract.
 
-    When the features channel is the logits array itself (synthetic data),
-    each block's logits are formatted once and that text is written as both
-    channels.  The test is object identity: equal arrays may still format
-    differently (-0.0 == 0.0).
+    Raises InputError naming the first row (0-based) with a non-finite
+    value in a written channel, before the file is opened: the loader would
+    refuse that row.  When the features channel is the logits array itself
+    (synthetic data), the logits cells are formatted once and placed in
+    both column ranges.  The test is object identity: equal arrays may
+    still format differently (-0.0 == 0.0).
     """
     k = dataset.n_classes
     channels = [dataset.probs]
     cols = ["label"] + [f"p_{j}" for j in range(k)]
     aliased = dataset.logits is not None and dataset.features is dataset.logits
     if dataset.logits is not None:
-        if not aliased:
-            channels.append(dataset.logits)
+        channels.append(dataset.logits)
         cols += [f"z_{j}" for j in range(k)]
     feat_dim = 0 if dataset.features is None else dataset.features.shape[1]
     if feat_dim and not aliased:
         channels.append(dataset.features)
     cols += [f"f_{j}" for j in range(feat_dim)]
-    # "%.17g" formats a float exactly like format(v, ".17g")
-    row = "%d" + ",%.17g" * sum(c.shape[1] for c in channels) + "\n"
-    z_row = ",%.17g" * k + "\n"
+    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
+                                    for c in channels])
+    if not finite.all():
+        raise InputError(f"row {int(np.argmin(finite))}: non-finite value")
+    width = 1 + sum(c.shape[1] for c in channels)  # formatted columns
+    columns = np.r_[0:width, width - k:width] if aliased else np.arange(width)
 
     n = len(dataset)
+    rows = max(1, SAVE_CELLS // len(cols))
     with _output(path) as fh:
         fh.write(f"#semicp,v1,K={k},features={feat_dim}\n")
         fh.write(",".join(cols) + "\n")
-        for start in range(0, n, WRITE_BLOCK):
-            stop = min(start + WRITE_BLOCK, n)
-            block = np.hstack([dataset.labels[start:stop, None]]
-                              + [c[start:stop] for c in channels])
-            text = (row * (stop - start)) % tuple(block.ravel().tolist())
-            if aliased:
-                z = (z_row * (stop - start)) % tuple(
-                    dataset.logits[start:stop].ravel().tolist())
-                text = "".join(f"{head}{z_text}{z_text}\n" for head, z_text
-                               in zip(text.split("\n")[:-1], z.split("\n")))
-            fh.write(text)
+        for start in range(0, n, rows):
+            block = np.hstack([dataset.labels[start:start + rows, None]]
+                              + [c[start:start + rows] for c in channels])
+            fh.write(format_rows(block, columns).decode("ascii"))
 
 
 def _parse_magic(line: str, path):

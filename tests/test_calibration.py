@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantile_oracle import exact_quantile_oracle
-from semicp.calibration import (Threshold, cluster_classes,
+from semicp.calibration import (Threshold, _class_deciles, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
                                 quantile_level)
@@ -374,3 +374,24 @@ def test_nonfinite_scores_rejected():
         conformal_quantile([0.1, float("nan"), 0.3], 0.1)
     with pytest.raises(InputError):
         interpolated_quantile([0.1, float("inf")], 0.1)
+
+
+# no -0.0: np.percentile's partition leaves equal +0.0 and -0.0 in an
+# unspecified order, so the sign of a zero decile is not defined
+tied_scores = st.one_of(st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0, 1e-300)),
+                        st.floats(0.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6))
+def test_class_deciles_equal_np_percentile_bit_for_bit(data, k):
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                         max_size=120)))
+    scores = np.array(data.draw(st.lists(tied_scores, min_size=labels.size,
+                                         max_size=labels.size)))
+    counts = np.bincount(labels, minlength=k)
+    classes = np.flatnonzero(counts)
+    got = _class_deciles(scores, labels, counts, classes)
+    want = np.stack([np.percentile(scores[labels == c], np.arange(10, 100, 10))
+                     for c in classes])
+    assert got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicp import dataio
+from semicp._g17 import format_rows
 from semicp.dataio import (RESULT_FIELDS, check_writable, load_dataset,
                            load_threshold, save_dataset, save_threshold,
                            write_prediction_sets, write_results)
@@ -263,6 +264,95 @@ def test_features_equal_to_logits_but_not_the_same_array(tmp_path):
         path = tmp_path / "d.csv"
         save_dataset(other, path)
         assert path.read_text() == reference_csv(other)
+
+
+def percent_g17_rows(values, columns) -> bytes:
+    """Rows of values[:, columns] written one cell at a time with '%.17g'."""
+    return "".join(",".join("%.17g" % values[r, c] for c in columns) + "\n"
+                   for r in range(values.shape[0])).encode()
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-330, 308)])
+G17_CASES = {
+    "half_even_ties": ([1e15 + 0.25, 1e15 + 0.75],
+                       "1000000000000000.2,1000000000000000.8"),
+    "fixed_to_scientific": ([9.9999999999999995e-05, 1e-4, 1e-5],
+                            "9.9999999999999991e-05,0.0001,"
+                            "1.0000000000000001e-05"),
+    "near_1e17": ([1e16, np.nextafter(1e17, 0), 1e17],
+                  "10000000000000000,99999999999999984,1e+17"),
+    "extremes": ([5e-324, 1e300, -1e300],
+                 "4.9406564584124654e-324,1.0000000000000001e+300,"
+                 "-1.0000000000000001e+300"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(G17_CASES))
+def test_format_rows_fixed_cases(case):
+    values, text = G17_CASES[case]
+    row, columns = np.array([values]), range(len(values))
+    assert format_rows(row, columns) == (text + "\n").encode()
+    assert format_rows(row, columns) == percent_g17_rows(row, columns)
+
+
+def test_format_rows_powers_of_ten_and_neighbours():
+    values = np.stack([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0),
+                       np.nextafter(POWERS_OF_TEN, np.inf), -POWERS_OF_TEN],
+                      axis=1)
+    assert format_rows(values, range(4)) == percent_g17_rows(values, range(4))
+
+
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # uniform over bit patterns: every exponent, subnormals included
+    st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.uint64(b).view(np.float64))).filter(np.isfinite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), cols=st.integers(1, 4))
+def test_format_rows_matches_percent_g17(data, cols):
+    cells = data.draw(st.lists(finite_doubles, min_size=cols,
+                               max_size=40 * cols))
+    values = np.array(cells[:len(cells) // cols * cols]).reshape(-1, cols)
+    # a column may be written more than once, as aliased features are
+    columns = data.draw(st.lists(st.integers(0, cols - 1), min_size=1,
+                                 max_size=2 * cols))
+    assert format_rows(values, columns) == percent_g17_rows(values, columns)
+
+
+def test_blocks_with_fallback_cells_at_their_edges(tmp_path):
+    # several save blocks and a partial last one; the cells of each block's
+    # first and last rows take the one-cell-at-a-time fallback
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=10, seed=5))
+    rows = dataio.SAVE_CELLS // (1 + 3 * ds.n_classes)
+    n = 3 * rows + 17
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=n, seed=5))
+    edges = sorted({0, n - 1} | {b + i for b in range(rows, n, rows)
+                                 for i in (-1, 0)})
+    fallback = [0.0, -0.0, 5e-324, -1e-300, 1e16, -1e300, 2.5e-12]
+    for i, row in enumerate(edges):
+        ds.logits[row] = [fallback[(i + j) % len(fallback)] for j in range(3)]
+        ds.probs[row] = [1.0, 0.0, 0.0]
+    assert ds.features is ds.logits
+    path = tmp_path / "edges.csv"
+    save_dataset(ds, path)
+    assert path.read_text() == reference_csv(ds)
+    back = load_dataset(path)
+    assert np.array_equal(np.signbit(back.logits), np.signbit(ds.logits))
+    assert np.array_equal(back.logits, ds.logits)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", ["logits", "features"])
+def test_non_finite_channel_is_refused_before_the_file_opens(tmp_path, channel,
+                                                             value):
+    ds = toy_dataset()
+    getattr(ds, channel)[1, 0] = value
+    path = tmp_path / "d.csv"
+    with pytest.raises(InputError, match=r"^row 1: non-finite value$"):
+        save_dataset(ds, path)
+    assert not path.exists()
 
 
 def reference_prediction_sets(mask, labels) -> str:
