@@ -261,8 +261,7 @@ def _draw_key(config: ExperimentConfig):
 
 class _Draw:
     """One trial's draw: its pools' rows and labels, random factors and
-    gathered scores, and each method's calibration pool and each
-    calibration plan's group map once made."""
+    gathered scores, and each method's calibration pool once made."""
 
     def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int):
         self.ctx, self.trial_index = ctx, trial_index
@@ -287,7 +286,6 @@ class _Draw:
             self.oracle_scores = ctx.main.at(self.unlab, self.oracle_labels,
                                              self.u_unlab)
         self.pools = {}  # (method position, method) -> calibration pool
-        self.group_maps = {}  # calibration plan -> group map or None
 
     def pool(self, config, position, method):
         """The labeled true scores, then the method's unlabeled scores."""
@@ -308,14 +306,6 @@ class _Draw:
             self.pools[key] = np.concatenate([self.lab_scores, unlab])
         return self.pools[key]
 
-    def group_map(self, config):
-        """The config's group map: it depends only on the draw, whose key
-        fixes N and the method kinds, and on the calibration plan."""
-        plan = config.calibration
-        if plan not in self.group_maps:
-            self.group_maps[plan] = _group_map(config, self)
-        return self.group_maps[plan]
-
 
 def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
               draws: dict = None):
@@ -333,7 +323,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
         draws = {} if draws is None else draws
         draw = draws.get(trial_index) \
             or draws.setdefault(trial_index, _Draw(config, ctx, trial_index))
-        groups = draw.group_map(config)
+        groups = _group_map(config, draw)
         results = {}
         for position, method in enumerate(config.methods):
             mask = _calibrate_and_predict(
@@ -380,7 +370,7 @@ def _calibrate_and_predict(config, method, pool, groups, test_scores):
 
 @dataclass
 class _GroupMap:
-    """The group ids of a conditional mode, built once per draw and plan.
+    """The group ids of a conditional mode, built once per trial.
 
     ``test_cells`` broadcasts against the (t, K) test scores: one id per
     sample, shape (t, 1), for ``group_conditional``, and one per candidate

@@ -753,25 +753,3 @@ def test_clustercp_clusters_once_per_trial(monkeypatch):
                                                       n_clusters=3))
     run_experiment(config)
     assert len(config.methods) == 3 and len(calls) == config.trials
-
-
-def test_clustercp_clusters_once_per_draw_and_plan(monkeypatch):
-    # the configs of an alpha sweep share each trial's draw and the plan
-    config = small_config(trials=4, n=60,
-                          calibration=CalibrationPlan(mode="clustercp",
-                                                      n_clusters=3))
-    values = [0.05, 0.1, 0.2]
-    want = [r for v in values for r in results_records(
-        apply_sweep_value(config, "alpha", v),
-        run_experiment(apply_sweep_value(config, "alpha", v)),
-        extra={"sweep_axis": "alpha", "sweep_value": v})]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cluster_classes(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "cluster_classes", counted)
-    got = run_sweep(config, "alpha", values)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert len(calls) == config.trials
