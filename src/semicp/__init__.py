@@ -11,7 +11,7 @@ from .dataio import load_dataset, save_dataset, write_results
 from .dataset import ProbabilityDataset
 from .errors import (CalibrationError, ConfigurationError, ConvergenceError,
                      DataError, EstimationError, InputError, SemicpError)
-from .metrics import (MetricsSummary, TrialResult, avg_size, cov_gap, coverage,
+from .metrics import (MetricsSummary, avg_size, cov_gap, coverage,
                       empirical_cdf, improvement, ks_distance, over_under_gaps,
                       summarize)
 from .runner import (CalibrationPlan, DataSource, ExperimentConfig, MethodSpec,

@@ -77,8 +77,17 @@ class ProbabilityDataset:
 
     def validate(self):
         """Raise InputError naming the first row that breaks the row
-        contract (see :func:`row_breach`)."""
+        contract (see :func:`row_breach`) or holds a non-finite logit or
+        feature; features that are the logits array are checked once."""
         found = row_breach(self.probs, self.labels, self.probs, self.n_classes)
+        # each distinct array once (synthetic features are the logits); NaN
+        # passes through min and max, so no (n, d) isfinite temporary is made
+        for c in {id(c): c for c in (self.logits, self.features)
+                  if c is not None}.values():
+            if c.size and not (np.isfinite(c.min()) and np.isfinite(c.max())):
+                row = int(np.argmin(np.isfinite(c).all(axis=1)))
+                if found is None or row <= found[0]:  # row_breach's order
+                    found = row, "non-finite value"
         if found:
             raise InputError(f"row {found[0]}: {found[1]}")
 

@@ -16,16 +16,6 @@ HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Per-trial observations for one method."""
-
-    method: str
-    coverage: float
-    avg_size: float
-    per_group_coverage: dict = None
-
-
-@dataclass(frozen=True)
 class MetricsSummary:
     """Aggregates of per-trial coverage and set size across runs."""
 
@@ -127,26 +117,26 @@ def coverage_histogram(coverages) -> np.ndarray:
     return counts
 
 
-def summarize(results, alpha: float) -> MetricsSummary:
-    """Aggregate per-trial results (already in trial order) for one method."""
-    if not results:
-        raise InputError("cannot summarize zero trials")
-    coverages = np.array([r.coverage for r in results])
-    sizes = np.array([r.avg_size for r in results])
-    over, under = over_under_gaps(coverages, alpha)
+def summarize(method: str, table, alpha: float) -> MetricsSummary:
+    """Aggregate one method's per-trial results, a (2 + G, trials) table
+    whose rows are coverage, mean set size and the coverage of each of G
+    groups (NaN where a trial has no test sample of the group).
 
+    A trial's group gap is the coverage gap over its present groups in
+    ascending order, and ``group_cov_gap`` is their mean; None when G = 0.
+    """
+    coverages, sizes, groups = table[0], table[1], table[2:]
+    if coverages.size == 0:
+        raise InputError("cannot summarize zero trials")
+    over, under = over_under_gaps(coverages, alpha)
     group_gap = None
-    per_trial_gaps = []
-    for r in results:
-        if r.per_group_coverage:
-            per_trial_gaps.append(
-                cov_gap(list(r.per_group_coverage.values()), alpha))
-    if per_trial_gaps:
-        group_gap = float(np.mean(per_trial_gaps))
+    if len(groups):
+        group_gap = float(np.mean([cov_gap(g[~np.isnan(g)], alpha)
+                                   for g in groups.T]))
 
     return MetricsSummary(
-        method=results[0].method,
-        n_trials=len(results),
+        method=method,
+        n_trials=coverages.size,
         mean_coverage=float(coverages.mean()),
         cov_gap=cov_gap(coverages, alpha),
         over_cov_gap=over,

@@ -9,6 +9,10 @@ calibration mode, and its test mask holds every test cell to its group's
 threshold (the marginal one outside the conditional modes).  Coverage and
 set size are evaluated on the test pool.
 
+A trial's results are one float row per method, in config order: coverage,
+mean set size and the coverage of each of G groups (NaN where the trial has
+no test sample of a group): G = ``n_groups``, K in the class modes, else 0.
+
 All per-trial randomness comes from counter-based streams keyed by
 (base_seed, trial_index, purpose), so trials can run on any number of
 workers and still produce byte-identical output.  Score tables do not
@@ -45,7 +49,7 @@ from .calibration import (cluster_classes, conditional_thresholds,
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
 from .dataio import load_dataset
 from .errors import ConfigurationError, DataError, InputError, SemicpError
-from .metrics import MetricsSummary, TrialResult, avg_size, improvement, summarize
+from .metrics import avg_size, improvement, summarize
 from .scores import ScoreSpec
 from .unlabeled import (EstimatorSpec, ScoreTables, check_estimator,
                         estimate_scores)
@@ -309,7 +313,9 @@ class _Draw:
 
 def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
               draws: dict = None):
-    """Execute one trial; returns {method name: TrialResult}.
+    """Execute one trial; returns a (methods, 2 + G) float array whose row i
+    holds ``config.methods[i]``'s coverage, mean set size and coverage of
+    each coverage group (NaN where the trial has no test sample of it).
 
     ``draws`` maps trial indices to draws shared by configs with one
     ``_draw_key``: a missing draw is made and added, a present one reused.
@@ -324,19 +330,18 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
         draw = draws.get(trial_index) \
             or draws.setdefault(trial_index, _Draw(config, ctx, trial_index))
         groups = _group_map(config, draw)
-        results = {}
+        n_cov = 0 if groups is None else groups.n_coverage
+        results = np.full((len(config.methods), 2 + n_cov), np.nan)
         for position, method in enumerate(config.methods):
             mask = _calibrate_and_predict(
                 config, method, draw.pool(config, position, method),
                 groups, draw.test_scores)
             hits = mask[np.arange(config.test_size), draw.test_labels]
-            results[method.name] = TrialResult(
-                method=method.name,
-                coverage=float(np.mean(hits)),
-                avg_size=avg_size(mask),
-                per_group_coverage=None if groups is None
-                else _per_group_coverage(hits, groups.coverage),
-            )
+            results[position, :2] = np.mean(hits), avg_size(mask)
+            if n_cov:
+                counts = np.bincount(groups.coverage, minlength=n_cov)
+                np.divide(np.bincount(groups.coverage, hits, n_cov), counts,
+                          out=results[position, 2:], where=counts > 0)
         return results
     except SemicpError as exc:
         raise type(exc)(f"trial {trial_index}: {exc}") from exc
@@ -375,14 +380,16 @@ class _GroupMap:
     ``test_cells`` broadcasts against the (t, K) test scores: one id per
     sample, shape (t, 1), for ``group_conditional``, and one per candidate
     label, shape (K,), for the class-based modes.  ``coverage`` gives each
-    test sample the group its coverage is reported under: its sample group,
-    or its true class.  ``unlabeled`` maps each method kind that has
-    unlabeled scores to their group ids: semicp sees pseudo-labels, the
-    oracle true labels.  Id -1 is the marginal pool.
+    test sample the group its coverage is reported under, one of
+    ``n_coverage``: its sample group, or its true class.  ``unlabeled``
+    maps each method kind that has unlabeled scores to their group ids:
+    semicp sees pseudo-labels, the oracle true labels.  Id -1 is the
+    marginal pool.
     """
     labeled: np.ndarray
     test_cells: np.ndarray
     coverage: np.ndarray
+    n_coverage: int
     n_groups: int
     unlabeled: dict
 
@@ -410,25 +417,17 @@ def _group_map(config, draw):
                 views, _group_ids(ctx.main, draw.unlab, None, plan))
         return _GroupMap(
             _group_ids(ctx.labeled, draw.lab, draw.lab_labels, plan),
-            test[:, None], test, plan.n_groups, unlabeled)
+            test[:, None], test, plan.n_groups, plan.n_groups, unlabeled)
     if plan.mode == "class_conditional":
-        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels, k,
+        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels, k, k,
                          views)
     # clustercp: the clusters depend only on the labeled scores, shared by
     # all methods
     cluster = cluster_classes(draw.lab_scores, draw.lab_labels, k,
                               plan.n_clusters, plan.min_class_count)
-    return _GroupMap(cluster[draw.lab_labels], cluster, draw.test_labels,
+    return _GroupMap(cluster[draw.lab_labels], cluster, draw.test_labels, k,
                      plan.n_clusters,
                      {kind: cluster[classes] for kind, classes in views.items()})
-
-
-def _per_group_coverage(hits, groups):
-    """{group: coverage of its test samples}, over the groups present in
-    ascending order; ``groups`` are nonnegative ids."""
-    counts = np.bincount(groups)
-    covered = np.bincount(groups, weights=hits)
-    return {int(g): float(covered[g] / counts[g]) for g in np.flatnonzero(counts)}
 
 
 _WORKER = None  # (configs, context) of the pool's group
@@ -441,14 +440,14 @@ def _worker_init(configs, ctx):
 
 def _run_chunk(task, group=None):
     """Results of trials lo..hi-1 of a run of the group (configs, context),
-    by default the pool worker's: per trial, {config index: results} over
-    the run's configs that have it, which share its draw until it ends."""
+    by default the pool worker's: per trial t, (t, {config index: results})
+    over the run's configs that have it, which share its draw."""
     (configs, ctx), (run, lo, hi) = group or _WORKER, task
     out = []
     for t in range(lo, hi):
         draws = {}
-        out.append({i: run_trial(configs[i], t, ctx, draws)
-                    for i in run if t < configs[i].trials})
+        out.append((t, {i: run_trial(configs[i], t, ctx, draws)
+                        for i in run if t < configs[i].trials}))
     return out
 
 
@@ -486,17 +485,18 @@ def _run_group(configs, jobs):
 
 def _summaries(configs, parts):
     """{method name: MetricsSummary} of each config, from chunks in task
-    order; as soon as a config's last trial arrives it is summarized and
-    its per-trial results are dropped, before the next trial runs."""
-    out, per_trial = [None] * len(configs), {}
-    for trial in chain.from_iterable(parts):
+    order.  A config's trials fill the columns of one (methods, 2 + G,
+    trials) table, each metric a contiguous row, which is summarized and
+    dropped as soon as its last trial arrives, before the next trial runs."""
+    out, tables = [None] * len(configs), {}
+    for t, trial in chain.from_iterable(parts):
         for i, results in trial.items():
-            per_trial.setdefault(i, []).append(results)
-            if len(per_trial[i]) == configs[i].trials:
-                out[i] = {m.name: summarize([r[m.name] for r in per_trial[i]],
-                                            configs[i].alpha)
-                          for m in configs[i].methods}
-                del per_trial[i]
+            if t == 0:
+                tables[i] = np.empty(results.shape + (configs[i].trials,))
+            tables[i][..., t] = results
+            if t == configs[i].trials - 1:
+                out[i] = {m.name: summarize(m.name, rows, configs[i].alpha)
+                          for m, rows in zip(configs[i].methods, tables.pop(i))}
     return out
 
 

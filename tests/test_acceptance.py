@@ -17,13 +17,14 @@ import pytest
 from beta_oracle import beta_cdf
 from coverage_law import expected_cov_gap
 from gathered import queries, records
+from per_trial import observed
 from quantile_oracle import exact_quantile_oracle
 from semicp import rng
 from semicp.calibration import conformal_quantile
 from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
-from semicp.metrics import (TrialResult, cov_gap, improvement, ks_distance,
-                            over_under_gaps, summarize)
+from semicp.metrics import (cov_gap, improvement, ks_distance, over_under_gaps,
+                            summarize)
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
                            MethodSpec, _build_context, run_experiment,
                            run_trial)
@@ -205,7 +206,7 @@ def test_criterion_08_reductions_are_bit_identical():
                 trials=1, score=ScoreSpec("aps"), base_seed=55)
 
     zero_n = ExperimentConfig(n=30, N=0, **base)
-    res = run_trial(zero_n, 0)
+    res = observed(zero_n, run_trial(zero_n, 0))
     ok_a = (res["semicp"].coverage == res["standard"].coverage
             and res["semicp"].avg_size == res["standard"].avg_size)
 
@@ -225,7 +226,7 @@ def test_criterion_08_reductions_are_bit_identical():
             n_classes=10, n_samples=6000, signal=60.0, seed=13)),
         test_size=400, alpha=0.1, trials=1, score=ScoreSpec("aps"),
         base_seed=56)
-    res = run_trial(perfect, 0)
+    res = observed(perfect, run_trial(perfect, 0))
     ok_c = (res["semicp"].coverage == res["oracle"].coverage
             and res["semicp"].avg_size == res["oracle"].avg_size)
 
@@ -245,7 +246,7 @@ def test_criterion_09_group_conditional_coverage():
     sums = {m: np.zeros(5) for m in ("standard", "semicp")}
     counts = {m: np.zeros(5) for m in ("standard", "semicp")}
     for t in range(config.trials):
-        res = run_trial(config, t, ctx)
+        res = observed(config, run_trial(config, t, ctx))
         for m in sums:
             for g, c in res[m].per_group_coverage.items():
                 sums[m][g] += c
@@ -272,8 +273,8 @@ def test_criterion_10_metric_oracles():
         loop_under = 100.0 * sum((1 - a) - x for x in c if x < 1 - a) / len(c)
         over, under = over_under_gaps(c, a)
         exact = exact and math.isclose(cov_gap(c, a), loop_gap, rel_tol=1e-12)
-        trial = TrialResult("m", 0.9, 1.0, dict(enumerate(c)))
-        exact = exact and math.isclose(summarize([trial], a).group_cov_gap,
+        trial = np.array([[0.9, 1.0, *c]]).T  # one trial, groups 0..len(c)-1
+        exact = exact and math.isclose(summarize("m", trial, a).group_cov_gap,
                                        loop_gap, rel_tol=1e-12)
         exact = exact and math.isclose(over, loop_over, rel_tol=1e-12,
                                        abs_tol=1e-12)
@@ -345,7 +346,8 @@ def test_criterion_13_exact_coverage_gap_law():
             ctx = _build_context(config)
             devs = {m.name: np.empty(trials) for m in methods}
             for t in range(trials):
-                for name, res in run_trial(config, t, ctx).items():
+                for name, res in observed(
+                        config, run_trial(config, t, ctx)).items():
                     devs[name][t] = 100.0 * abs(res.coverage - (1 - alpha))
             for name, m in (("standard", n), ("oracle", n + big_n)):
                 exact = expected_cov_gap(m, test_size, alpha)

@@ -355,6 +355,31 @@ def test_non_finite_channel_is_refused_before_the_file_opens(tmp_path, channel,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", ["logits", "features"])
+def test_non_finite_channel_is_refused_in_memory(channel, value):
+    ds = toy_dataset()
+    channels = {"logits": ds.logits.copy(), "features": ds.features.copy()}
+    channels[channel][1, 0] = value
+    with pytest.raises(InputError, match=r"^row 1: non-finite value$"):
+        ProbabilityDataset(probs=ds.probs, labels=ds.labels, **channels)
+
+
+def test_first_bad_row_names_non_finite_logits_and_features():
+    probs = [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(InputError, match=r"^row 0: non-finite value$"):
+        ProbabilityDataset(probs=probs, logits=[[np.nan, 0], [1, np.inf]],
+                           features=[[np.nan], [1]])
+    # an earlier non-finite feature comes before a later bad label
+    with pytest.raises(InputError, match=r"^row 0: non-finite value$"):
+        ProbabilityDataset(probs=probs, labels=[0, 7], features=[[np.inf], [0]])
+    with pytest.raises(InputError, match=r"^row 0: label 7.0 outside"):
+        ProbabilityDataset(probs=probs, labels=[7, 0], features=[[0], [np.inf]])
+    logits = np.array([[0.0, 1.0], [-np.inf, 0.0]])  # features aliasing logits
+    with pytest.raises(InputError, match=r"^row 1: non-finite value$"):
+        ProbabilityDataset(probs=probs, logits=logits, features=logits)
+
+
 def reference_prediction_sets(mask, labels) -> str:
     """The prediction-set file written one row at a time."""
     out = ["index,label,set_size,covered,classes\n"]

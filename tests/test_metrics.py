@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from beta_oracle import beta_cdf
 from coverage_law import expected_cov_gap
+from per_trial import reference_summarize
 from semicp.errors import InputError
-from semicp.metrics import (TrialResult, avg_size,
-                            cov_gap, coverage, coverage_histogram,
+from semicp.metrics import (avg_size, cov_gap, coverage, coverage_histogram,
                             empirical_cdf, improvement, ks_distance,
                             over_under_gaps, summarize)
 
@@ -51,8 +53,8 @@ def test_over_under_gaps():
 
 def test_class_cov_gap():
     def class_gap(per_class, alpha):
-        trial = TrialResult("m", 0.9, 1.0, dict(enumerate(per_class)))
-        return summarize([trial], alpha).group_cov_gap
+        table = np.array([[0.9, 1.0, *per_class]]).T  # one trial
+        return summarize("m", table, alpha).group_cov_gap
 
     assert class_gap([0.9, 0.9], 0.1) == 0.0
     assert class_gap([0.8, 1.0], 0.1) == pytest.approx(10.0)
@@ -158,8 +160,8 @@ def test_histogram_and_summary():
     assert hist.sum() == 4
     assert hist[0] == 1 and hist[25] == 1 and hist[49] == 2
 
-    results = [TrialResult("m", c, s) for c, s in [(0.85, 1.5), (0.95, 2.5)]]
-    summary = summarize(results, 0.1)
+    table = np.array([[0.85, 0.95], [1.5, 2.5]])  # coverages, sizes
+    summary = summarize("m", table, 0.1)
     assert summary.cov_gap == pytest.approx(5.0)
     assert summary.over_cov_gap == pytest.approx(2.5)
     assert summary.under_cov_gap == pytest.approx(2.5)
@@ -167,5 +169,34 @@ def test_histogram_and_summary():
     assert summary.n_trials == 2
     assert sum(summary.histogram) == 2
 
-    grouped = [TrialResult("m", 0.9, 1.0, {0: 0.8, 1: 1.0})]
-    assert summarize(grouped, 0.1).group_cov_gap == pytest.approx(10.0)
+    grouped = np.array([[0.9], [1.0], [0.8], [1.0]])
+    assert summarize("m", grouped, 0.1).group_cov_gap == pytest.approx(10.0)
+
+
+def _fields(summary):
+    return [v.hex() if isinstance(v, float) else v
+            for v in summary.to_dict().values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300),
+       n_groups=st.sampled_from([0, 1, 2, 5, 9, 20]),
+       alpha=st.floats(0.01, 0.99), absent=st.floats(0.0, 0.9))
+def test_summarize_matches_list_reference(seed, trials, n_groups, alpha,
+                                          absent):
+    # a (methods, 2 + G, trials) table as the runner fills it; a group with
+    # no test sample in a trial is NaN, and every trial has one group
+    rs = np.random.RandomState(seed)
+    table = rs.rand(2, 2 + n_groups, trials)
+    table[:, 1] *= 10.0
+    if n_groups:
+        missing = rs.rand(2, n_groups, trials) < absent
+        kept = rs.randint(0, n_groups, (2, trials))
+        missing[np.arange(2)[:, None], kept, np.arange(trials)] = False
+        table[:, 2:][missing] = np.nan
+    for rows in table:
+        results = [(c, s, None if not n_groups else
+                    {g: v for g, v in enumerate(col) if not np.isnan(v)})
+                   for c, s, col in zip(rows[0], rows[1], rows[2:].T)]
+        assert _fields(summarize("m", rows, alpha)) == \
+            _fields(reference_summarize("m", results, alpha))

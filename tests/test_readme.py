@@ -1,11 +1,12 @@
-"""The README's library example runs as written, and its config example
-parses."""
+"""The README's library example runs as written, its config example
+parses, and its results-record field list is the one the writer uses."""
 
 import json
 import re
 from pathlib import Path
 
 from semicp.cli import main
+from semicp.dataio import RESULT_FIELDS
 from semicp.runner import config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +32,10 @@ def test_experiment_config_example_parses():
     config = config_from_dict(doc)
     assert config.score.kind == "aps" and config.source.synthetic.n_classes == 10
     assert [m.kind for m in config.methods] == ["standard", "semicp", "oracle"]
+
+
+def test_results_field_list_matches_result_fields():
+    section = README.read_text().split("## Results files", 1)[1]
+    listed = re.search(r"one record per method:\s*`([^`]*)`", section).group(1)
+    names = [name.strip() for name in re.sub(r"[\[\]]", "", listed).split(",")]
+    assert names == list(RESULT_FIELDS)

@@ -1,20 +1,23 @@
 import json
 import os
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_trial import observed
 from semicp import runner
 from semicp.calibration import cluster_classes
 from semicp.datagen import SyntheticConfig
 from semicp.dataio import write_results
 from semicp.errors import ConfigurationError
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
-                           MethodSpec, _per_group_coverage, apply_sweep_value,
-                           config_from_dict, results_records, run_experiment,
-                           run_sweep, run_trial)
+                           MethodSpec, apply_sweep_value, config_from_dict,
+                           results_records, run_experiment, run_sweep,
+                           run_trial)
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import EstimatorSpec
 
@@ -35,7 +38,7 @@ def small_config(**kw):
 def test_semicp_with_zero_unlabeled_equals_standard():
     config = small_config(N=0)
     for t in range(3):
-        res = run_trial(config, t)
+        res = observed(config, run_trial(config, t))
         assert res["semicp"].coverage == res["standard"].coverage
         assert res["semicp"].avg_size == res["standard"].avg_size
         assert res["oracle"].coverage == res["standard"].coverage
@@ -44,7 +47,7 @@ def test_semicp_with_zero_unlabeled_equals_standard():
 def test_semicp_equals_oracle_with_perfect_pseudo_labels():
     config = small_config(source=synth_source(signal=60.0))
     for t in range(3):
-        res = run_trial(config, t)
+        res = observed(config, run_trial(config, t))
         assert res["semicp"].coverage == res["oracle"].coverage
         assert res["semicp"].avg_size == res["oracle"].avg_size
 
@@ -55,7 +58,7 @@ def test_randomized_reduction_semicp_equals_oracle():
     config = small_config(source=synth_source(signal=60.0),
                           score=ScoreSpec("aps", randomized=True),
                           methods=methods)
-    res = run_trial(config, 0)
+    res = observed(config, run_trial(config, 0))
     assert res["semicp"].coverage == res["oracle"].coverage
     assert res["semicp"].avg_size == res["oracle"].avg_size
 
@@ -87,29 +90,25 @@ def reduction_configs(draw, signal, N):
                  MethodSpec("oracle", "oracle")))
 
 
-def _observed(result):
-    return result.coverage, result.avg_size, result.per_group_coverage
-
-
 @settings(max_examples=60, deadline=None)
 @given(config=reduction_configs(signal=2.0, N=st.just(0)))
 def test_semicp_is_standard_without_unlabeled_data(config):
     for t in range(config.trials):
-        res = run_trial(config, t)
-        assert _observed(res["semicp"]) == _observed(res["standard"])
+        res = observed(config, run_trial(config, t))
+        assert res["semicp"] == res["standard"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(config=reduction_configs(signal=60.0, N=st.integers(1, 100)))
 def test_semicp_is_oracle_with_perfect_pseudo_labels(config):
     for t in range(config.trials):
-        res = run_trial(config, t)
-        assert _observed(res["semicp"])[:2] == _observed(res["oracle"])[:2]
+        res = observed(config, run_trial(config, t))
+        assert res["semicp"][:2] == res["oracle"][:2]
 
 
 def test_single_trial_summary_matches_trial():
     config = small_config(trials=1)
-    trial = run_trial(config, 0)
+    trial = observed(config, run_trial(config, 0))
     summary = run_experiment(config)
     for name in trial:
         assert summary[name].mean_coverage == trial[name].coverage
@@ -315,7 +314,7 @@ def test_group_conditional_and_class_conditional_run():
     config = small_config(
         trials=3,
         calibration=CalibrationPlan(mode="group_conditional", n_groups=5))
-    res = run_trial(config, 0)
+    res = observed(config, run_trial(config, 0))
     assert set(res["semicp"].per_group_coverage) <= set(range(5))
     summaries = run_experiment(config)
     assert summaries["semicp"].group_cov_gap is not None
@@ -323,18 +322,18 @@ def test_group_conditional_and_class_conditional_run():
     config = small_config(
         trials=2, n=60,
         calibration=CalibrationPlan(mode="class_conditional"))
-    res = run_trial(config, 0)
+    res = observed(config, run_trial(config, 0))
     assert res["standard"].per_group_coverage is not None
 
     config = small_config(
         trials=2, n=60,
         calibration=CalibrationPlan(mode="clustercp", n_clusters=3))
-    res = run_trial(config, 1)
+    res = observed(config, run_trial(config, 1))
     assert res["semicp"].coverage >= 0.0
 
     config = small_config(trials=2,
                           calibration=CalibrationPlan(mode="interpolation"))
-    assert run_trial(config, 0)["semicp"].coverage >= 0.0
+    assert observed(config, run_trial(config, 0))["semicp"].coverage >= 0.0
 
 
 def test_shift_mode_uses_separate_labeled_file(tmp_path):
@@ -445,7 +444,7 @@ def test_external_column_group_rule(tmp_path):
         n=60, N=400, test_size=300, trials=3, base_seed=8,
         calibration=CalibrationPlan(mode="group_conditional", n_groups=3,
                                     group_rule="external_column"))
-    res = run_trial(config, 0)
+    res = observed(config, run_trial(config, 0))
     assert set(res["semicp"].per_group_coverage) == {0, 1, 2}
 
     bad = ExperimentConfig(
@@ -467,7 +466,7 @@ def test_class_threshold_broadcast_uses_candidate_label():
     pool = np.array([0.1, 0.2, 0.8, 0.9, 0.3])
     groups = _GroupMap(labeled=np.array([0, 0, 1, 1, 2]),
                        test_cells=np.arange(3), coverage=None,
-                       n_groups=3, unlabeled={})
+                       n_groups=3, unlabeled={}, n_coverage=3)
     scores = np.array([[0.1, 0.95, 0.5],
                        [0.3, 0.3, 2.0]])
     # class-based group map: each candidate-label column is its own group
@@ -733,8 +732,19 @@ def test_per_group_coverage_matches_unique_reference(data, t, k):
     # sparse ids leave gaps; the class modes report per true label
     groups = data.draw(st.sampled_from([labels, rs.randint(0, 7, t),
                                         rs.choice([0, 3, 40], t)]))
-    hits = mask[np.arange(t), labels]
-    got = _per_group_coverage(hits, groups)
+    # run_trial's group columns for this mask, test labels and coverage
+    # groups, with a few trailing groups that no test sample has
+    n_cov = int(groups.max()) + 1 + data.draw(st.integers(0, 3))
+    config = small_config(test_size=t, methods=(MethodSpec("m", "standard"),))
+    draw = SimpleNamespace(test_labels=labels, test_scores=None,
+                           pool=lambda *args: None)
+    group_map = runner._GroupMap(None, None, groups, n_cov, 1, {})
+    with mock.patch.object(runner, "_group_map", lambda *args: group_map), \
+            mock.patch.object(runner, "_calibrate_and_predict",
+                              lambda *args: mask):
+        results = run_trial(config, 0, ctx=object(), draws={0: draw})
+    assert results.shape == (1, 2 + n_cov)
+    got = observed(config, results)["m"].per_group_coverage
     want = unique_mask_coverage(mask, labels, groups)
     assert [(g, c.hex()) for g, c in got.items()] == \
         [(g, c.hex()) for g, c in want.items()]
