@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import MISSING, fields, replace
@@ -21,10 +22,9 @@ import numpy as np
 
 from . import rng, runner
 from .calibration import Threshold, conformal_quantile, epsilon_bias
-from .datagen import SyntheticConfig, generate_at_accuracy, \
-    generate_synthetic, measure_top1_accuracy
+from .datagen import SyntheticConfig, tune_signal, write_synthetic
 from .dataio import check_writable, load_dataset, load_threshold, \
-    save_dataset, save_threshold, write_prediction_sets, write_results
+    save_threshold, write_prediction_sets, write_results
 from .errors import ConfigurationError, EstimationError, InputError, \
     SemicpError, exit_code_for
 from .metrics import avg_size, coverage
@@ -69,6 +69,7 @@ def _score_spec(args) -> ScoreSpec:
                      weight=args.weight, randomized=args.randomized)
 
 
+@functools.cache  # built once per process; parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicp",
@@ -143,15 +144,15 @@ def _cmd_gen(args) -> int:
                               seed=_seed(args))
     except InputError as exc:  # as for the same values in a config
         raise ConfigurationError(f"bad gen flag: {exc}") from None
+    draw = None
     if args.target_accuracy is not None:
-        ds, signal, achieved = generate_at_accuracy(args.target_accuracy, cfg)
+        signal, achieved, draw = tune_signal(args.target_accuracy, cfg)
         print(f"signal={signal:.6f} for target accuracy "
               f"{args.target_accuracy} (probe achieved {achieved:.4f})")
-    else:
-        ds = generate_synthetic(cfg)
-    save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples x {ds.n_classes} classes to {args.out} "
-          f"(top-1 accuracy {measure_top1_accuracy(ds):.4f})")
+        cfg = replace(cfg, signal=signal)
+    accuracy = write_synthetic(cfg, args.out, draw)
+    print(f"wrote {cfg.n_samples} samples x {cfg.n_classes} classes to "
+          f"{args.out} (top-1 accuracy {accuracy:.4f})")
     return 0
 
 

@@ -7,13 +7,18 @@ them, so pseudo-label accuracy is tunable through ``signal`` while the
 model stays (deliberately) miscalibrated in general.
 
 Sample i is generated from its own counter-based stream mix64(seed, i), so
-output is independent of generation order and chunking.  Generation is two
+output is independent of generation order and blocking.  Generation is two
 steps: a draw (labels and scaled noise, which do not depend on the signal)
-and a finish (the signal and the softmax).  The signal bisection is one
-loop, :func:`generate_at_accuracy`: it draws its probe rows once and only
-finishes them per probe, and a dataset of the probe size is the last probe,
-the draw finished at the found signal.  :func:`calibrate_signal_for_accuracy`
-runs the same loop at the probe size and keeps only the signal.
+and a finish (the signal and the softmax).  Every path works in blocks of
+about ``GEN_CELLS`` cells, so a block's (rows, K) temporaries stay in cache:
+
+* :func:`generate_synthetic` fills the dataset's arrays one block at a time;
+* :func:`tune_signal`, the signal bisection, draws its probe rows once and
+  measures each probe block by block in one scratch block, counting hits;
+* :func:`write_synthetic` generates, checks and writes one block at a time,
+  so ``semicp gen`` holds one block (plus the probe draw when it tunes the
+  signal) whatever the number of rows; at the probe size it finishes the
+  drawn rows in place instead of drawing them again.
 """
 
 from dataclasses import dataclass, replace
@@ -21,11 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dataset import ProbabilityDataset
+from .dataio import write_dataset
+from .dataset import ProbabilityDataset, check_rows
 from .errors import ConfigurationError, ConvergenceError, InputError
 from .unlabeled import pseudo_labels
 
-_CHUNK_ROWS = 1 << 18
+# cells (rows x classes) generated per block: max(1, GEN_CELLS // K) rows
+GEN_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -75,24 +82,24 @@ def _draw_rows(cfg: SyntheticConfig, start: int, stop: int):
     return labels.astype(np.int64), logits
 
 
-def _finish_rows(logits, labels, signal: float, temperature: float):
-    """Add ``signal`` to each row's true-class logit, in place, and return
-    the softmax of the logits at ``temperature``."""
+def _finish_rows(logits, labels, signal: float, temperature: float, out):
+    """Add ``signal`` to each row's true-class logit, in place, and write
+    the softmax of the logits at ``temperature`` to ``out``."""
     logits[np.arange(len(labels)), labels] += signal
     # the softmax steps run in place on one array: the same operations in
     # the same order as out of place, with fewer allocations
-    z = logits / temperature
+    z = np.divide(logits, temperature, out=out)
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
 
 
-def _generate_rows(cfg: SyntheticConfig, start: int, stop: int):
-    """Rows [start, stop) of the dataset; pure function of (cfg, range)."""
-    labels, logits = _draw_rows(cfg, start, stop)
-    probs = _finish_rows(logits, labels, cfg.signal, cfg.temperature)
-    return labels, logits, probs
+def _bounds(cfg: SyntheticConfig):
+    """(start, stop) of each block of the configured rows."""
+    rows = max(1, GEN_CELLS // cfg.n_classes)
+    return [(start, min(start + rows, cfg.n_samples))
+            for start in range(0, cfg.n_samples, rows)]
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
@@ -101,15 +108,71 @@ def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
     The features channel is the logits array itself (not a copy), for
     neighbor-criterion experiments.
     """
-    labels = np.empty(cfg.n_samples, dtype=np.int64)
-    logits = np.empty((cfg.n_samples, cfg.n_classes))
-    probs = np.empty((cfg.n_samples, cfg.n_classes))
-    for start in range(0, cfg.n_samples, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, cfg.n_samples)
-        labels[start:stop], logits[start:stop], probs[start:stop] = \
-            _generate_rows(cfg, start, stop)
+    n, k = cfg.n_samples, cfg.n_classes
+    labels = np.empty(n, dtype=np.int64)
+    logits = np.empty((n, k))
+    probs = np.empty((n, k))
+    for start, stop in _bounds(cfg):
+        labels[start:stop], logits[start:stop] = _draw_rows(cfg, start, stop)
+        _finish_rows(logits[start:stop], labels[start:stop], cfg.signal,
+                     cfg.temperature, probs[start:stop])
     return ProbabilityDataset(probs=probs, labels=labels, logits=logits,
                               features=logits)
+
+
+def _blocks(cfg: SyntheticConfig, draw=None, keep_draw=False):
+    """Yield (labels, logits, probs) for each block of the configured rows,
+    checked against the row contract (rows numbered from 0).
+
+    The rows are drawn block by block, or taken from ``draw`` (the labels
+    and signal-free logits of every row) and finished in place, or in a
+    scratch block when ``keep_draw``.  ``probs`` (and the scratch logits)
+    are one block reused by the next block.
+    """
+    bounds = _bounds(cfg)
+    probs = np.empty((bounds[0][1] if bounds else 0, cfg.n_classes))
+    scratch = np.empty_like(probs) if keep_draw else None
+    for start, stop in bounds:
+        if draw is None:
+            labels, logits = _draw_rows(cfg, start, stop)
+        else:
+            labels, logits = draw[0][start:stop], draw[1][start:stop]
+            if keep_draw:
+                logits = scratch[:stop - start]
+                logits[...] = draw[1][start:stop]
+        p = _finish_rows(logits, labels, cfg.signal, cfg.temperature,
+                         probs[:stop - start])
+        check_rows(p, labels, (logits,), start)
+        yield labels, logits, p
+
+
+def _hits(labels, probs) -> int:
+    return int(np.count_nonzero(pseudo_labels(probs) == labels))
+
+
+def write_synthetic(cfg: SyntheticConfig, path, draw=None) -> float:
+    """Write the configured dataset to ``path`` following the CSV contract,
+    one block at a time, and return its top-1 accuracy.
+
+    Each block is generated, checked against the row contract and written
+    before the next is made, so the rows are never all held.  ``draw`` is
+    the probe draw :func:`tune_signal` returns for a dataset of the probe
+    size; its rows are then finished in place rather than drawn again.  The
+    file equals ``save_dataset(generate_synthetic(cfg), path)``; it is not
+    left behind when a block fails its check.
+    """
+    if cfg.n_samples < 1:
+        raise InputError("a dataset file needs at least one row")
+    hits = 0
+
+    def blocks():
+        nonlocal hits
+        for labels, logits, probs in _blocks(cfg, draw):
+            hits += _hits(labels, probs)
+            yield labels, probs, logits, logits  # the features are the logits
+
+    write_dataset(path, blocks())
+    return hits / cfg.n_samples
 
 
 def measure_top1_accuracy(dataset: ProbabilityDataset) -> float:
@@ -124,51 +187,50 @@ def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
                                   probe_samples: int = 50_000,
                                   max_iters: int = 60):
     """Bisect the signal strength until pseudo-label accuracy hits a target;
-    returns (signal, achieved).  See :func:`generate_at_accuracy`."""
-    return generate_at_accuracy(target_acc,
-                                replace(template, n_samples=probe_samples),
-                                tolerance, probe_samples, max_iters)[1:]
+    returns (signal, achieved).  See :func:`tune_signal`."""
+    return tune_signal(target_acc, template, tolerance, probe_samples,
+                       max_iters)[:2]
 
 
-def generate_at_accuracy(target_acc: float, template: SyntheticConfig,
-                         tolerance: float = 0.01, probe_samples: int = 50_000,
-                         max_iters: int = 60):
-    """The template's dataset at the signal whose pseudo-label accuracy is
-    within ``tolerance`` of a target; returns (dataset, signal, achieved).
+def tune_signal(target_acc: float, cfg: SyntheticConfig,
+                tolerance: float = 0.01, probe_samples: int = 50_000,
+                max_iters: int = 60):
+    """The signal whose pseudo-label accuracy is within ``tolerance`` of a
+    target; returns (signal, achieved, draw).
 
-    Probes use a fixed ``probe_samples``-sample dataset drawn from the
-    template's seed; with common noise draws, accuracy is monotone in the
-    signal, so bisection on [0, 50] is exact.  The labels and the noise are
-    drawn once for the whole bisection; each probe copies the drawn logits
-    and only adds its signal and softmaxes, so it measures exactly the
-    accuracy of ``generate_synthetic`` at that signal.  When the dataset has
-    the probe size, it is the last probe, so the draw is finished at the
-    found signal instead of being drawn again; otherwise it is generated at
-    that signal.  Either way it equals ``generate_synthetic`` there.
+    Probes use the first ``probe_samples`` rows of the configured seed; with
+    common noise draws, accuracy is monotone in the signal, so bisection on
+    [0, 50] is exact.  The labels and the noise of those rows are drawn
+    once, block by block into two arrays.  Each probe finishes them one
+    block at a time in a scratch block, checks it against the row contract
+    and counts its hits, so it measures exactly the accuracy of
+    ``generate_synthetic`` at that signal.  ``draw`` is that (labels,
+    logits) draw when ``cfg`` has the probe size, for
+    :func:`write_synthetic` to finish at the found signal, else None.
     """
-    k = template.n_classes
+    k = cfg.n_classes
     if not 1.0 / k < target_acc < 1.0:
         raise ConfigurationError(
             f"target accuracy must lie strictly between 1/K={1.0 / k:.4f} and 1")
-    labels, drawn = _draw_rows(template, 0, probe_samples)
+    probe = replace(cfg, n_samples=probe_samples)
+    labels = np.empty(probe_samples, dtype=np.int64)
+    drawn = np.empty((probe_samples, k))
+    for start, stop in _bounds(probe):
+        labels[start:stop], drawn[start:stop] = _draw_rows(probe, start, stop)
 
     lo, hi = 0.0, 50.0
     best_signal, best_acc = None, None
     for _ in range(max_iters):
         mid = 0.5 * (lo + hi)
-        probe = None  # free the last probe's rows before finishing the next
-        logits = drawn.copy()
-        probe = ProbabilityDataset(
-            probs=_finish_rows(logits, labels, mid, template.temperature),
-            labels=labels, logits=logits, features=logits)
-        acc = measure_top1_accuracy(probe)
+        hits = sum(_hits(block_labels, probs) for block_labels, _, probs in
+                   _blocks(replace(probe, signal=mid), (labels, drawn),
+                           keep_draw=True))
+        acc = hits / probe_samples
         if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
             best_signal, best_acc = mid, acc
         if abs(acc - target_acc) <= tolerance:
-            if template.n_samples != probe_samples:
-                probe = logits = drawn = None  # free the probe rows first
-                probe = generate_synthetic(replace(template, signal=mid))
-            return probe, mid, acc
+            reuse = cfg.n_samples == probe_samples
+            return mid, acc, (labels, drawn) if reuse else None
         if acc < target_acc:
             lo = mid
         else:

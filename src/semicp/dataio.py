@@ -19,9 +19,13 @@ The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
 ``READ_CHUNK`` characters each), and each chunk is checked against the row
 contract of ``dataset.row_breach`` as one array; only when that fails are
 the chunk's lines walked one by one, to name the first bad row.  Rows are
-written in blocks of about ``SAVE_CELLS`` cells, each formatted by
+written by ``write_dataset``, which takes them as an iterable of row blocks
+(``save_dataset`` passes one, ``datagen.write_synthetic`` each block it
+generates) and formats about ``SAVE_CELLS`` cells at a time with
 ``_g17.format_rows``: exact ``'%.17g'`` digits from numpy integer
 arithmetic, with Python's ``%`` for zero, subnormal and out-of-range cells.
+Every writer here removes its output file when it fails once the file is
+open.
 
 Results files carry one record per (method, configuration) with the fields
 method, score, n, N, alpha, trials, cov_gap, over_cov_gap, under_cov_gap,
@@ -34,7 +38,8 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -69,12 +74,23 @@ def _fmt(x) -> str:
 
 @contextmanager
 def _output(path):
-    """Open ``path`` for writing; a failure to open or write is a DataError."""
+    """Open ``path`` for writing; a failure to open or write is a DataError.
+
+    Once the file is open, any failure removes it, so no partial file is
+    left behind.
+    """
+    opened = False
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            opened = True
             yield fh
-    except OSError as exc:
-        raise DataError(f"cannot write output: {exc}") from None
+    except BaseException as exc:
+        if opened:
+            with suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write output: {exc}") from None
+        raise
 
 
 def check_writable(path):
@@ -94,42 +110,60 @@ def check_writable(path):
 
 
 def save_dataset(dataset: ProbabilityDataset, path):
-    """Write ``dataset`` following the CSV contract.
+    """Write ``dataset`` following the CSV contract (see
+    :func:`write_dataset`).
 
     Raises InputError naming the first row (0-based) with a non-finite
     value in a written channel, before the file is opened: the loader would
-    refuse that row.  When the features channel is the logits array itself
-    (synthetic data), the logits cells are formatted once and placed in
-    both column ranges.  The test is object identity: equal arrays may
-    still format differently (-0.0 == 0.0).
+    refuse that row.
     """
-    k = dataset.n_classes
-    channels = [dataset.probs]
-    cols = ["label"] + [f"p_{j}" for j in range(k)]
-    aliased = dataset.logits is not None and dataset.features is dataset.logits
-    if dataset.logits is not None:
-        channels.append(dataset.logits)
-        cols += [f"z_{j}" for j in range(k)]
-    feat_dim = 0 if dataset.features is None else dataset.features.shape[1]
-    if feat_dim and not aliased:
-        channels.append(dataset.features)
-    cols += [f"f_{j}" for j in range(feat_dim)]
+    channels = {id(c): c for c in (dataset.probs, dataset.logits,
+                                   dataset.features) if c is not None}
     finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
-                                    for c in channels])
+                                    for c in channels.values()])
     if not finite.all():
         raise InputError(f"row {int(np.argmin(finite))}: non-finite value")
-    width = 1 + sum(c.shape[1] for c in channels)  # formatted columns
+    write_dataset(path, [(dataset.labels, dataset.probs, dataset.logits,
+                          dataset.features)])
+
+
+def write_dataset(path, blocks):
+    """Write the row blocks of one dataset following the CSV contract.
+
+    Each block is a tuple (labels, probs, logits, features) over the same
+    rows, None for an absent channel.  The channels written are those of the
+    first block, which is taken before the file is opened.  When the
+    features are the logits array itself (synthetic data), the logits cells
+    are formatted once and placed in both column ranges; the test is object
+    identity, since equal arrays may still format differently (-0.0 == 0.0).
+    Rows are formatted about ``SAVE_CELLS`` output cells at a time.  Once
+    the file is open, any failure, also one raised while making a block,
+    removes it.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    _, probs, logits, features = first
+    k = probs.shape[1]
+    aliased = logits is not None and features is logits
+    cols = ["label"] + [f"p_{j}" for j in range(k)]
+    if logits is not None:
+        cols += [f"z_{j}" for j in range(k)]
+    feat_dim = 0 if features is None else features.shape[1]
+    cols += [f"f_{j}" for j in range(feat_dim)]
+    width = len(cols) - (feat_dim if aliased else 0)  # formatted columns
     columns = np.r_[0:width, width - k:width] if aliased else np.arange(width)
 
-    n = len(dataset)
     rows = max(1, SAVE_CELLS // len(cols))
     with _output(path) as fh:
         fh.write(f"#semicp,v1,K={k},features={feat_dim}\n")
         fh.write(",".join(cols) + "\n")
-        for start in range(0, n, rows):
-            block = np.hstack([dataset.labels[start:start + rows, None]]
-                              + [c[start:start + rows] for c in channels])
-            fh.write(format_rows(block, columns).decode("ascii"))
+        for labels, *channels in chain([first], blocks):
+            channels = [c for c in channels[:2 if aliased else 3]
+                        if c is not None]
+            for start in range(0, len(labels), rows):
+                block = np.hstack([labels[start:start + rows, None]]
+                                  + [c[start:start + rows] for c in channels])
+                fh.write(format_rows(block, columns).decode("ascii"))
 
 
 def _parse_magic(line: str, path):

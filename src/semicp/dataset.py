@@ -40,6 +40,26 @@ def row_breach(values, labels, probs, k: int):
     return i, f"invalid probability row (sum={sums[i]:.8f})"
 
 
+def check_rows(probs, labels, channels=(), first_row=0):
+    """Raise InputError naming the first row that breaks the row contract
+    (see :func:`row_breach`) or holds a non-finite value in one of
+    ``channels``; rows are numbered from ``first_row``.
+
+    Channels that are one array (synthetic features are the logits) are
+    checked once; a None channel is skipped.
+    """
+    found = row_breach(probs, labels, probs, probs.shape[1])
+    # NaN passes through min and max, so no (n, d) isfinite temporary is
+    # made unless a channel holds a non-finite value
+    for c in {id(c): c for c in channels if c is not None}.values():
+        if c.size and not (np.isfinite(c.min()) and np.isfinite(c.max())):
+            row = int(np.argmin(np.isfinite(c).all(axis=1)))
+            if found is None or row <= found[0]:  # row_breach's order
+                found = row, "non-finite value"
+    if found:
+        raise InputError(f"row {first_row + found[0]}: {found[1]}")
+
+
 @dataclass
 class ProbabilityDataset:
     """Per-sample probability rows plus optional labels/logits/features.
@@ -68,28 +88,18 @@ class ProbabilityDataset:
             self.logits = np.asarray(self.logits, dtype=np.float64)
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
+        n, k = self.probs.shape
         for name in ("labels", "logits", "features"):
             arr = getattr(self, name)
-            if arr is not None and arr.shape[0] != self.probs.shape[0]:
+            if arr is not None and arr.shape[:1] != (n,):
                 raise InputError(f"{name} length does not match probs")
-        self.validate()
+        if self.logits is not None and self.logits.shape != (n, k):
+            raise InputError(f"logits must be (n, K) = ({n}, {k}), got "
+                             f"{self.logits.shape}")
+        if self.features is not None and self.features.ndim != 2:
+            raise InputError("features must be (n, d)")
+        check_rows(self.probs, self.labels, (self.logits, self.features))
         self.labels = self.labels.astype(np.int64, copy=False)
-
-    def validate(self):
-        """Raise InputError naming the first row that breaks the row
-        contract (see :func:`row_breach`) or holds a non-finite logit or
-        feature; features that are the logits array are checked once."""
-        found = row_breach(self.probs, self.labels, self.probs, self.n_classes)
-        # each distinct array once (synthetic features are the logits); NaN
-        # passes through min and max, so no (n, d) isfinite temporary is made
-        for c in {id(c): c for c in (self.logits, self.features)
-                  if c is not None}.values():
-            if c.size and not (np.isfinite(c.min()) and np.isfinite(c.max())):
-                row = int(np.argmin(np.isfinite(c).all(axis=1)))
-                if found is None or row <= found[0]:  # row_breach's order
-                    found = row, "non-finite value"
-        if found:
-            raise InputError(f"row {found[0]}: {found[1]}")
 
     def __len__(self):
         return self.probs.shape[0]

@@ -37,7 +37,6 @@ pools (distribution-shift mode); no reweighting is applied.
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import chain, groupby
 
@@ -477,6 +476,9 @@ def _run_group(configs, jobs):
     if workers == 1:
         return _summaries(configs, (_run_chunk(task, (configs, ctx))
                                     for task in tasks))
+    # imported here: the process pool machinery costs every jobs=1 run
+    # about 2 MB of memory
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(configs, ctx)) as pool:
         # map yields the chunks in task order

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semicp import runner
@@ -61,6 +63,82 @@ def test_gen_with_target_accuracy(tmp_path, capsys):
     assert "signal=" in out
     acc = float(out.split("top-1 accuracy ")[1].rstrip(")\n"))
     assert abs(acc - 0.8) < 0.03
+
+
+# sha256 of `gen` stdout, with its tmp directory written "{tmp}", and of its
+# --out file; the generation blocks of GEN_CELLS cells are 8,192 rows at K=4,
+# 10,922 at K=3, 3,276 at K=10 and 327 at K=100, so each case crosses
+# block edges, and 50,000 rows are the signal bisection's probe rows
+GEN_DIGESTS = {
+    "signal_k4": (
+        ["--classes", "4", "--samples", "12345", "--signal", "1.7", "--seed",
+         "3"],
+        "3601b7a23828f966f8bf7d48782eb9f21884c83b0d15dde8de18c575eed304af",
+        "ba1231c24c274c2487bfac9e99ec937bc628f32ac07c11284e7065d1c1dfc0b2"),
+    "target_at_probe_size": (
+        ["--classes", "10", "--samples", "50000", "--target-accuracy", "0.8",
+         "--temperature", "0.5", "--seed", "9"],
+        "c2bc7dc3dd3644a06953244a5f7e672200d3d187283e11a454dc56421d38ca5f",
+        "74accab4cf606578eaaddc479de80310ac91a73abbd6670f9937f477a79c0260"),
+    "target_other_size": (
+        ["--classes", "6", "--samples", "7000", "--target-accuracy", "0.7",
+         "--seed", "4"],
+        "13453b34966d3a96f3f378f88c799cfe0041a76cb96a1fe059f4a48799f16677",
+        "710d03d43b187c4aee921dd9224eb448de7e3532de0ec51a4b8a08b133f10030"),
+    "prior_k3": (
+        ["--classes", "3", "--samples", "20000", "--prior", "0.5,0.3,0.2",
+         "--signal", "1.2", "--seed", "5"],
+        "1908882a53625bafdc995995d2853c73ca59cdd9ccf1a37c50a28a394b8183b9",
+        "f0553e4d0d35671c9e9eb6f3a970e3807084b6542ca1f4515e460c3163179a1e"),
+    "k100": (
+        ["--classes", "100", "--samples", "1000", "--signal", "3.0",
+         "--noise-sigma", "0.7", "--seed", "6"],
+        "cf38ef7f1281eac22d0387516b0299faea868e3486ab1f4650d0db1be5615feb",
+        "020015552fd33c473d59ec994dfea1bf1e74c2dbe61e80bacfc6bc51052fc12a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_DIGESTS))
+def test_gen_byte_identical_to_pinned(tmp_path, capsys, case):
+    flags, stdout_digest, out_digest = GEN_DIGESTS[case]
+    out = tmp_path / "g.csv"
+    capsys.readouterr()
+    assert main(["gen"] + flags + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "{tmp}")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+
+
+@pytest.mark.parametrize("target", [[], ["--target-accuracy", "0.8"]])
+def test_gen_memory_does_not_grow_with_samples(tmp_path, capsys, target):
+    # gen holds one block of rows (plus the 50,000-row probe draw when it
+    # tunes the signal), not the dataset: 100,000 x 10 rows are 16 MB
+    main(["gen", "--classes", "10", "--samples", "2000", "--out",
+          str(tmp_path / "warm.csv")])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--classes", "10", "--samples", "100000",
+                     "--out", str(tmp_path / "g.csv")] + target) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "10"],
+    # the bisection's probe rows are checked before any file is written
+    ["--samples", "20000", "--target-accuracy", "0.5"],
+])
+def test_gen_non_finite_rows_exit_3_and_leave_no_file(tmp_path, capsys,
+                                                      flags):
+    out = tmp_path / "g.csv"
+    with np.errstate(all="ignore"):  # logits / 1e-310 overflow
+        code = main(["gen", "--classes", "3", "--temperature", "1e-310",
+                     "--out", str(out)] + flags)
+    assert code == 3
+    assert capsys.readouterr().err == "error: row 0: non-finite value\n"
+    assert not out.exists()
 
 
 def test_invalid_alpha_exits_with_config_code(tmp_path, capsys):

@@ -1,14 +1,16 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicp import rng
-from semicp.datagen import (SyntheticConfig, _generate_rows,
-                            calibrate_signal_for_accuracy, generate_at_accuracy,
-                            generate_synthetic, measure_top1_accuracy)
+from semicp import datagen, rng
+from semicp.datagen import (SyntheticConfig, calibrate_signal_for_accuracy,
+                            generate_synthetic, measure_top1_accuracy,
+                            tune_signal, write_synthetic)
+from semicp.dataio import save_dataset
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, ConvergenceError, InputError
 
@@ -22,12 +24,18 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.logits, b.logits)
 
 
-def test_chunked_rows_equal_full_generation():
-    # per-sample streams: any chunking of the index range gives the same rows
+def test_chunked_rows_equal_full_generation(monkeypatch):
+    # per-sample streams: any blocking of the index range gives the same rows
     cfg = SyntheticConfig(n_classes=4, n_samples=500, signal=2.0, seed=5)
     full = generate_synthetic(cfg)
+    for cells in (1, 28, 400):  # blocks of 1, 7 and 100 rows
+        monkeypatch.setattr(datagen, "GEN_CELLS", cells)
+        blocked = generate_synthetic(cfg)
+        for name in ("labels", "logits", "probs"):
+            assert getattr(blocked, name).tobytes() == \
+                getattr(full, name).tobytes()
     for start, stop in [(0, 100), (100, 500), (250, 251)]:
-        labels, logits, probs = _generate_rows(cfg, start, stop)
+        labels, logits, probs = one_step_rows(cfg, start, stop)
         assert np.array_equal(labels, full.labels[start:stop])
         assert np.array_equal(logits, full.logits[start:stop])
         assert np.array_equal(probs, full.probs[start:stop])
@@ -116,16 +124,45 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("samples", [50_000, 3000])
-def test_generate_at_accuracy_equals_generation_at_found_signal(samples):
-    # 50,000 rows are the bisection's probe rows, which are then reused
+def test_write_at_tuned_signal_equals_saved_generation(tmp_path, samples):
+    # 50,000 rows are the bisection's probe rows, whose draw is reused
     template = SyntheticConfig(n_classes=6, n_samples=samples,
                                temperature=0.5, seed=23)
-    ds, signal, achieved = generate_at_accuracy(0.7, template)
+    signal, achieved, draw = tune_signal(0.7, template)
     assert (signal, achieved) == calibrate_signal_for_accuracy(0.7, template)
-    want = generate_synthetic(replace(template, signal=signal))
-    for name in ("labels", "logits", "probs"):
-        assert getattr(ds, name).tobytes() == getattr(want, name).tobytes()
-    assert ds.features is ds.logits
+    assert (draw is None) == (samples != 50_000)
+    cfg = replace(template, signal=signal)
+    want = generate_synthetic(cfg)
+    save_dataset(want, tmp_path / "want.csv")
+    accuracy = write_synthetic(cfg, tmp_path / "got.csv", draw)
+    assert accuracy == measure_top1_accuracy(want)
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad_row", [0, 12, 39])
+def test_blocks_name_the_first_bad_row_across_block_edges(tmp_path,
+                                                          monkeypatch, bad_row):
+    # blocks of 5 rows; a NaN noise value drawn for one row must stop both
+    # the bisection's probes and the writer at that row's global number
+    monkeypatch.setattr(datagen, "GEN_CELLS", 15)
+    draw_rows = datagen._draw_rows
+
+    def poisoned(cfg, start, stop):
+        labels, logits = draw_rows(cfg, start, stop)
+        if start <= bad_row < stop:
+            logits[bad_row - start, 1] = np.nan
+        return labels, logits
+
+    monkeypatch.setattr(datagen, "_draw_rows", poisoned)
+    cfg = SyntheticConfig(n_classes=3, n_samples=40, seed=2)
+    message = rf"^row {bad_row}: non-finite value$"
+    with pytest.raises(InputError, match=message):
+        calibrate_signal_for_accuracy(0.6, cfg, probe_samples=40)
+    path = tmp_path / "g.csv"
+    with pytest.raises(InputError, match=message):
+        write_synthetic(cfg, path)
+    assert not path.exists()
 
 
 def test_calibrate_signal_unreachable_target():
@@ -197,10 +234,15 @@ def synthetic_configs(draw, max_samples=300):
         seed=draw(st.integers(0, 2**64 - 1)))
 
 
+# a small block size puts block edges inside the oracles' few rows
+block_cells = st.integers(1, 1000)
+
+
 @settings(max_examples=100, deadline=None)
-@given(cfg=synthetic_configs())
-def test_generate_synthetic_matches_one_step_rows(cfg):
-    ds = generate_synthetic(cfg)
+@given(cfg=synthetic_configs(), cells=block_cells)
+def test_generate_synthetic_matches_one_step_rows(cfg, cells):
+    with mock.patch.object(datagen, "GEN_CELLS", cells):
+        ds = generate_synthetic(cfg)
     labels, logits, probs = one_step_rows(cfg, 0, cfg.n_samples)
     assert ds.labels.tobytes() == labels.tobytes()
     assert ds.logits.tobytes() == logits.tobytes()
@@ -209,8 +251,8 @@ def test_generate_synthetic_matches_one_step_rows(cfg):
 
 
 @settings(max_examples=80, deadline=None)
-@given(template=synthetic_configs(), data=st.data())
-def test_bisection_matches_full_generation_oracle(template, data):
+@given(template=synthetic_configs(), cells=block_cells, data=st.data())
+def test_bisection_matches_full_generation_oracle(template, cells, data):
     k = template.n_classes
     target = 1.0 / k + data.draw(st.floats(0.01, 0.99)) * (1.0 - 1.0 / k)
     kwargs = dict(tolerance=data.draw(st.sampled_from((0.0, 0.001, 0.01, 0.05))),
@@ -219,8 +261,11 @@ def test_bisection_matches_full_generation_oracle(template, data):
     try:
         want = bisection_oracle(target, template, **kwargs)
     except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError) as got:
+        with pytest.raises(ConvergenceError) as got, \
+                mock.patch.object(datagen, "GEN_CELLS", cells):
             calibrate_signal_for_accuracy(target, template, **kwargs)
         assert got.value.best == exc.best
     else:
-        assert calibrate_signal_for_accuracy(target, template, **kwargs) == want
+        with mock.patch.object(datagen, "GEN_CELLS", cells):
+            got = calibrate_signal_for_accuracy(target, template, **kwargs)
+        assert got == want

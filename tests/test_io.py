@@ -380,6 +380,50 @@ def test_first_bad_row_names_non_finite_logits_and_features():
         ProbabilityDataset(probs=probs, logits=logits, features=logits)
 
 
+@pytest.mark.parametrize("channels, message", [
+    # logits of K + 1 columns: saved, they made a file the loader refused
+    ({"logits": np.zeros((2, 3))}, r"^logits must be \(n, K\) = \(2, 2\)"),
+    ({"logits": np.zeros(2)}, r"^logits must be \(n, K\)"),
+    ({"features": [1.0, 2.0]}, r"^features must be \(n, d\)$"),
+    ({"features": np.zeros((2, 1, 1))}, r"^features must be \(n, d\)$"),
+    ({"features": np.float64(1.0)}, r"^features length does not match"),
+], ids=["logits_k_plus_1", "logits_1d", "features_1d", "features_3d",
+        "features_scalar"])
+def test_channel_shapes_are_checked(channels, message):
+    with pytest.raises(InputError, match=message):
+        ProbabilityDataset(probs=[[0.5, 0.5], [0.5, 0.5]], labels=[0, 1],
+                           **channels)
+
+
+def test_write_dataset_removes_the_file_when_a_later_block_fails(tmp_path):
+    ds = toy_dataset()
+    path = tmp_path / "d.csv"
+
+    def blocks():
+        yield ds.labels, ds.probs, ds.logits, ds.features
+        raise InputError("row 9: non-finite value")
+
+    with pytest.raises(InputError, match="^row 9"):
+        dataio.write_dataset(path, blocks())
+    assert not path.exists()
+
+
+def test_write_dataset_in_blocks_equals_save_dataset(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "SAVE_CELLS", 20)  # sub-blocks inside blocks
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=50,
+                                            seed=8))
+    save_dataset(ds, tmp_path / "whole.csv")
+
+    def blocks():
+        for a, b in [(0, 1), (1, 17), (17, 50)]:
+            logits = ds.logits[a:b]  # the features are the logits
+            yield ds.labels[a:b], ds.probs[a:b], logits, logits
+
+    dataio.write_dataset(tmp_path / "blocks.csv", blocks())
+    assert (tmp_path / "blocks.csv").read_bytes() == \
+        (tmp_path / "whole.csv").read_bytes()
+
+
 def reference_prediction_sets(mask, labels) -> str:
     """The prediction-set file written one row at a time."""
     out = ["index,label,set_size,covered,classes\n"]

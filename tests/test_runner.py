@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from types import SimpleNamespace
@@ -155,7 +156,8 @@ class InProcessPool:
 @pytest.mark.parametrize("jobs, trials", [(5000, 10), (5000, 1), (2, 1)])
 def test_workers_capped_at_usable_cpus_and_chunks(monkeypatch, jobs, trials):
     monkeypatch.setattr(InProcessPool, "sizes", [])
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     # the fake runs the initializer here; restore the worker globals after
     monkeypatch.setattr(runner, "_WORKER", None)
     config = small_config(trials=trials)
@@ -195,7 +197,8 @@ def test_sweep_scores_each_source_once_per_group(monkeypatch, axis, values,
 
     monkeypatch.setattr(runner, "ScoreTables", CountedTables)
     monkeypatch.setattr(InProcessPool, "sizes", [])
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     monkeypatch.setattr(runner, "_WORKER", None)
     assert run_sweep(config, axis, values, jobs=jobs) == want
     # one synthetic source per context: one tables object per build
@@ -236,7 +239,8 @@ def test_sweep_draws_each_trial_once_per_run(monkeypatch, axis, values, draws,
     counted(runner.rng, "permutation")
     counted(runner, "estimate_scores")
     monkeypatch.setattr(InProcessPool, "sizes", [])
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     monkeypatch.setattr(runner, "_WORKER", None)
     got = run_sweep(config, axis, values, jobs=jobs)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
