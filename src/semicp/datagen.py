@@ -87,11 +87,14 @@ def _finish_rows(logits, labels, signal: float, temperature: float, out):
     the softmax of the logits at ``temperature`` to ``out``."""
     logits[np.arange(len(labels)), labels] += signal
     # the softmax steps run in place on one array: the same operations in
-    # the same order as out of place, with fewer allocations
-    z = np.divide(logits, temperature, out=out)
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    # the same order as out of place, with fewer allocations.  A row that
+    # overflows (a tiny temperature) is named by the row check that follows,
+    # so numpy's warnings would only add lines to the one-line error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.divide(logits, temperature, out=out)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
     return z
 
 
@@ -212,6 +215,9 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
     if not 1.0 / k < target_acc < 1.0:
         raise ConfigurationError(
             f"target accuracy must lie strictly between 1/K={1.0 / k:.4f} and 1")
+    if probe_samples < 1 or max_iters < 1:
+        raise ConfigurationError("the signal bisection needs at least one "
+                                 "probe row and one iteration")
     probe = replace(cfg, n_samples=probe_samples)
     labels = np.empty(probe_samples, dtype=np.int64)
     drawn = np.empty((probe_samples, k))

@@ -104,6 +104,11 @@ def test_calibrate_signal():
         calibrate_signal_for_accuracy(0.1, template)  # 1/K boundary
     with pytest.raises(ConfigurationError):
         calibrate_signal_for_accuracy(1.0, template)
+    # no probe: these raised ZeroDivisionError and TypeError
+    with pytest.raises(ConfigurationError):
+        calibrate_signal_for_accuracy(0.6, template, probe_samples=0)
+    with pytest.raises(ConfigurationError):
+        calibrate_signal_for_accuracy(0.6, template, max_iters=0)
 
     sig_low, acc_low = calibrate_signal_for_accuracy(0.6, template,
                                                      probe_samples=20_000)
