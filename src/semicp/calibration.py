@@ -64,7 +64,9 @@ class Threshold:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Threshold":
-        include_all = bool(d["include_all"])
+        include_all = d["include_all"]
+        if not isinstance(include_all, bool):  # bool("false") is True
+            raise TypeError(f"include_all is {include_all!r}, not a boolean")
         value = math.nan if include_all else float(d["value"])
         return cls(value, include_all, int(d["level_index"]),
                    int(d["pool_size"]), float(d["alpha"]))

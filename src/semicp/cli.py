@@ -25,8 +25,8 @@ from .calibration import Threshold, conformal_quantile, epsilon_bias
 from .datagen import SyntheticConfig, tune_signal, write_synthetic
 from .dataio import check_writable, load_dataset, load_threshold, \
     save_threshold, write_prediction_sets, write_results
-from .errors import ConfigurationError, EstimationError, InputError, \
-    SemicpError, exit_code_for
+from .errors import ConfigurationError, DataError, EstimationError, \
+    InputError, SemicpError, exit_code_for
 from .metrics import avg_size, coverage
 from .scores import SCORE_KINDS, ScoreSpec
 from .unlabeled import (CRITERION_KINDS, ESTIMATOR_KINDS, EstimatorSpec,
@@ -172,6 +172,8 @@ def _cmd_calibrate(args) -> int:
     big_n = 0
     if args.unlabeled:
         unlabeled = load_dataset(args.unlabeled)
+        if unlabeled.n_classes != labeled.n_classes:
+            raise DataError("data sources disagree on the number of classes")
         big_n = len(unlabeled)
         estimator = EstimatorSpec(kind=args.estimator, k=args.neighbors,
                                   criterion=args.criterion)

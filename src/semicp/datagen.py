@@ -9,8 +9,9 @@ model stays (deliberately) miscalibrated in general.
 Sample i is generated from its own counter-based stream mix64(seed, i), so
 output is independent of generation order and blocking.  Generation is two
 steps: a draw (labels and scaled noise, which do not depend on the signal)
-and a finish (the signal and the softmax).  Every path works in blocks of
-about ``GEN_CELLS`` cells, so a block's (rows, K) temporaries stay in cache:
+and a finish (the signal, then ``dataset.softmax``, which the loader also
+applies to a logits-only file).  Every path works in blocks of about
+``GEN_CELLS`` cells, so a block's (rows, K) temporaries stay in cache:
 
 * :func:`generate_synthetic` fills the dataset's arrays one block at a time;
 * :func:`tune_signal`, the signal bisection, draws its probe rows once and
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .dataio import write_dataset
-from .dataset import ProbabilityDataset, check_rows
+from .dataset import ProbabilityDataset, check_rows, softmax
 from .errors import ConfigurationError, ConvergenceError, InputError
 from .unlabeled import pseudo_labels
 
@@ -86,16 +87,7 @@ def _finish_rows(logits, labels, signal: float, temperature: float, out):
     """Add ``signal`` to each row's true-class logit, in place, and write
     the softmax of the logits at ``temperature`` to ``out``."""
     logits[np.arange(len(labels)), labels] += signal
-    # the softmax steps run in place on one array: the same operations in
-    # the same order as out of place, with fewer allocations.  A row that
-    # overflows (a tiny temperature) is named by the row check that follows,
-    # so numpy's warnings would only add lines to the one-line error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.divide(logits, temperature, out=out)
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-    return z
+    return softmax(logits, temperature, out)
 
 
 def _bounds(cfg: SyntheticConfig):

@@ -8,20 +8,22 @@ Dataset CSV contract (version v1)::
 
 * ``label`` is an integer in {-1, 0..K-1}; -1 marks an unlabeled sample.
 * ``p_*`` columns are softmax probabilities.  They may be omitted when
-  ``z_*`` logit columns are present; probabilities are then computed by a
-  softmax at temperature 1.
+  ``z_*`` logit columns are present; probabilities are then
+  ``dataset.softmax`` of the logits, the softmax ``semicp gen`` uses.
 * ``f_*`` columns are an optional feature vector of dimension ``features``.
 * Floats are written with 17 significant digits, so save -> load is exact.
 * Blank and whitespace-only lines are skipped.  Row numbers in error
   messages count the lines after the header, blank lines included.
 
-The body is parsed by ``np.loadtxt`` in chunks of whole lines (about
+The header's columns are named by ``_columns``, for writer and loader.  The
+body is parsed by ``np.loadtxt`` in chunks of whole lines (about
 ``READ_CHUNK`` characters each), and each chunk is checked against the row
 contract of ``dataset.row_breach`` as one array; only when that fails are
 the chunk's lines walked one by one, to name the first bad row.  Rows are
 written by ``write_dataset``, which takes them as an iterable of row blocks
-(``save_dataset`` passes one, ``datagen.write_synthetic`` each block it
-generates) and formats about ``SAVE_CELLS`` cells at a time with
+(``save_dataset`` passes one, checked by ``dataset.check_rows`` against the
+same contract; ``datagen.write_synthetic`` each block it generates and
+checks) and formats about ``SAVE_CELLS`` cells at a time with
 ``_g17.format_rows``: exact ``'%.17g'`` digits from numpy integer
 arithmetic, with Python's ``%`` for zero, subnormal and out-of-range cells.
 Every writer here removes its output file when it fails once the file is
@@ -45,8 +47,8 @@ import numpy as np
 
 from ._g17 import format_rows
 from .calibration import Threshold
-from .dataset import ProbabilityDataset, row_breach
-from .errors import DataError, InputError
+from .dataset import ProbabilityDataset, check_rows, row_breach, softmax
+from .errors import DataError
 
 MAGIC_PREFIX = "#semicp,v1,"
 
@@ -66,10 +68,6 @@ READ_CHUNK = 1 << 20
 # a line holding only whitespace; \S and \s follow str.isspace
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 _ASCII_SPACES = [c for c in map(chr, range(128)) if c.isspace() and c != "\n"]
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 @contextmanager
@@ -113,16 +111,12 @@ def save_dataset(dataset: ProbabilityDataset, path):
     """Write ``dataset`` following the CSV contract (see
     :func:`write_dataset`).
 
-    Raises InputError naming the first row (0-based) with a non-finite
-    value in a written channel, before the file is opened: the loader would
-    refuse that row.
+    Raises InputError naming the first row (0-based) that breaks the row
+    contract of :func:`dataset.check_rows`, as a row changed after
+    construction may, before the file is opened: the loader would refuse it.
     """
-    channels = {id(c): c for c in (dataset.probs, dataset.logits,
-                                   dataset.features) if c is not None}
-    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
-                                    for c in channels.values()])
-    if not finite.all():
-        raise InputError(f"row {int(np.argmin(finite))}: non-finite value")
+    check_rows(dataset.probs, dataset.labels, (dataset.logits,
+                                               dataset.features))
     write_dataset(path, [(dataset.labels, dataset.probs, dataset.logits,
                           dataset.features)])
 
@@ -145,11 +139,8 @@ def write_dataset(path, blocks):
     _, probs, logits, features = first
     k = probs.shape[1]
     aliased = logits is not None and features is logits
-    cols = ["label"] + [f"p_{j}" for j in range(k)]
-    if logits is not None:
-        cols += [f"z_{j}" for j in range(k)]
     feat_dim = 0 if features is None else features.shape[1]
-    cols += [f"f_{j}" for j in range(feat_dim)]
+    cols = _columns(k, True, logits is not None, feat_dim)
     width = len(cols) - (feat_dim if aliased else 0)  # formatted columns
     columns = np.r_[0:width, width - k:width] if aliased else np.arange(width)
 
@@ -164,6 +155,14 @@ def write_dataset(path, blocks):
                 block = np.hstack([labels[start:start + rows, None]]
                                   + [c[start:start + rows] for c in channels])
                 fh.write(format_rows(block, columns).decode("ascii"))
+
+
+def _columns(k, have_probs, have_logits, feat_dim):
+    """The header's column names for the channels a file holds."""
+    widths = {"p": k if have_probs else 0, "z": k if have_logits else 0,
+              "f": feat_dim}
+    return ["label"] + [f"{c}_{j}" for c, w in widths.items()
+                        for j in range(w)]
 
 
 def _parse_magic(line: str, path):
@@ -203,12 +202,7 @@ def _load_dataset(path) -> ProbabilityDataset:
         have_logits = "z_0" in header
         if not have_probs and not have_logits:
             raise DataError(f"{path}: neither probability nor logit columns present")
-        expected = ["label"]
-        if have_probs:
-            expected += [f"p_{j}" for j in range(k)]
-        if have_logits:
-            expected += [f"z_{j}" for j in range(k)]
-        expected += [f"f_{j}" for j in range(feat_dim)]
+        expected = _columns(k, have_probs, have_logits, feat_dim)
         if header != expected:
             raise DataError(f"{path}: header {header} does not match the "
                             f"declared channels {expected}")
@@ -217,14 +211,8 @@ def _load_dataset(path) -> ProbabilityDataset:
 
     pos = 1 + n_probs
     logits = table[:, pos:pos + k] if have_logits else None
-    if have_probs:
-        probs = table[:, 1:pos]
-    else:
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
     return ProbabilityDataset(
-        probs=probs,
+        probs=table[:, 1:pos] if have_probs else softmax(logits),
         labels=table[:, 0].astype(np.int64),
         logits=logits,
         features=table[:, -feat_dim:] if feat_dim else None,
@@ -325,7 +313,7 @@ def write_results(records, path, fmt: str = "json"):
                 elif col == "histogram":
                     cells.append("|".join(str(int(c)) for c in val))
                 elif isinstance(val, float):
-                    cells.append(_fmt(val))
+                    cells.append(format(val, ".17g"))
                 else:
                     cells.append(str(val))
             fh.write(",".join(cells) + "\n")

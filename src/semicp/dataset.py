@@ -40,6 +40,20 @@ def row_breach(values, labels, probs, k: int):
     return i, f"invalid probability row (sum={sums[i]:.8f})"
 
 
+def softmax(logits, temperature=1.0, out=None):
+    """The row softmax of ``logits / temperature``, written to and returned
+    in ``out`` (a new array when None).  Its steps run in place: the same
+    operations in the same order as out of place, with fewer allocations.  A
+    row that overflows (a tiny temperature) comes out non-finite for the row
+    check to name, so numpy's warnings would only lengthen the error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.divide(logits, temperature, out=out)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def check_rows(probs, labels, channels=(), first_row=0):
     """Raise InputError naming the first row that breaks the row contract
     (see :func:`row_breach`) or holds a non-finite value in one of

@@ -446,6 +446,7 @@ def test_bad_sweep_section_exits_2_with_one_line(tmp_path, capsys, case):
 
 DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n0,0.25,0.75\n1,0.5,0.5\n"
 UNLABELED_DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n-1,0.25,0.75\n-1,0.5,0.5\n"
+LOGITS_INF_DATA = "#semicp,v1,K=2,features=0\nlabel,z_0,z_1\n0,1.5,inf\n"
 RUN_DOC = {**SWEEP_DOC, "n": 5, "N": 10, "test_size": 20}
 
 
@@ -464,6 +465,20 @@ def _threshold_file(tmp_path, content):
         path.write_text(content)
     return ["predict", "--test", _data_file(tmp_path),
             "--threshold-file", str(path)]
+
+
+def _calibrate_across_class_counts(tmp_path):
+    """A 3-class labeled file with a 5-class unlabeled file."""
+    files = []
+    for k in (3, 5):
+        path = tmp_path / f"k{k}.csv"
+        probs = ",".join([format(1 / k, ".17g")] * k)
+        path.write_text(f"#semicp,v1,K={k},features=0\nlabel,"
+                        + ",".join(f"p_{j}" for j in range(k))
+                        + "".join(f"\n{i % k},{probs}" for i in range(6))
+                        + "\n")
+        files.append(str(path))
+    return ["calibrate", "--labeled", files[0], "--unlabeled", files[1]]
 
 
 def _config_file(tmp_path, **changes):
@@ -490,6 +505,12 @@ CLI_ERRORS = {
     "threshold_file_bad_json": (lambda t: _threshold_file(t, "{oops"), 3),
     "threshold_file_no_include_all": (
         lambda t: _threshold_file(t, '{"value": 0.5}'), 3),
+    "threshold_file_include_all_string": (lambda t: _threshold_file(
+        t, '{"value": 0.5, "include_all": "false", "level_index": 1, '
+           '"pool_size": 2, "alpha": 0.1}'), 3),
+    "calibrate_class_counts_disagree": (_calibrate_across_class_counts, 3),
+    "dataset_logits_only_inf": (lambda t: ["calibrate", "--labeled",
+                                           _data_file(t, LOGITS_INF_DATA)], 3),
     "gen_out_unwritable": (lambda t: ["gen", "--classes", "3", "--samples",
                                       "10", "--out", _unwritable(t)], 3),
     "calibrate_labeled_file_without_labels": (lambda t: [
@@ -557,6 +578,7 @@ CLI_ERRORS = {
 }
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning adds lines to stderr
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
 def test_cli_input_error_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                              case):
@@ -586,3 +608,12 @@ def test_calibrate_labeled_file_without_labels_names_the_empty_set(tmp_path,
     argv = CLI_ERRORS["calibrate_labeled_file_without_labels"][0](tmp_path)
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: labeled calibration set is empty\n"
+
+
+@pytest.mark.parametrize("criterion", ["pseudo_score", "score_vector"])
+def test_calibrate_across_class_counts_names_the_mismatch(tmp_path, capsys,
+                                                          criterion):
+    argv = _calibrate_across_class_counts(tmp_path)
+    assert main(argv + ["--criterion", criterion]) == 3
+    assert capsys.readouterr().err == \
+        "error: data sources disagree on the number of classes\n"

@@ -365,6 +365,33 @@ def test_non_finite_channel_is_refused_in_memory(channel, value):
         ProbabilityDataset(probs=ds.probs, labels=ds.labels, **channels)
 
 
+@pytest.mark.parametrize("channel, value, message", [
+    ("probs", [0.7, 0.7], r"invalid probability row \(sum=1.40000000\)"),
+    ("labels", 7, r"label 7.0 outside \{-1, 0..1\}"),
+], ids=["probs", "labels"])
+def test_row_changed_after_construction_is_refused_before_the_file_opens(
+        tmp_path, channel, value, message):
+    ds = ProbabilityDataset(probs=np.full((3, 2), 0.5), labels=[0, 1, -1])
+    getattr(ds, channel)[1] = value
+    path = tmp_path / "d.csv"
+    with pytest.raises(InputError, match=rf"^row 1: {message}$"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+def test_logits_only_file_loads_the_generated_probabilities(tmp_path):
+    ds = generate_synthetic(SyntheticConfig(n_classes=4, n_samples=300,
+                                            seed=3))
+    path = tmp_path / "z.csv"
+    rows = [",".join([str(label)] + [format(v, ".17g") for v in z])
+            for label, z in zip(ds.labels.tolist(), ds.logits.tolist())]
+    path.write_text("#semicp,v1,K=4,features=0\nlabel,z_0,z_1,z_2,z_3\n"
+                    + "\n".join(rows) + "\n")
+    back = load_dataset(path)
+    assert np.array_equal(back.logits, ds.logits)
+    assert np.array_equal(back.probs, ds.probs)
+
+
 def test_first_bad_row_names_non_finite_logits_and_features():
     probs = [[0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(InputError, match=r"^row 0: non-finite value$"):
