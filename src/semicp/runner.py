@@ -5,9 +5,11 @@ share a source are consecutive slices of one prefix of its permutation,
 and a pool with a source of its own takes a prefix of that source's
 permutation.  Each method calibrates on one pool, the labeled true scores
 followed by its unlabeled scores, with the quantile rule of the
-calibration mode, and its test mask holds every test cell to its group's
-threshold (the marginal one outside the conditional modes).  Coverage and
-set size are evaluated on the test pool.
+calibration mode, which gives one cutoff per group (one in all outside
+the conditional modes).  Coverage and set size are counted on the test
+pool: a sample is covered when its true-label score is within its group's
+cutoff, and its set holds each label whose score is within the cutoff of
+that label's cell.
 
 A trial's results are one float row per method, in config order: coverage,
 mean set size and the coverage of each of G groups (NaN where the trial has
@@ -18,10 +20,12 @@ All per-trial randomness comes from counter-based streams keyed by
 workers and still produce byte-identical output.  Score tables do not
 depend on the trial (a randomized score's factor u only enters as
 A + B * u), so each data source is scored once per run or sweep group and
-a trial only gathers rows of its tables.  Nor does a trial's draw (its
-pools, factors, gathered scores and calibration pools) depend on alpha,
-the calibration plan or the trial count: a sweep draws each trial once
-per run of consecutive values that keep n, N and test_size.
+a trial only gathers rows of its tables.  A sweep group runs trial by
+trial over all its values.  Each source is permuted once per trial, at the
+longest prefix any value takes from it, and every value slices its pools
+from that prefix.  Nor does a trial's draw (its pools, factors, gathered
+scores and calibration pools) depend on alpha, the calibration plan or the
+trial count: consecutive values that keep n, N and test_size share it.
 
 Methods:
 
@@ -48,7 +52,7 @@ from .calibration import (cluster_classes, conditional_thresholds,
 from .datagen import SyntheticConfig, calibrate_signal_for_accuracy, generate_synthetic
 from .dataio import load_dataset
 from .errors import ConfigurationError, DataError, InputError, SemicpError
-from .metrics import avg_size, improvement, summarize
+from .metrics import improvement, summarize
 from .scores import ScoreSpec
 from .unlabeled import (EstimatorSpec, ScoreTables, check_estimator,
                         estimate_scores)
@@ -161,11 +165,14 @@ class _Context:
 
     ``main`` is the source of the unlabeled pool.  A source that serves
     several roles is one tables object, so that the pools drawn from it
-    come from one permutation.
+    come from one permutation.  ``prefix`` maps each source's tables to the
+    rows of its permutation that a trial draws: the most that any config
+    checked by ``_validate_sources`` takes from it.
     """
     main: ScoreTables
     labeled: ScoreTables
     test: ScoreTables
+    prefix: dict = field(default_factory=dict)
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
@@ -188,16 +195,32 @@ def _build_context(config: ExperimentConfig) -> _Context:
     return _Context(*(tables[id(ds)] for ds in (main, labeled, test)))
 
 
+def _roles(config: ExperimentConfig, ctx: _Context):
+    """(source tables, size, stream tag) of the labeled, unlabeled and test
+    pools, in the order they are drawn."""
+    return ((ctx.labeled, config.n, _TAG_SPLIT_LABELED),
+            (ctx.main, config.N, _TAG_SPLIT_MAIN),
+            (ctx.test, config.test_size, _TAG_SPLIT_TEST))
+
+
+def _need(roles, tables):
+    """Rows a trial takes from one source."""
+    return sum(size for source, size, _ in roles if source is tables)
+
+
 def _validate_sources(config: ExperimentConfig, ctx: _Context):
-    main, labeled, test = (t.dataset for t in (ctx.main, ctx.labeled, ctx.test))
-    pools = ((labeled, config.n), (main, config.N), (test, config.test_size))
-    for ds, name in ((main, "source"), (labeled, "labeled file"),
-                     (test, "test file")):
-        need = sum(size for source, size in pools if source is ds)
-        if len(ds) < need:
+    """Check the config against the context's sources, and widen
+    ``ctx.prefix`` to the rows it takes from each."""
+    roles = _roles(config, ctx)
+    for tables, name in ((ctx.main, "source"), (ctx.labeled, "labeled file"),
+                         (ctx.test, "test file")):
+        need, rows = _need(roles, tables), len(tables.dataset)
+        if rows < need:
             raise ConfigurationError(
-                f"infeasible partition: {name} has {len(ds)} samples but "
+                f"infeasible partition: {name} has {rows} samples but "
                 f"each trial needs {need}")
+        ctx.prefix[tables] = max(ctx.prefix.get(tables, 0), need)
+    main, labeled, test = (t.dataset for t in (ctx.main, ctx.labeled, ctx.test))
     if any(m.kind == "oracle" for m in config.methods) and not main.fully_labeled:
         raise ConfigurationError(
             "the oracle method needs true labels on the unlabeled pool source")
@@ -216,25 +239,33 @@ def _validate_sources(config: ExperimentConfig, ctx: _Context):
                     f"external_column group rule needs feature column {col}")
 
 
-def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int):
+def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int,
+                   perms: dict = None):
     """Row indices of the trial's labeled, unlabeled and test pools.
 
     The pools drawn from one source are consecutive slices, in that order,
     of one prefix of its permutation, so they are disjoint.  The main
     source's permutation has its own stream tag; any other source takes
-    the tag of the first pool drawn from it.
+    the tag of the first pool drawn from it.  ``perms`` holds the trial's
+    permutation prefixes by (source tables, tag, base seed): a missing one
+    is drawn at the source's ``ctx.prefix`` rows and added.  A prefix of a
+    longer prefix is the same rows, so configs that take fewer rows from a
+    source share its permutation.
     """
-    roles = ((ctx.labeled, config.n, _TAG_SPLIT_LABELED),
-             (ctx.main, config.N, _TAG_SPLIT_MAIN),
-             (ctx.test, config.test_size, _TAG_SPLIT_TEST))
+    perms = {} if perms is None else perms
+    roles = _roles(config, ctx)
     drawn = {}  # source tables -> [permutation prefix, rows taken so far]
     pools = []
     for tables, size, tag in roles:
         if tables not in drawn:
-            total = sum(s for source, s, _ in roles if source is tables)
-            key = rng.stream(config.base_seed, trial_index,
-                             _TAG_SPLIT_MAIN if tables is ctx.main else tag)
-            drawn[tables] = [rng.permutation(key, len(tables.dataset), total), 0]
+            tag = _TAG_SPLIT_MAIN if tables is ctx.main else tag
+            key = tables, tag, config.base_seed
+            if key not in perms:
+                perms[key] = rng.permutation(
+                    rng.stream(config.base_seed, trial_index, tag),
+                    len(tables.dataset),
+                    max(ctx.prefix.get(tables, 0), _need(roles, tables)))
+            drawn[tables] = [perms[key], 0]
         perm, start = drawn[tables]
         pools.append(perm[start:start + size])
         drawn[tables][1] = start + size
@@ -264,11 +295,14 @@ def _draw_key(config: ExperimentConfig):
 
 class _Draw:
     """One trial's draw: its pools' rows and labels, random factors and
-    gathered scores, and each method's calibration pool once made."""
+    gathered scores, the test samples' true-label scores, and each method's
+    calibration pool once made.  ``perms`` is passed to ``_split_indices``."""
 
-    def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int):
+    def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int,
+                 perms: dict = None):
         self.ctx, self.trial_index = ctx, trial_index
-        self.lab, self.unlab, self.test = _split_indices(config, ctx, trial_index)
+        self.lab, self.unlab, self.test = _split_indices(config, ctx,
+                                                         trial_index, perms)
         self.lab_labels = ctx.labeled.dataset.labels[self.lab]
         self.test_labels = ctx.test.dataset.labels[self.test]
         u_lab, self.u_unlab, u_test = (
@@ -279,6 +313,7 @@ class _Draw:
                               (config.test_size, _TAG_U_TEST)))
         self.lab_scores = ctx.labeled.at(self.lab, self.lab_labels, u_lab)
         self.test_scores = ctx.test.all_labels(self.test, u_test)
+        self.test_true = ctx.test.at(self.test, self.test_labels, u_test)
         self.records = self.pseudo = None
         if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
             self.records = ctx.labeled.records(self.lab)
@@ -311,13 +346,16 @@ class _Draw:
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
-              draws: dict = None):
+              shared: dict = None):
     """Execute one trial; returns a (methods, 2 + G) float array whose row i
     holds ``config.methods[i]``'s coverage, mean set size and coverage of
     each coverage group (NaN where the trial has no test sample of it).
 
-    ``draws`` maps trial indices to draws shared by configs with one
-    ``_draw_key``: a missing draw is made and added, a present one reused.
+    ``shared`` is what this trial shares across the configs of a sweep
+    group, run in order: under ``"perms"`` the permutation prefixes of
+    ``_split_indices``, under ``"draw"`` the draw of the last config and
+    under ``"key"`` its ``_draw_key``.  The draw is reused while the key
+    stays, and dropped before the next one is made when it changes.
     Errors raised by the underlying modules are re-raised annotated with
     the trial index.
     """
@@ -325,18 +363,29 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
         if ctx is None:
             ctx = _build_context(config)
             _validate_sources(config, ctx)
-        draws = {} if draws is None else draws
-        draw = draws.get(trial_index) \
-            or draws.setdefault(trial_index, _Draw(config, ctx, trial_index))
+        shared = {} if shared is None else shared
+        key = _draw_key(config)
+        if shared.get("key") != key:
+            shared.pop("draw", None)
+            shared["draw"] = _Draw(config, ctx, trial_index,
+                                   shared.setdefault("perms", {}))
+            shared["key"] = key
+        draw = shared["draw"]
         groups = _group_map(config, draw)
+        cells, true_cells = (-1, -1) if groups is None \
+            else (groups.test_cells, groups.true_cells)
         n_cov = 0 if groups is None else groups.n_coverage
+        t = config.test_size
         results = np.full((len(config.methods), 2 + n_cov), np.nan)
         for position, method in enumerate(config.methods):
-            mask = _calibrate_and_predict(
-                config, method, draw.pool(config, position, method),
-                groups, draw.test_scores)
-            hits = mask[np.arange(config.test_size), draw.test_labels]
-            results[position, :2] = np.mean(hits), avg_size(mask)
+            cutoffs = _cutoffs(config, method,
+                               draw.pool(config, position, method), groups)
+            # exact counts over t: the same floats as the mean of the hits
+            # and metrics.avg_size of the membership mask
+            hits = draw.test_true <= cutoffs[true_cells]
+            results[position, 0] = np.count_nonzero(hits) / t
+            results[position, 1] = np.count_nonzero(
+                draw.test_scores <= cutoffs[cells]) / t
             if n_cov:
                 counts = np.bincount(groups.coverage, minlength=n_cov)
                 np.divide(np.bincount(groups.coverage, hits, n_cov), counts,
@@ -350,26 +399,24 @@ _NO_SCORES = np.empty(0)
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
-def _calibrate_and_predict(config, method, pool, groups, test_scores):
-    """One method's test membership mask over its pool: the labeled true
-    scores, then its unlabeled scores.
+def _cutoffs(config, method, pool, groups):
+    """One method's score cutoffs over its pool: the labeled true scores,
+    then its unlabeled scores.
 
     The mode gives the quantile rule.  The marginal modes take one
     threshold, which cell -1 selects; the conditional modes take one per
-    group of the trial's group map, and each test cell its group's.
+    group of the trial's group map, whose cells select them.
     """
     mode, alpha = config.calibration.mode, config.alpha
     if groups is None:
         rule = conformal_quantile if mode == "marginal" \
             else interpolated_quantile
-        thresholds, cells = (rule(pool, alpha),), -1
+        thresholds = (rule(pool, alpha),)
     else:
         ids = np.concatenate([groups.labeled,
                               groups.unlabeled.get(method.kind, _NO_IDS)])
         thresholds = conditional_thresholds(pool, ids, groups.n_groups, alpha)
-        cells = groups.test_cells
-    cutoffs = np.array([t.cutoff for t in thresholds])
-    return test_scores <= cutoffs[cells]
+    return np.array([t.cutoff for t in thresholds])
 
 
 @dataclass
@@ -378,8 +425,9 @@ class _GroupMap:
 
     ``test_cells`` broadcasts against the (t, K) test scores: one id per
     sample, shape (t, 1), for ``group_conditional``, and one per candidate
-    label, shape (K,), for the class-based modes.  ``coverage`` gives each
-    test sample the group its coverage is reported under, one of
+    label, shape (K,), for the class-based modes.  ``true_cells`` is the
+    cell of each test sample's true label, shape (t,).  ``coverage`` gives
+    each test sample the group its coverage is reported under, one of
     ``n_coverage``: its sample group, or its true class.  ``unlabeled``
     maps each method kind that has unlabeled scores to their group ids:
     semicp sees pseudo-labels, the oracle true labels.  Id -1 is the
@@ -387,6 +435,7 @@ class _GroupMap:
     """
     labeled: np.ndarray
     test_cells: np.ndarray
+    true_cells: np.ndarray
     coverage: np.ndarray
     n_coverage: int
     n_groups: int
@@ -416,15 +465,17 @@ def _group_map(config, draw):
                 views, _group_ids(ctx.main, draw.unlab, None, plan))
         return _GroupMap(
             _group_ids(ctx.labeled, draw.lab, draw.lab_labels, plan),
-            test[:, None], test, plan.n_groups, plan.n_groups, unlabeled)
+            test[:, None], test, test, plan.n_groups, plan.n_groups,
+            unlabeled)
     if plan.mode == "class_conditional":
-        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels, k, k,
-                         views)
+        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels,
+                         draw.test_labels, k, k, views)
     # clustercp: the clusters depend only on the labeled scores, shared by
     # all methods
     cluster = cluster_classes(draw.lab_scores, draw.lab_labels, k,
                               plan.n_clusters, plan.min_class_count)
-    return _GroupMap(cluster[draw.lab_labels], cluster, draw.test_labels, k,
+    return _GroupMap(cluster[draw.lab_labels], cluster,
+                     cluster[draw.test_labels], draw.test_labels, k,
                      plan.n_clusters,
                      {kind: cluster[classes] for kind, classes in views.items()})
 
@@ -438,15 +489,18 @@ def _worker_init(configs, ctx):
 
 
 def _run_chunk(task, group=None):
-    """Results of trials lo..hi-1 of a run of the group (configs, context),
-    by default the pool worker's: per trial t, (t, {config index: results})
-    over the run's configs that have it, which share its draw."""
-    (configs, ctx), (run, lo, hi) = group or _WORKER, task
+    """Results of trials lo..hi-1 of the group (configs, context), by
+    default the pool worker's: per trial t, (t, {config index: results})
+    over the configs that have it, in order.  They share the trial's
+    permutation of each source, and consecutive configs with one
+    ``_draw_key`` share its draw; see ``run_trial``."""
+    (configs, ctx), (lo, hi) = group or _WORKER, task
     out = []
     for t in range(lo, hi):
-        draws = {}
-        out.append((t, {i: run_trial(configs[i], t, ctx, draws)
-                        for i in run if t < configs[i].trials}))
+        shared = {}
+        out.append((t, {i: run_trial(config, t, ctx, shared)
+                        for i, config in enumerate(configs)
+                        if t < config.trials}))
     return out
 
 
@@ -454,25 +508,20 @@ def _run_group(configs, jobs):
     """Summaries of configs that share one source and score, in order.
 
     The sources are scored once and checked against every config before any
-    trial runs.  Consecutive configs with one ``_draw_key`` form a run, whose
-    trials are each drawn once.  One pool runs every run's chunks; its
+    trial runs.  The group runs trial by trial over all its configs, in
+    chunks of trials; see ``_run_chunk``.  One pool runs the chunks; its
     workers get the context through ``initargs`` (inherited memory under
     fork).  When only one worker would start, the chunks run in process.
     """
     ctx = _build_context(configs[0])
     for config in configs:
         _validate_sources(config, ctx)
-    runs = [list(run) for _, run in
-            groupby(range(len(configs)), lambda i: _draw_key(configs[i]))]
-    trials = [max(configs[i].trials for i in run) for run in runs]
+    trials = max(config.trials for config in configs)
     cpus = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = max(1, min(jobs, cpus, sum(trials)))
-    tasks = []  # (run, first trial, end): about four per worker each
-    for run, total in zip(runs, trials):
-        chunk = -(-total // (workers * 4))
-        tasks += [(run, lo, min(lo + chunk, total))
-                  for lo in range(0, total, chunk)]
+    workers = max(1, min(jobs, cpus, trials))
+    chunk = -(-trials // (workers * 4))  # about four chunks per worker
+    tasks = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     if workers == 1:
         return _summaries(configs, (_run_chunk(task, (configs, ctx))
                                     for task in tasks))
@@ -717,5 +766,7 @@ def sweep_from_config(path):
         raise ConfigurationError(
             "sweep section must be an object with a string 'axis' and a "
             "list of 'values'")
+    if not sweep["values"]:
+        raise ConfigurationError("sweep section has no values")
     return config, sweep["axis"], sweep["values"]
 

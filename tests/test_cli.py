@@ -527,6 +527,8 @@ CLI_ERRORS = {
                                  "--jobs", "0"], 2),
     "sweep_jobs_negative": (lambda t: ["sweep", "--config", _config_file(t),
                                        "--jobs", "-3"], 2),
+    "sweep_values_empty": (lambda t: ["sweep", "--config", _config_file(
+        t, sweep={"axis": "n", "values": []})], 2),
     "sweep_out_unwritable": (lambda t: ["sweep", "--config", _config_file(t),
                                         "--out", _unwritable(t)], 3),
     "gen_prior_not_numbers": (lambda t: ["gen", "--classes", "3", "--samples",

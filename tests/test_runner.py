@@ -213,7 +213,11 @@ def test_sweep_scores_each_source_once_per_group(monkeypatch, axis, values,
     # every semicp method takes the value; random_match's stream is keyed
     # by the method's position, so two of them must not share an estimate
     ("estimator", ["random_match", "nnm", "debias"], 4, 24),
-    ("n", [10, 20, 50], 12, 24),
+    # the values take prefixes of one permutation per trial, but each
+    # draws its own pools
+    ("n", [10, 20, 50], 4, 24),
+    ("N", [100, 200, 300], 4, 24),
+    ("test_size", [100, 150, 200], 4, 24),
 ])
 def test_sweep_draws_each_trial_once_per_run(monkeypatch, axis, values, draws,
                                              estimates, jobs):
@@ -462,20 +466,20 @@ def test_external_column_group_rule(tmp_path):
 
 
 def test_class_threshold_broadcast_uses_candidate_label():
-    from semicp.runner import _calibrate_and_predict, _GroupMap
+    from semicp.runner import _cutoffs, _GroupMap
     config = small_config(calibration=CalibrationPlan("class_conditional"),
                           alpha=0.4)
     # labeled scores of classes 0, 0, 1, 1 and one of class 2: group
     # thresholds 0.2 and 0.9, and include-all for the lone class-2 score
     pool = np.array([0.1, 0.2, 0.8, 0.9, 0.3])
     groups = _GroupMap(labeled=np.array([0, 0, 1, 1, 2]),
-                       test_cells=np.arange(3), coverage=None,
+                       test_cells=np.arange(3), true_cells=None, coverage=None,
                        n_groups=3, unlabeled={}, n_coverage=3)
     scores = np.array([[0.1, 0.95, 0.5],
                        [0.3, 0.3, 2.0]])
     # class-based group map: each candidate-label column is its own group
-    mask = _calibrate_and_predict(config, MethodSpec("standard", "standard"),
-                                  pool, groups, scores)
+    cutoffs = _cutoffs(config, MethodSpec("standard", "standard"), pool, groups)
+    mask = scores <= cutoffs[groups.test_cells]
     assert mask.tolist() == [[True, False, True], [False, True, True]]
 
 
@@ -719,6 +723,66 @@ def test_standard_and_semicp_never_read_unlabeled_pool_labels(plan, matrix_files
     assert outputs[0] == outputs[1]
 
 
+def test_n_sweep_never_reads_unlabeled_pool_labels(matrix_files, tmp_path):
+    """The values of an n sweep take their pools from one permutation
+    prefix per source; hiding the pool's labels still changes nothing."""
+    from semicp.dataio import load_dataset, save_dataset
+    hidden = load_dataset(matrix_files["pool"])
+    hidden.labels[:] = -1
+    hidden_path = tmp_path / "pool_hidden.csv"
+    save_dataset(hidden, hidden_path)
+    methods = (MethodSpec("standard", "standard"),
+               MethodSpec("semicp", "semicp"),
+               MethodSpec("random_match", "semicp", EstimatorSpec("random_match")))
+    outputs = []
+    for pool in (matrix_files["pool"], str(hidden_path)):
+        config = ExperimentConfig(
+            source=DataSource(labeled_file=matrix_files["lab"],
+                              unlabeled_file=pool,
+                              test_file=matrix_files["test"]),
+            n=30, N=250, test_size=120, trials=3, base_seed=31,
+            score=ScoreSpec("aps"), methods=methods)
+        outputs.append(json.dumps(run_sweep(config, "n", [10, 30]),
+                                  sort_keys=True))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("layout, sources", [("labeled_apart", 2),
+                                             ("separate", 3)])
+def test_n_sweep_permutes_each_source_once_per_trial(monkeypatch, matrix_files,
+                                                     layout, sources, jobs):
+    files = {"labeled_apart": dict(labeled_file=matrix_files["lab"],
+                                   unlabeled_file=matrix_files["pool"]),
+             "separate": dict(labeled_file=matrix_files["lab"],
+                              unlabeled_file=matrix_files["pool"],
+                              test_file=matrix_files["test"])}[layout]
+    config = ExperimentConfig(source=DataSource(**files), n=10, N=300,
+                              test_size=100, trials=4, base_seed=12)
+    values = [10, 40, 25]
+    want = [r for v in values for r in results_records(
+        apply_sweep_value(config, "n", v),
+        run_experiment(apply_sweep_value(config, "n", v)),
+        extra={"sweep_axis": "n", "sweep_value": v})]
+    drawn = []  # (source rows, prefix rows) of each permutation
+    permutation = runner.rng.permutation
+
+    def counted(key, n, size=None):
+        drawn.append((n, size))
+        return permutation(key, n, size)
+
+    monkeypatch.setattr(runner.rng, "permutation", counted)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(runner, "_WORKER", None)
+    got = run_sweep(config, "n", values, jobs=jobs)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert len(drawn) == sources * config.trials
+    # the 200-row labeled file is permuted at the largest n of the sweep
+    assert sorted(set(drawn))[0] == (200, 40)
+
+
 def unique_mask_coverage(mask, labels, groups):
     """Per-group coverage by np.unique and one boolean mask and mean per
     group: the reference for the bincount version."""
@@ -726,12 +790,28 @@ def unique_mask_coverage(mask, labels, groups):
     return {int(g): float(hit[groups == g].mean()) for g in np.unique(groups)}
 
 
+def trial_with(config, draw, group_map, cutoffs):
+    """run_trial's results on a given draw, group map and cutoffs."""
+    with mock.patch.object(runner, "_group_map", lambda *args: group_map), \
+            mock.patch.object(runner, "_cutoffs", lambda *args: cutoffs):
+        return run_trial(config, 0, ctx=object(), shared={
+            "key": runner._draw_key(config), "draw": draw})
+
+
+def fake_draw(scores, labels):
+    return SimpleNamespace(test_labels=labels, test_scores=scores,
+                           test_true=scores[np.arange(labels.size), labels],
+                           pool=lambda *args: None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), t=st.integers(1, 300), k=st.integers(2, 12))
 def test_per_group_coverage_matches_unique_reference(data, t, k):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rs = np.random.RandomState(seed)
-    mask = rs.rand(t, k) < data.draw(st.floats(0.0, 1.0))
+    scores = rs.rand(t, k)
+    cutoff = data.draw(st.floats(0.0, 1.0))
+    mask = scores <= cutoff
     labels = rs.randint(0, k, t)
     # sparse ids leave gaps; the class modes report per true label
     groups = data.draw(st.sampled_from([labels, rs.randint(0, 7, t),
@@ -740,18 +820,45 @@ def test_per_group_coverage_matches_unique_reference(data, t, k):
     # groups, with a few trailing groups that no test sample has
     n_cov = int(groups.max()) + 1 + data.draw(st.integers(0, 3))
     config = small_config(test_size=t, methods=(MethodSpec("m", "standard"),))
-    draw = SimpleNamespace(test_labels=labels, test_scores=None,
-                           pool=lambda *args: None)
-    group_map = runner._GroupMap(None, None, groups, n_cov, 1, {})
-    with mock.patch.object(runner, "_group_map", lambda *args: group_map), \
-            mock.patch.object(runner, "_calibrate_and_predict",
-                              lambda *args: mask):
-        results = run_trial(config, 0, ctx=object(), draws={0: draw})
+    group_map = runner._GroupMap(None, 0, 0, groups, n_cov, 1, {})
+    results = trial_with(config, fake_draw(scores, labels), group_map,
+                         np.array([cutoff]))
     assert results.shape == (1, 2 + n_cov)
     got = observed(config, results)["m"].per_group_coverage
     want = unique_mask_coverage(mask, labels, groups)
     assert [(g, c.hex()) for g, c in got.items()] == \
         [(g, c.hex()) for g, c in want.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=st.integers(1, 300), k=st.integers(2, 12),
+       n_groups=st.integers(1, 5),
+       cells=st.sampled_from(["marginal", "sample_groups", "class_groups"]))
+def test_counted_coverage_and_size_equal_mask_metrics(data, t, k, n_groups,
+                                                      cells):
+    from semicp.metrics import avg_size, coverage
+    rs = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+    # few distinct values, so that scores often equal their cutoffs
+    scores = rs.randint(0, 8, (t, k)) / 8.0
+    labels = rs.randint(0, k, t)
+    cutoffs = rs.randint(0, 9, n_groups) / 8.0
+    if cells == "marginal":  # the scalar cell -1
+        group_map, cell = None, -1
+    elif cells == "sample_groups":  # (t, 1) cells, as group_conditional
+        ids = rs.randint(0, n_groups, t)
+        group_map = runner._GroupMap(None, ids[:, None], ids, ids, n_groups,
+                                     n_groups, {})
+        cell = ids[:, None]
+    else:  # (K,) cells, one group per class, as the class-based modes
+        ids = rs.randint(0, n_groups, k)
+        group_map = runner._GroupMap(None, ids, ids[labels], labels, k,
+                                     n_groups, {})
+        cell = ids
+    config = small_config(test_size=t, methods=(MethodSpec("m", "standard"),))
+    results = trial_with(config, fake_draw(scores, labels), group_map, cutoffs)
+    mask = scores <= cutoffs[cell]
+    assert float(results[0, 0]).hex() == coverage(mask, labels).hex()
+    assert float(results[0, 1]).hex() == avg_size(mask).hex()
 
 
 def test_clustercp_clusters_once_per_trial(monkeypatch):
