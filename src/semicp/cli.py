@@ -166,7 +166,7 @@ def _cmd_calibrate(args) -> int:
         raise EstimationError("labeled calibration set is empty")
 
     u_lab = rng.factors(spec.randomized, n, _seed(args), 0, 1)
-    lab_scores = tables.at(rows, labeled.labels[rows], u_lab)
+    lab_scores = tables.true(rows, u_lab)
 
     est_scores = np.empty(0)
     big_n = 0

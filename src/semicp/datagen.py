@@ -27,12 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dataio import write_dataset
+from .dataio import save_rows, write_dataset
 from .dataset import ProbabilityDataset, check_rows, softmax
 from .errors import ConfigurationError, ConvergenceError, InputError
 from .unlabeled import pseudo_labels
 
-# cells (rows x classes) generated per block: max(1, GEN_CELLS // K) rows
+# cells (rows x classes) generated per block, at most; see _bounds
 GEN_CELLS = 1 << 15
 
 
@@ -91,8 +91,14 @@ def _finish_rows(logits, labels, signal: float, temperature: float, out):
 
 
 def _bounds(cfg: SyntheticConfig):
-    """(start, stop) of each block of the configured rows."""
-    rows = max(1, GEN_CELLS // cfg.n_classes)
+    """(start, stop) of each block of the configured rows: about
+    ``GEN_CELLS`` cells, rounded down to whole ``write_dataset`` format
+    calls of a ``semicp gen`` row (label, probs, logits and the logits again
+    as features) when a block holds one."""
+    k = cfg.n_classes
+    rows, per_call = max(1, GEN_CELLS // k), save_rows(k, True, k)
+    if rows >= per_call:
+        rows -= rows % per_call
     return [(start, min(start + rows, cfg.n_samples))
             for start in range(0, cfg.n_samples, rows)]
 

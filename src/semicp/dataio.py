@@ -144,7 +144,7 @@ def write_dataset(path, blocks):
     width = len(cols) - (feat_dim if aliased else 0)  # formatted columns
     columns = np.r_[0:width, width - k:width] if aliased else np.arange(width)
 
-    rows = max(1, SAVE_CELLS // len(cols))
+    rows = save_rows(k, logits is not None, feat_dim)
     with _output(path) as fh:
         fh.write(f"#semicp,v1,K={k},features={feat_dim}\n")
         fh.write(",".join(cols) + "\n")
@@ -155,6 +155,12 @@ def write_dataset(path, blocks):
                 block = np.hstack([labels[start:start + rows, None]]
                                   + [c[start:start + rows] for c in channels])
                 fh.write(format_rows(block, columns).decode("ascii"))
+
+
+def save_rows(k, have_logits, feat_dim):
+    """Rows that ``write_dataset`` formats per call for a file of these
+    channels (probabilities always): about ``SAVE_CELLS`` output cells."""
+    return max(1, SAVE_CELLS // len(_columns(k, True, have_logits, feat_dim)))
 
 
 def _columns(k, have_probs, have_logits, feat_dim):

@@ -311,9 +311,9 @@ class _Draw:
             for size, tag in ((config.n, _TAG_U_LABELED),
                               (config.N, _TAG_U_UNLABELED),
                               (config.test_size, _TAG_U_TEST)))
-        self.lab_scores = ctx.labeled.at(self.lab, self.lab_labels, u_lab)
+        self.lab_scores = ctx.labeled.true(self.lab, u_lab)
         self.test_scores = ctx.test.all_labels(self.test, u_test)
-        self.test_true = ctx.test.at(self.test, self.test_labels, u_test)
+        self.test_true = ctx.test.true(self.test, u_test)
         self.records = self.pseudo = None
         if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
             self.records = ctx.labeled.records(self.lab)
@@ -321,8 +321,7 @@ class _Draw:
         self.oracle_labels = self.oracle_scores = None
         if any(m.kind == "oracle" for m in config.methods) and config.N:
             self.oracle_labels = ctx.main.dataset.labels[self.unlab]
-            self.oracle_scores = ctx.main.at(self.unlab, self.oracle_labels,
-                                             self.u_unlab)
+            self.oracle_scores = ctx.main.true(self.unlab, self.u_unlab)
         self.pools = {}  # (method position, method) -> calibration pool
 
     def pool(self, config, position, method):

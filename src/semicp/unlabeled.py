@@ -22,12 +22,18 @@ rows gathered from :class:`ScoreTables` (:class:`PseudoScores` for the
 unlabeled samples, :class:`LabeledRecords` for the labeled ones), so a data
 source is scored once and each pool drawn from it only gathers rows.
 
-Matching on the pseudo score sorts the n records and merges two walks
-outward from each query's binary-search insertion point, so the k nearest
-of N samples cost O(n log n + N (log n + k)).  At every k, records at equal
-distance |q - v| are taken by the smaller original index, except that a
-walk takes a nearer value before a farther one even where float rounding
-makes their distances equal; the first column is always the k = 1 match.
+Matching on the pseudo score reads the query source's value table
+(:meth:`ScoreTables.value_table`): its U distinct pseudo scores, sorted once
+per source, and each row's position among them.  The n records, sorted,
+cut that table into one cell per distinct record value, and the owner
+table that lays the record ids over the U values gives each query its
+nearest record with one gather: O(n log n + U + N) per match.  For k > 1
+two walks continue outward from each query's insertion point, merged for
+the k - 1 further records in O(N (log n + k)).  At every k, records at
+equal distance |q - v| are taken by the smaller original index, except
+that a nearer value is taken before a farther one even where float
+rounding makes their distances equal; the first column is always the
+k = 1 match.
 ``confidence`` is a spelling of ``pseudo_score``: at the pseudo-label every
 deterministic score is p_max or 1 - p_max, which order records alike.  The
 vector criteria (full score vector, logits, features) rank squared
@@ -48,6 +54,7 @@ ESTIMATOR_KINDS = ("nnm", "nnm_r", "naive", "debias", "random_match")
 CRITERION_KINDS = ("pseudo_score", "confidence", "score_vector", "logit", "feature")
 
 _CHUNK_CELLS = 1 << 25  # cap on brute-force distance-matrix cells per chunk
+_BELOW_AT = np.array([[-1], [0]])  # the table values either side of a cut
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,19 @@ class LabeledRecords:
         ``matched``; deterministic tables ignore u."""
         if u is None:
             return self.biases[matched]
-        rows, tables = self.rows[matched], self.tables
+        rows = self.rows[matched]
         # S(xj, yj, u) - S(xj, yhat_j, u), so that u = 1 reproduces the
         # deterministic biases bit for bit
-        return tables.at(rows, tables.dataset.labels[rows], u) - \
-            tables.at(rows, tables.hats[rows], u)
+        return self.tables.true(rows, u) - self.tables.pseudo(rows, u)
+
+
+def _affine(parts, rows, u):
+    """A[rows] (+ B[rows] * u) of the parts (A,) or (A, B); without u the
+    deterministic (u = 1) scores."""
+    if len(parts) == 1:
+        return parts[0][rows]
+    a, b = parts
+    return a[rows] + (b[rows] if u is None else b[rows] * u)
 
 
 class ScoreTables:
@@ -124,42 +139,59 @@ class ScoreTables:
     A deterministic spec keeps the single (m, K) table A + B; a randomized
     spec keeps A and B, so a score at random factor u is A + B * u.  Both
     keep the pseudo-labels and take 1x or 2x the memory of ``dataset.probs``.
+    Each part also keeps two vectors, every row's score at its true label
+    (NaN for an unlabeled row) and at its pseudo-label, so a pool gathers
+    1-D: 16 (deterministic) or 32 (randomized) more bytes a row.  The first
+    match against the source adds its value table (:meth:`value_table`),
+    at most 12 bytes a row.
     """
 
     def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec):
         self.dataset = dataset
         a, b = score_components_batch(dataset.probs, spec)
         if spec.randomized:
-            self.a, self.b = a, b
+            self._tables = (a, b)
         else:
             a += b  # a is a fresh array for every score kind
-            self.a, self.b = a, None
+            self._tables = (a,)
+        del b  # a deterministic B is freed before the vectors are made
         self.hats = pseudo_labels(dataset.probs)
+        rows, labels = np.arange(len(dataset)), dataset.labels
+        self._true = tuple(t[rows, labels] for t in self._tables)
+        for part in self._true:
+            part[labels < 0] = np.nan
+        self._pseudo = tuple(t[rows, self.hats] for t in self._tables)
+        self._values = None
 
-    def at(self, rows, labels, u=None) -> np.ndarray:
-        """Score of each row at one label; ``u`` is one draw per row, and
-        without it affine tables give the deterministic (u = 1) scores.
-        Deterministic tables ignore u."""
-        if self.b is None:
-            return self.a[rows, labels]
-        b = self.b[rows, labels]
-        return self.a[rows, labels] + (b if u is None else b * u)
+    def true(self, rows, u=None) -> np.ndarray:
+        """Score of each row at its true label, NaN for an unlabeled row;
+        ``u`` is one draw per row, and without it affine tables give the
+        deterministic (u = 1) scores.  Deterministic tables ignore u."""
+        return _affine(self._true, rows, u)
+
+    def pseudo(self, rows, u=None) -> np.ndarray:
+        """Score of each row at its pseudo-label, as :meth:`true`."""
+        return _affine(self._pseudo, rows, u)
 
     def all_labels(self, rows, u=None) -> np.ndarray:
         """Scores of every label of the rows; ``u`` is one draw per row, and
         without it affine tables give the deterministic (u = 1) scores."""
-        if self.b is None:
-            return self.a[rows]
-        b = self.b[rows]
-        return self.a[rows] + (b if u is None else b * u[:, None])
+        return _affine(self._tables, rows, None if u is None else u[:, None])
+
+    def value_table(self):
+        """The sorted distinct deterministic pseudo scores of every row, and
+        each row's int32 position among them; made at the first call."""
+        if self._values is None:
+            values, index = np.unique(self.pseudo(slice(None)),
+                                      return_inverse=True)
+            self._values = values, index.astype(np.int32)
+        return self._values
 
     def records(self, rows) -> LabeledRecords:
         """Labeled records of the given (fully labeled) rows."""
-        labels = self.dataset.labels[rows]
-        if np.any(labels < 0):
+        if np.any(self.dataset.labels[rows] < 0):
             raise InputError("labeled dataset has rows without labels")
-        true = self.at(rows, labels)
-        pseudo = self.at(rows, self.hats[rows])
+        true, pseudo = self.true(rows), self.pseudo(rows)
         return LabeledRecords(self, rows, pseudo, true, true - pseudo)
 
     def queries(self, rows) -> "PseudoScores":
@@ -169,49 +201,87 @@ class ScoreTables:
 
 class PseudoScores:
     """Unlabeled samples' scores at their pseudo-labels, ``rows`` of
-    ``tables``: with the labeled records, everything an estimator reads.
-
-    ``det`` is the deterministic (u = 1) score.
-    """
+    ``tables``: with the labeled records, everything an estimator reads."""
 
     def __init__(self, tables: ScoreTables, rows):
         self.tables, self.rows = tables, rows
-        self.det = tables.at(rows, tables.hats[rows])
 
     def __len__(self):
-        return self.det.shape[0]
+        return len(self.rows)
+
+    @property
+    def det(self) -> np.ndarray:
+        """The deterministic (u = 1) scores."""
+        return self.tables.pseudo(self.rows)
 
     def at(self, u=None) -> np.ndarray:
         """Scores at one random factor per sample; deterministic tables
         ignore u."""
-        if u is None:
-            return self.det
-        return self.tables.at(self.rows, self.tables.hats[self.rows], u)
+        return self.tables.pseudo(self.rows, u)
 
 
-def _knn_sorted_1d(values, queries, k):
-    """The k nearest records per query for 1-D values, nearest first.
+def _owner(values, order, table):
+    """The k = 1 match of each value of ``table`` (sorted and distinct)
+    among records of the given ``values``, which ``order`` sorts stably.
 
-    From each query's insertion point two outward walks are merged, k steps
-    in all: the left walk takes records in (value, descending index) order
-    and the right walk in (value, ascending index) order, so each walk
-    meets an equal-value run at its smallest index.  Each step takes the
-    nearer head by |q - v|, then by the smaller index.  An infinite
-    sentinel with index n ends each walk.
+    Each run of equal record values is represented by its first, smallest,
+    index.  A gap (lo, hi] between adjacent runs gives a table value to lo
+    while |x - lo| < |x - hi|, or while the two are equal and lo's index is
+    the smaller.  Rounding is monotone, so that rule is true, then false:
+    each cut is the first table value it fails for, searched for at the
+    midpoint and then stepped to.  Values up to the first run take it, and
+    values past the last run take the last.
+    """
+    v = values[order]
+    start = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    runs, reps = v[start], order[start]
+    lo, hi = runs[:-1], runs[1:]
+    tie_left = reps[:-1] < reps[1:]
+    size = table.shape[0]
+    cut = np.searchsorted(table, lo * 0.5 + hi * 0.5)
+    while size:  # an empty table has no values to step over
+        # whether lo owns the table values just below and at each cut
+        x = table.take(cut + _BELOW_AT, mode="clip")
+        d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
+        below, at = (x <= lo) | ((x < hi) & (
+            (d_lo < d_hi) | ((d_lo == d_hi) & tie_left)))
+        step = ((cut < size) & at).astype(cut.dtype) - ((cut > 0) & ~below)
+        if not step.any():
+            break
+        cut += step
+    return np.repeat(reps, np.diff(np.concatenate(([0], cut, [size]))))
+
+
+def _knn_sorted_1d(values, table, cells, k):
+    """The k nearest records per query for 1-D values, nearest first; the
+    queries are the values ``table[cells]`` of a sorted value table.
+
+    The first column reads the owner table of :func:`_owner`.  Later
+    columns merge two outward walks from each query's insertion point: the
+    left walk takes records in (value, descending index) order and the
+    right walk in (value, ascending index) order, so each walk meets an
+    equal-value run at its smallest index.  Each step takes the nearer head
+    by |q - v|, then by the smaller index.  An infinite sentinel with index
+    n ends each walk.
     """
     n = values.shape[0]
     right = np.argsort(values, kind="stable")
+    out = np.empty((cells.shape[0], k), dtype=np.int64)
+    out[:, 0] = _owner(values, right, table)[cells]
+    if k == 1:
+        return out
     left = n - 1 - np.argsort(values[::-1], kind="stable")
-    q = np.asarray(queries, dtype=np.float64)
+    q = table[cells]
     # In the padded arrays below the left head sits at lo and the right
-    # head at lo + (records taken so far), since each step moves one head.
+    # head at lo + (records taken so far), since each step moves one head;
+    # the first step took the left head where it is the owner.
     lo = np.searchsorted(values[right], q, side="left")
     left_vals = np.concatenate(([-np.inf], values[left]))
     right_vals = np.concatenate((values[right], [np.inf]))
     left = np.concatenate(([n], left))
     right = np.concatenate((right, [n]))
-    out = np.empty((q.shape[0], k), dtype=np.int64)
-    for step in range(k):
+    lo -= left[lo] == out[:, 0]
+    for step in range(1, k):
         hi = lo + step
         d_left = np.abs(q - left_vals[lo])
         d_right = np.abs(q - right_vals[hi])
@@ -227,8 +297,9 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
     """Matched record indices per unlabeled sample, shape (N, k), nearest
     first; ties are broken by the smaller original record index.
 
-    The pseudo score criterion merges two sorted walks; the vector criteria
-    rank squared Euclidean distances by brute force.
+    The pseudo score criterion reads the owner table over the query
+    source's value table, then for k > 1 merges two sorted walks; the
+    vector criteria rank squared Euclidean distances by brute force.
     """
     k = estimator.k
     if len(records) == 0:
@@ -236,7 +307,8 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
     if k > len(records):
         raise ConfigurationError(f"k={k} exceeds the {len(records)} labeled records")
     if estimator.criterion == "pseudo_score":
-        return _knn_sorted_1d(records.pseudo_scores, pseudo.det, k)
+        table, index = pseudo.tables.value_table()
+        return _knn_sorted_1d(records.pseudo_scores, table, index[pseudo.rows], k)
 
     q = _criterion_vectors(pseudo.tables, pseudo.rows, estimator.criterion)
     r = _criterion_vectors(records.tables, records.rows, estimator.criterion)

@@ -82,8 +82,8 @@ def _coverage_trials(n, trials, test_size, k, seed, alpha=0.1,
         cfg = SyntheticConfig(n_classes=k, n_samples=ct * per_trial,
                               signal=2.0, seed=seed * 100_000 + chunk_idx)
         ds = generate_synthetic(cfg)
-        scores = ScoreTables(ds, spec).at(
-            np.arange(len(ds)), ds.labels).reshape(ct, per_trial)
+        scores = ScoreTables(ds, spec).true(
+            np.arange(len(ds))).reshape(ct, per_trial)
         for i in range(ct):
             t = conformal_quantile(scores[i, :n], alpha)
             covs[done + i] = np.mean(scores[i, n:] <= t.value)
@@ -137,7 +137,7 @@ def _ks_pair(tables, spec, n, big_n, trial, seed):
     rec = tables.records(perm[:n])
     unl = perm[n:n + big_n]
     pseudo = tables.queries(unl)
-    true = tables.at(unl, tables.dataset.labels[unl])
+    true = tables.true(unl)
     return (ks_distance(estimate_scores(pseudo, rec, spec), true),
             ks_distance(estimate_scores(pseudo, rec, spec,
                                         EstimatorSpec("naive")), true))

@@ -66,8 +66,8 @@ def test_gen_with_target_accuracy(tmp_path, capsys):
 
 
 # sha256 of `gen` stdout, with its tmp directory written "{tmp}", and of its
-# --out file; the generation blocks of GEN_CELLS cells are 8,192 rows at K=4,
-# 10,922 at K=3, 3,276 at K=10 and 327 at K=100, so each case crosses
+# --out file; the generation blocks (datagen._bounds) are 8,190 rows at K=4,
+# 10,647 at K=3, 3,168 at K=10 and 324 at K=100, so each case crosses
 # block edges, and 50,000 rows are the signal bisection's probe rows
 GEN_DIGESTS = {
     "signal_k4": (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicp import datagen, rng
+from semicp import datagen, dataio, rng
 from semicp.datagen import (SyntheticConfig, calibrate_signal_for_accuracy,
                             generate_synthetic, measure_top1_accuracy,
                             tune_signal, write_synthetic)
@@ -274,3 +274,21 @@ def test_bisection_matches_full_generation_oracle(template, cells, data):
         with mock.patch.object(datagen, "GEN_CELLS", cells):
             got = calibrate_signal_for_accuracy(target, template, **kwargs)
         assert got == want
+
+
+def test_gen_blocks_fill_whole_format_calls(tmp_path, monkeypatch):
+    # a generated block is a whole number of write_dataset's format calls,
+    # so only the file's last call is short
+    sizes = []
+    format_rows = dataio.format_rows
+
+    def counted(block, columns):
+        sizes.append(len(block))
+        return format_rows(block, columns)
+
+    monkeypatch.setattr(dataio, "format_rows", counted)
+    datagen.write_synthetic(SyntheticConfig(n_classes=10, n_samples=50_000,
+                                            seed=1), tmp_path / "gen.csv")
+    per_call = dataio.save_rows(10, True, 10)
+    assert len(sizes) == 190 == -(-50_000 // per_call)
+    assert set(sizes[:-1]) == {per_call}

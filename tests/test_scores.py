@@ -129,8 +129,11 @@ def test_scores_at_labels_matches_batch():
     labels = rs.randint(4, size=30)
     spec = ScoreSpec("aps")
     batch = all_labels(rows, spec)
-    got = ScoreTables(ProbabilityDataset(rows), spec).at(np.arange(30), labels)
+    tables = ScoreTables(ProbabilityDataset(rows, labels), spec)
+    got = tables.true(np.arange(30))
     assert np.array_equal(got, batch[np.arange(30), labels])
+    got = tables.pseudo(np.arange(30))
+    assert np.array_equal(got, batch[np.arange(30), rows.argmax(axis=1)])
 
 
 def test_error_cases():

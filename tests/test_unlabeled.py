@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gathered import queries, records
+from semicp.calibration import conformal_quantile
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
 from semicp.rng import stream
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import (EstimatorSpec, LabeledRecords, PseudoScores,
-                              ScoreTables, _knn_sorted_1d, check_estimator,
+                              ScoreTables, check_estimator,
                               estimate_scores, neighbor_match, pseudo_labels)
 
 
@@ -135,7 +136,7 @@ def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
     for kind in ("thr", "aps", "raps"):
         spec = ScoreSpec(kind)
         plain = naive(queries(ds, spec), spec)
-        true = ScoreTables(ds, spec).at(np.arange(len(ds)), ds.labels)
+        true = ScoreTables(ds, spec).true(np.arange(len(ds)))
         assert np.all(plain <= true + 1e-12)
 
 
@@ -348,10 +349,13 @@ class ValueTables:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.hats = np.zeros(len(values), dtype=np.int64)
 
-    def at(self, rows, labels, u=None):
+    def pseudo(self, rows, u=None):
         return self.values[rows]
+
+    def value_table(self):
+        table, index = np.unique(self.values, return_inverse=True)
+        return table, index.astype(np.int32)
 
 
 def match_1d(values, queries, k, criterion="pseudo_score"):
@@ -362,6 +366,37 @@ def match_1d(values, queries, k, criterion="pseudo_score"):
                          np.asarray(values, float), np.zeros(len(values)))
     unl = PseudoScores(ValueTables(queries), np.arange(len(queries)))
     return neighbor_match(unl, rec, EstimatorSpec(k=k, criterion=criterion))
+
+
+def two_walk_reference(values, queries, k):
+    """The sorted 1-D k-NN that the owner table replaced in its first
+    column, kept as the reference for every column: from each query's
+    insertion point two outward walks are merged, k steps in all.  The left
+    walk takes records in (value, descending index) order and the right
+    walk in (value, ascending index) order, so each walk meets an
+    equal-value run at its smallest index.  Each step takes the nearer head
+    by |q - v|, then by the smaller index.  An infinite sentinel with index
+    n ends each walk."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    right = np.argsort(values, kind="stable")
+    left = n - 1 - np.argsort(values[::-1], kind="stable")
+    q = np.asarray(queries, dtype=np.float64)
+    lo = np.searchsorted(values[right], q, side="left")
+    left_vals = np.concatenate(([-np.inf], values[left]))
+    right_vals = np.concatenate((values[right], [np.inf]))
+    left = np.concatenate(([n], left))
+    right = np.concatenate((right, [n]))
+    out = np.empty((q.shape[0], k), dtype=np.int64)
+    for step in range(k):
+        hi = lo + step
+        d_left = np.abs(q - left_vals[lo])
+        d_right = np.abs(q - right_vals[hi])
+        i_left, i_right = left[lo], right[hi]
+        take_left = (d_left < d_right) | ((d_left == d_right) & (i_left < i_right))
+        out[:, step] = np.where(take_left, i_left, i_right)
+        lo -= take_left
+    return out
 
 
 def match_sorted_1d_reference(values, queries):
@@ -430,6 +465,76 @@ def test_neighbor_match_1d_rows_are_nearest_for_any_floats(data):
     assert np.array_equal(got[:, 0], match_sorted_1d_reference(values, queries))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_owner_table_matcher_equals_the_two_walk_reference(data):
+    # eighths tie exactly; near floats and the neighbours of midpoints tie
+    # in distance only after rounding
+    level = data.draw(st.sampled_from([
+        st.integers(-32, 32).map(lambda i: i / 8),
+        st.floats(-10.0, 10.0),
+        st.integers(-3, 3).map(lambda i: 0.3 + i * 2.0 ** -52),
+        st.sampled_from([0.0, -1.1125369292536007e-308, 5e-324, 1.0])]))
+    levels = data.draw(st.lists(level, min_size=1, max_size=6, unique=True))
+    n = data.draw(st.integers(1, 40))
+    values = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n,
+                                         max_size=n)))
+    ordered = sorted(levels)
+    mids = [a / 2 + b / 2 for a, b in zip(ordered, ordered[1:])]
+    spots = (ordered + mids + [np.nextafter(m, to) for m in mids
+                               for to in (-np.inf, np.inf)]
+             + [ordered[0] - 1.0, ordered[-1] + 1.0])  # below and above all
+    queries = np.array(data.draw(st.lists(st.sampled_from(spots), min_size=1,
+                                          max_size=30)))
+    k = data.draw(st.integers(1, n))
+    assert np.array_equal(match_1d(values, queries, k),
+                          two_walk_reference(values, queries, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matching_across_score_tables_equals_the_two_walk_reference(data):
+    # records and queries scored in tables of different sources, p_max
+    # values tied often; a randomized spec also runs nnm_r
+    kind = data.draw(st.sampled_from(["thr", "aps", "raps", "saps"]))
+    spec = ScoreSpec(kind, randomized=kind != "thr" and data.draw(st.booleans()))
+    k_classes = data.draw(st.integers(2, 4))
+    n, big_n = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    lab = ProbabilityDataset(
+        probs=_weight_rows(data, n, k_classes, False),
+        labels=data.draw(st.lists(st.integers(0, k_classes - 1), min_size=n,
+                                  max_size=n)))
+    unl = ProbabilityDataset(probs=_weight_rows(data, big_n, k_classes, False))
+    rec, pseudo = records(lab, spec), queries(unl, spec)
+    k = 1 if spec.randomized else data.draw(st.integers(1, n))
+    want = two_walk_reference(rec.pseudo_scores, pseudo.det, k)
+    assert np.array_equal(neighbor_match(pseudo, rec, EstimatorSpec(k=k)), want)
+    if spec.randomized:
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=big_n,
+                                        max_size=big_n)))
+        rows = want[:, 0]
+        matched = rec.tables.all_labels(rows, u)
+        bias = matched[np.arange(big_n), lab.labels[rows]] - \
+            matched[np.arange(big_n), pseudo_labels(lab.probs)[rows]]
+        assert np.array_equal(nnm_r(pseudo, rec, spec, u), pseudo.at(u) + bias)
+
+
+def test_unlabeled_rows_score_nan_at_their_true_label():
+    # label -1 must not read class K - 1 through a negative index: the NaN
+    # it reads instead is refused by every pool and records refuse the row
+    ds = ProbabilityDataset(probs=[[0.2, 0.8], [0.9, 0.1]], labels=[1, -1])
+    rows = np.arange(2)
+    for spec, u in ((ScoreSpec("thr"), None),
+                    (ScoreSpec("aps", randomized=True), np.array([0.5, 0.5]))):
+        tables = ScoreTables(ds, spec)
+        true = tables.true(rows, u)
+        assert not np.isnan(true[0]) and np.isnan(true[1])
+        with pytest.raises(InputError, match="non-finite"):
+            conformal_quantile(true, 0.1)
+        with pytest.raises(InputError, match="without labels"):
+            tables.records(rows)
+
+
 def test_rounding_tie_ranks_the_k1_match_first():
     # |-1 - v| rounds to 1.0 for both values, though -1.1e-308 is nearer:
     # every k takes the nearer value first, as k = 1 does
@@ -447,7 +552,7 @@ def test_confidence_is_a_spelling_of_pseudo_score():
 def confidence_match_reference(unl, lab, k):
     """The retired confidence matcher, kept as the oracle for its spelling:
     the sorted 1-D k-NN on p_max values."""
-    return _knn_sorted_1d(lab.probs.max(axis=1), unl.probs.max(axis=1), k)
+    return two_walk_reference(lab.probs.max(axis=1), unl.probs.max(axis=1), k)
 
 
 def _weight_rows(data, n, k, top_half):
