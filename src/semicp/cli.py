@@ -37,7 +37,6 @@ def _add_universal(p):
     p.add_argument("--seed", type=int, default=None,
                    help="base random seed (for run/sweep: overrides the "
                         "config seed)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--out", help="output file path")
 
 
@@ -69,9 +68,17 @@ def _score_spec(args) -> ScoreSpec:
                      weight=args.weight, randomized=args.randomized)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are configuration errors, reported in
+    one line like every other; its subcommand parsers are of this class."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 @functools.cache  # built once per process; parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicp",
         description="Conformal calibration with labeled and unlabeled data.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,18 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_score_flags(p)
     _add_universal(p)
 
-    p = sub.add_parser("run", help="run a multi-trial experiment")
-    p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_universal(p)
-
-    p = sub.add_parser("sweep", help="run a grid of experiments over one axis")
-    p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--axis", choices=list(runner.SWEEP_AXES),
-                   help="override the config's sweep axis")
-    p.add_argument("--values", help="comma-separated sweep values")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_universal(p)
+    run = sub.add_parser("run", help="run a multi-trial experiment")
+    sweep = sub.add_parser("sweep",
+                           help="run a grid of experiments over one axis")
+    sweep.add_argument("--axis", choices=list(runner.SWEEP_AXES),
+                       help="override the config's sweep axis")
+    sweep.add_argument("--values", help="comma-separated sweep values")
+    for p in (run, sweep):
+        p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--format", default="json", choices=["json", "csv"])
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        _add_universal(p)
 
     return parser
 
@@ -207,16 +213,14 @@ def _cmd_predict(args) -> int:
     spec = _score_spec(args)
     test = load_dataset(args.test)
     if args.threshold_file:
-        threshold = load_threshold(args.threshold_file)
+        cutoff = load_threshold(args.threshold_file).cutoff
     elif not math.isfinite(args.threshold):
         raise ConfigurationError(f"--threshold must be finite, got "
                                  f"{args.threshold}")
     else:
-        threshold = Threshold(value=args.threshold, include_all=False,
-                              level_index=0, pool_size=0, alpha=0.0)
+        cutoff = args.threshold
     u = rng.factors(spec.randomized, len(test), _seed(args), 0, 4)
-    mask = ScoreTables(test, spec).all_labels(np.arange(len(test)), u) \
-        <= threshold.cutoff
+    mask = ScoreTables(test, spec).all_labels(np.arange(len(test)), u) <= cutoff
 
     labeled_rows = test.labels >= 0
     print(f"samples={len(test)} avg_size={avg_size(mask):.6g}")
@@ -294,10 +298,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:  # only run and sweep take --jobs
             raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
         if args.out is not None:
             check_writable(args.out)

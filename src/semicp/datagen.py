@@ -79,7 +79,8 @@ def _draw_rows(cfg: SyntheticConfig, start: int, stop: int):
     labels = np.minimum(np.searchsorted(cum, label_u, side="right"), k - 1)
 
     logits = rng.normals(keys[:, None], np.arange(1, k + 1, dtype=np.uint64)[None, :])
-    logits *= cfg.noise_sigma
+    with np.errstate(over="ignore"):  # the row check names an overflowed row
+        logits *= cfg.noise_sigma
     return labels.astype(np.int64), logits
 
 

@@ -179,42 +179,40 @@ def _build_context(config: ExperimentConfig) -> _Context:
     """The config's sources, loaded and scored; see ``_validate_sources``."""
     src = config.source
     if src.synthetic is not None:
-        main = labeled = test = generate_synthetic(src.synthetic)
-    else:
-        main_file = src.labeled_file if src.unlabeled_file is None \
-            else src.unlabeled_file
-        files = (src.labeled_file, main_file,
-                 main_file if src.test_file is None else src.test_file)
-        loaded = {}  # each file once, however many roles name it
-        for path in files:
-            if os.path.realpath(path) not in loaded:
-                loaded[os.path.realpath(path)] = load_dataset(path)
-        labeled, main, test = (loaded[os.path.realpath(p)] for p in files)
-    distinct = {id(ds): ds for ds in (main, labeled, test)}
-    tables = {key: ScoreTables(ds, config.score) for key, ds in distinct.items()}
-    return _Context(*(tables[id(ds)] for ds in (main, labeled, test)))
+        return _Context(*[ScoreTables(generate_synthetic(src.synthetic),
+                                      config.score)] * 3)
+    main_file = src.labeled_file if src.unlabeled_file is None \
+        else src.unlabeled_file
+    files = (src.labeled_file, main_file,
+             main_file if src.test_file is None else src.test_file)
+    tables = {}  # each file once, however many roles name it
+    for path in files:
+        if os.path.realpath(path) not in tables:
+            tables[os.path.realpath(path)] = ScoreTables(load_dataset(path),
+                                                         config.score)
+    labeled, main, test = (tables[os.path.realpath(p)] for p in files)
+    return _Context(main, labeled, test)
 
 
-def _roles(config: ExperimentConfig, ctx: _Context):
-    """(source tables, size, stream tag) of the labeled, unlabeled and test
-    pools, in the order they are drawn."""
-    return ((ctx.labeled, config.n, _TAG_SPLIT_LABELED),
-            (ctx.main, config.N, _TAG_SPLIT_MAIN),
-            (ctx.test, config.test_size, _TAG_SPLIT_TEST))
+def _pool_sizes(config: ExperimentConfig, ctx: _Context):
+    """(source tables, size) of the labeled, unlabeled and test pools, in
+    the order they are drawn."""
+    return ((ctx.labeled, config.n), (ctx.main, config.N),
+            (ctx.test, config.test_size))
 
 
-def _need(roles, tables):
+def _need(sizes, tables):
     """Rows a trial takes from one source."""
-    return sum(size for source, size, _ in roles if source is tables)
+    return sum(size for source, size in sizes if source is tables)
 
 
 def _validate_sources(config: ExperimentConfig, ctx: _Context):
     """Check the config against the context's sources, and widen
     ``ctx.prefix`` to the rows it takes from each."""
-    roles = _roles(config, ctx)
+    sizes = _pool_sizes(config, ctx)
     for tables, name in ((ctx.main, "source"), (ctx.labeled, "labeled file"),
                          (ctx.test, "test file")):
-        need, rows = _need(roles, tables), len(tables.dataset)
+        need, rows = _need(sizes, tables), len(tables.dataset)
         if rows < need:
             raise ConfigurationError(
                 f"infeasible partition: {name} has {rows} samples but "
@@ -230,13 +228,19 @@ def _validate_sources(config: ExperimentConfig, ctx: _Context):
         raise DataError("coverage evaluation needs labels on the test source")
     if labeled.n_classes != main.n_classes or test.n_classes != main.n_classes:
         raise DataError("data sources disagree on the number of classes")
-    if config.calibration.mode == "group_conditional" \
-            and config.calibration.group_rule == "external_column":
-        col = config.calibration.external_column
+    plan = config.calibration
+    if plan.mode == "group_conditional" and plan.group_rule == "external_column":
+        col, g = plan.external_column, plan.n_groups
         for ds in (main, labeled, test):
             if ds.features is None or ds.features.shape[1] <= col:
                 raise ConfigurationError(
                     f"external_column group rule needs feature column {col}")
+            # every row, not only those a trial draws; rint is monotone, so
+            # the extreme ids are the rounded extremes
+            ids = ds.features[:, col]
+            if len(ids) and (np.rint(ids.min()) < 0 or np.rint(ids.max()) >= g):
+                raise DataError(
+                    f"external group column holds ids outside 0..{g - 1}")
 
 
 def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int,
@@ -244,31 +248,30 @@ def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int,
     """Row indices of the trial's labeled, unlabeled and test pools.
 
     The pools drawn from one source are consecutive slices, in that order,
-    of one prefix of its permutation, so they are disjoint.  The main
-    source's permutation has its own stream tag; any other source takes
-    the tag of the first pool drawn from it.  ``perms`` holds the trial's
-    permutation prefixes by (source tables, tag, base seed): a missing one
-    is drawn at the source's ``ctx.prefix`` rows and added.  A prefix of a
-    longer prefix is the same rows, so configs that take fewer rows from a
-    source share its permutation.
+    of one prefix of its permutation, so they are disjoint.  The stream tag
+    of a source's permutation is that of its role: main, else labeled,
+    else test.  ``perms`` holds the trial's permutation prefixes by source
+    tables, so every config that shares it must have the same base seed,
+    as the configs of a sweep group do: a missing one is drawn at the
+    source's ``ctx.prefix`` rows and added.  A prefix of a longer prefix is
+    the same rows, so configs that take fewer rows from a source share its
+    permutation.
     """
     perms = {} if perms is None else perms
-    roles = _roles(config, ctx)
-    drawn = {}  # source tables -> [permutation prefix, rows taken so far]
+    sizes = _pool_sizes(config, ctx)
+    taken = {}  # source tables -> rows taken so far
     pools = []
-    for tables, size, tag in roles:
-        if tables not in drawn:
-            tag = _TAG_SPLIT_MAIN if tables is ctx.main else tag
-            key = tables, tag, config.base_seed
-            if key not in perms:
-                perms[key] = rng.permutation(
-                    rng.stream(config.base_seed, trial_index, tag),
-                    len(tables.dataset),
-                    max(ctx.prefix.get(tables, 0), _need(roles, tables)))
-            drawn[tables] = [perms[key], 0]
-        perm, start = drawn[tables]
-        pools.append(perm[start:start + size])
-        drawn[tables][1] = start + size
+    for tables, size in sizes:
+        if tables not in perms:
+            tag = _TAG_SPLIT_MAIN if tables is ctx.main else \
+                _TAG_SPLIT_LABELED if tables is ctx.labeled else _TAG_SPLIT_TEST
+            perms[tables] = rng.permutation(
+                rng.stream(config.base_seed, trial_index, tag),
+                len(tables.dataset),
+                max(ctx.prefix.get(tables, 0), _need(sizes, tables)))
+        start = taken.get(tables, 0)
+        pools.append(perms[tables][start:start + size])
+        taken[tables] = start + size
     return tuple(pools)
 
 
@@ -281,10 +284,7 @@ def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
     if plan.group_rule == "true_label":
         return class_ids % g
     ids = tables.dataset.features[rows, plan.external_column]
-    out = np.rint(ids).astype(np.int64)
-    if np.any(out < 0) or np.any(out >= g):
-        raise DataError(f"external group column holds ids outside 0..{g - 1}")
-    return out
+    return np.rint(ids).astype(np.int64)  # in range: see _validate_sources
 
 
 def _draw_key(config: ExperimentConfig):
@@ -351,8 +351,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
     each coverage group (NaN where the trial has no test sample of it).
 
     ``shared`` is what this trial shares across the configs of a sweep
-    group, run in order: under ``"perms"`` the permutation prefixes of
-    ``_split_indices``, under ``"draw"`` the draw of the last config and
+    group, run in order, which all have one base seed: under ``"perms"``
+    the permutation prefixes of ``_split_indices``, keyed by source alone,
+    under ``"draw"`` the draw of the last config and
     under ``"key"`` its ``_draw_key``.  The draw is reused while the key
     stays, and dropped before the next one is made when it changes.
     Errors raised by the underlying modules are re-raised annotated with
@@ -376,6 +377,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
         n_cov = 0 if groups is None else groups.n_coverage
         t = config.test_size
         results = np.full((len(config.methods), 2 + n_cov), np.nan)
+        if n_cov:
+            counts = np.bincount(groups.coverage, minlength=n_cov)
         for position, method in enumerate(config.methods):
             cutoffs = _cutoffs(config, method,
                                draw.pool(config, position, method), groups)
@@ -386,7 +389,6 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
             results[position, 1] = np.count_nonzero(
                 draw.test_scores <= cutoffs[cells]) / t
             if n_cov:
-                counts = np.bincount(groups.coverage, minlength=n_cov)
                 np.divide(np.bincount(groups.coverage, hits, n_cov), counts,
                           out=results[position, 2:], where=counts > 0)
         return results
@@ -584,14 +586,6 @@ SWEEP_AXES = ("n", "N", "test_size", "alpha", "trials", "accuracy", "score",
 
 def apply_sweep_value(config: ExperimentConfig, axis: str, value):
     """A copy of the config with one sweep axis applied."""
-    try:
-        return _apply_sweep_value(config, axis, value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"bad value {value!r} for sweep axis {axis!r}: {exc}") from None
-
-
-def _apply_sweep_value(config: ExperimentConfig, axis: str, value):
     if axis in ("n", "N", "test_size", "trials", "alpha"):
         f = next(f for f in fields(ExperimentConfig) if f.name == axis)
         typed = _typed(f, value, f"value of sweep axis {axis!r}")
@@ -610,7 +604,12 @@ def _apply_sweep_value(config: ExperimentConfig, axis: str, value):
     if axis == "accuracy":
         if config.source.synthetic is None:
             raise ConfigurationError("accuracy sweeps need a synthetic source")
-        signal, _ = calibrate_signal_for_accuracy(float(value),
+        try:
+            target = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"bad value {value!r} for sweep axis {axis!r}: {exc}") from None
+        signal, _ = calibrate_signal_for_accuracy(target,
                                                   config.source.synthetic)
         synthetic = replace(config.source.synthetic, signal=signal)
         return replace(config, source=replace(config.source, synthetic=synthetic))

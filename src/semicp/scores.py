@@ -49,10 +49,10 @@ class ScoreSpec:
         if self.kind == "raps":
             if self.k_reg < 1:
                 raise ConfigurationError("raps k_reg must be a positive integer")
-            if not self.lam >= 0:
-                raise ConfigurationError("raps lam must be nonnegative")
-        if self.kind == "saps" and not self.weight >= 0:
-            raise ConfigurationError("saps weight must be nonnegative")
+            if not 0 <= self.lam < np.inf:
+                raise ConfigurationError("raps lam must be finite and nonnegative")
+        if self.kind == "saps" and not 0 <= self.weight < np.inf:
+            raise ConfigurationError("saps weight must be finite and nonnegative")
         if self.randomized and self.kind == "thr":
             raise ConfigurationError("thr has no randomized form")
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import rng
 from .dataset import ProbabilityDataset
-from .errors import ConfigurationError, EstimationError, InputError
+from .errors import ConfigurationError, DataError, EstimationError, InputError
 from .scores import ScoreSpec, score_components_batch
 
 ESTIMATOR_KINDS = ("nnm", "nnm_r", "naive", "debias", "random_match")
@@ -148,13 +148,20 @@ class ScoreTables:
 
     def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec):
         self.dataset = dataset
-        a, b = score_components_batch(dataset.probs, spec)
-        if spec.randomized:
-            self._tables = (a, b)
-        else:
-            a += b  # a is a fresh array for every score kind
-            self._tables = (a,)
+        # a score that overflows is refused below, so numpy's warnings
+        # would only lengthen the error
+        with np.errstate(over="ignore"):
+            a, b = score_components_batch(dataset.probs, spec)
+            if spec.randomized:
+                self._tables = (a, b)
+            else:
+                a += b  # a is a fresh array for every score kind
+                self._tables = (a,)
         del b  # a deterministic B is freed before the vectors are made
+        # NaN passes through min and max, so no (m, K) isfinite temporary
+        if any(t.size and not (np.isfinite(t.min()) and np.isfinite(t.max()))
+               for t in self._tables):
+            raise DataError(f"{spec.kind} scores overflow to non-finite values")
         self.hats = pseudo_labels(dataset.probs)
         rows, labels = np.arange(len(dataset)), dataset.labels
         self._true = tuple(t[rows, labels] for t in self._tables)
@@ -209,14 +216,9 @@ class PseudoScores:
     def __len__(self):
         return len(self.rows)
 
-    @property
-    def det(self) -> np.ndarray:
-        """The deterministic (u = 1) scores."""
-        return self.tables.pseudo(self.rows)
-
     def at(self, u=None) -> np.ndarray:
-        """Scores at one random factor per sample; deterministic tables
-        ignore u."""
+        """Scores at one random factor per sample; without u the
+        deterministic (u = 1) scores.  Deterministic tables ignore u."""
         return self.tables.pseudo(self.rows, u)
 
 
@@ -366,13 +368,13 @@ def estimate_scores(pseudo: PseudoScores, records: LabeledRecords,
     if len(records) == 0:
         raise EstimationError(f"{kind} needs a nonempty labeled set")
     if kind == "debias":
-        return pseudo.det + records.biases.mean()
+        return pseudo.at() + records.biases.mean()
     if kind == "random_match":
         if stream_key is None:
             raise ConfigurationError("random_match needs an rng stream")
         draws = rng.integers(stream_key, np.arange(len(pseudo)), len(records))
-        return pseudo.det + records.biases[draws]
+        return pseudo.at() + records.biases[draws]
     matched = neighbor_match(pseudo, records, estimator)
     if estimator.k > 1:  # nnm only, so the spec is deterministic
-        return pseudo.det + records.biases[matched].mean(axis=1)
+        return pseudo.at() + records.biases[matched].mean(axis=1)
     return pseudo.at(u) + records.biases_at(matched[:, 0], u)

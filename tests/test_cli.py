@@ -2,14 +2,18 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semicp import runner
 from semicp.cli import main
 from semicp.calibration import conformal_quantile
-from semicp.dataio import load_dataset
+from semicp.datagen import SyntheticConfig, generate_synthetic
+from semicp.dataio import load_dataset, save_dataset, write_results
+from semicp.dataset import ProbabilityDataset
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -154,10 +158,14 @@ def test_missing_data_file_exits_with_data_code(capsys):
     assert main(["calibrate", "--labeled", "/no/such/file.csv"]) == 3
 
 
-def test_argparse_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["run"])  # --config is required
-    assert exc.value.code == 2
+def test_argparse_usage_error_exit_code(capsys):
+    assert main(["run"]) == 2  # --config is required
+    assert capsys.readouterr().err == \
+        "error: the following arguments are required: --config\n"
+    with pytest.raises(SystemExit) as exc:  # --help still prints and exits
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: semicp run")
 
 
 def test_run_example_config_reproduces_pinned_summary(tmp_path, capsys):
@@ -447,6 +455,8 @@ def test_bad_sweep_section_exits_2_with_one_line(tmp_path, capsys, case):
 DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n0,0.25,0.75\n1,0.5,0.5\n"
 UNLABELED_DATA = "#semicp,v1,K=2,features=0\nlabel,p_0,p_1\n-1,0.25,0.75\n-1,0.5,0.5\n"
 LOGITS_INF_DATA = "#semicp,v1,K=2,features=0\nlabel,z_0,z_1\n0,1.5,inf\n"
+THREE_CLASS_DATA = ("#semicp,v1,K=3,features=0\nlabel,p_0,p_1,p_2\n"
+                    "0,0.5,0.3,0.2\n1,0.2,0.5,0.3\n")
 RUN_DOC = {**SWEEP_DOC, "n": 5, "N": 10, "test_size": 20}
 
 
@@ -577,6 +587,30 @@ CLI_ERRORS = {
     "config_synthetic_signal_negative": (lambda t: ["run", "--config",
                                                     _config_file(t, data={
         "synthetic": {"classes": 3, "samples": 100, "signal": -1}})], 2),
+    "calibrate_raps_lambda_inf": (lambda t: [
+        "calibrate", "--labeled", _data_file(t), "--score", "raps",
+        "--lambda", "inf"], 2),
+    "calibrate_saps_weight_inf": (lambda t: [
+        "calibrate", "--labeled", _data_file(t), "--score", "saps",
+        "--weight", "inf"], 2),
+    "predict_raps_lambda_inf": (lambda t: [
+        "predict", "--test", _data_file(t), "--score", "raps", "--lambda",
+        "inf", "--threshold", "0.5"], 2),
+    # rank 3 of 3 takes 2 * lambda, which overflows
+    "calibrate_raps_scores_overflow": (lambda t: [
+        "calibrate", "--labeled", _data_file(t, THREE_CLASS_DATA), "--score",
+        "raps", "--lambda", "1e308", "--k-reg", "1"], 3),
+    "gen_noise_sigma_overflow": (lambda t: [
+        "gen", "--classes", "3", "--samples", "10", "--noise-sigma", "1e308",
+        "--out", str(t / "g.csv")], 3),
+    "gen_classes_not_int": (lambda t: ["gen", "--classes", "abc", "--samples",
+                                       "10", "--out", str(t / "g.csv")], 2),
+    "gen_jobs_not_a_flag": (lambda t: ["gen", "--classes", "3", "--samples",
+                                       "10", "--jobs", "2", "--out",
+                                       str(t / "g.csv")], 2),
+    "calibrate_without_labeled": (lambda t: ["calibrate"], 2),
+    "run_format_xml": (lambda t: ["run", "--config", _config_file(t),
+                                  "--format", "xml"], 2),
 }
 
 
@@ -619,3 +653,83 @@ def test_calibrate_across_class_counts_names_the_mismatch(tmp_path, capsys,
     assert main(argv + ["--criterion", criterion]) == 3
     assert capsys.readouterr().err == \
         "error: data sources disagree on the number of classes\n"
+
+
+def _save(tmp_path, name, ds):
+    path = tmp_path / name
+    save_dataset(ds, path)
+    return str(path)
+
+
+def test_external_group_id_out_of_range_fails_before_any_trial(tmp_path,
+                                                                capsys):
+    # one row of 400 holds group id 5 of 2; a trial draws 40 rows, so a
+    # check of the drawn rows alone lets most seeds run to completion
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=400,
+                                            seed=3))
+    ds.features = (np.arange(400) % 2).astype(float)[:, None]
+    ds.features[123] = 5.0
+    cfg = _config_file(tmp_path, n=10, N=20, test_size=10, trials=3,
+                       data={"labeled_file": _save(tmp_path, "g.csv", ds)},
+                       calibration={"mode": "group_conditional", "groups": 2,
+                                    "rule": "external_column"})
+    for seed in range(6):
+        assert main(["run", "--config", cfg, "--seed", str(seed)]) == 3
+        assert capsys.readouterr().err == \
+            "error: external group column holds ids outside 0..1\n"
+
+
+@pytest.mark.parametrize("data,values,message", [
+    ({"synthetic": {"classes": 3, "samples": 100, "seed": 1}}, "abc",
+     "error: bad value 'abc' for sweep axis 'accuracy': could not convert "
+     "string to float: 'abc'\n"),
+    ("file", "0.8", "error: accuracy sweeps need a synthetic source\n"),
+])
+def test_accuracy_sweep_errors_exit_2_with_one_line(tmp_path, capsys, data,
+                                                    values, message):
+    if data == "file":
+        data = {"labeled_file": _data_file(tmp_path)}
+    cfg = _config_file(tmp_path, data=data)
+    assert main(["sweep", "--config", cfg, "--axis", "accuracy", "--values",
+                 values]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_run_conditional_config_prints_group_coverage_gap(tmp_path, capsys):
+    cfg = _config_file(tmp_path, calibration={"mode": "class_conditional"})
+    assert main(["run", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(" group_cov_gap=" in line for line in lines)
+
+
+@pytest.mark.parametrize("axis,values,parsed", [
+    ("alpha", "0.05,0.1", [0.05, 0.1]),
+    ("score", "aps,raps", ["aps", "raps"]),
+])
+def test_sweep_axis_flags_and_seed_override(tmp_path, capsys, axis, values,
+                                            parsed):
+    cfg = _config_file(tmp_path, trials=3)
+    out, want = tmp_path / "sweep.json", tmp_path / "want.json"
+    assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values,
+                 "--seed", "9", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in printed[:-1]] == \
+        [f"{axis}={v}" for v in parsed for _ in range(3)]
+    config = runner.load_config(cfg)
+    write_results(runner.run_sweep(replace(config, base_seed=9), axis,
+                                   parsed), want)
+    assert out.read_bytes() == want.read_bytes()
+    write_results(runner.run_sweep(config, axis, parsed), want)
+    assert out.read_bytes() != want.read_bytes()  # the override took effect
+
+
+def test_unlabeled_test_file_exits_3_with_one_line(tmp_path, capsys):
+    # no monkeypatch: the run must reach the source checks before its trials
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=60, seed=3))
+    data = {"labeled_file": _save(tmp_path, "lab.csv", ds),
+            "test_file": _save(tmp_path, "test.csv",
+                               ProbabilityDataset(probs=ds.probs))}
+    assert main(["run", "--config", _config_file(tmp_path, data=data)]) == 3
+    assert capsys.readouterr().err == \
+        "error: coverage evaluation needs labels on the test source\n"

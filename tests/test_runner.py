@@ -874,3 +874,53 @@ def test_clustercp_clusters_once_per_trial(monkeypatch):
                                                       n_clusters=3))
     run_experiment(config)
     assert len(config.methods) == 3 and len(calls) == config.trials
+
+
+def test_accuracy_sweep_runs_each_value_at_its_tuned_signal():
+    from dataclasses import replace
+    from semicp.datagen import tune_signal
+    config = small_config(source=synth_source(n_classes=4, n_samples=1000),
+                          trials=3)
+    values = [0.6, 0.8]
+    want = []
+    for value in values:
+        synthetic = replace(config.source.synthetic, signal=tune_signal(
+            value, config.source.synthetic)[0])
+        tuned = replace(config, source=DataSource(synthetic=synthetic))
+        want += results_records(tuned, run_experiment(tuned), extra={
+            "sweep_axis": "accuracy", "sweep_value": value})
+    got = run_sweep(config, "accuracy", values)
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("labeled_row_unlabeled", "the labeled pool source contains unlabeled rows"),
+    ("test_unlabeled", "coverage evaluation needs labels on the test source"),
+    ("classes_disagree", "data sources disagree on the number of classes"),
+])
+def test_source_data_errors_before_any_trial(tmp_path, case, message):
+    from semicp.dataio import save_dataset
+    from semicp.dataset import ProbabilityDataset
+    from semicp.datagen import generate_synthetic
+    from semicp.errors import DataError
+    ds = generate_synthetic(SyntheticConfig(n_classes=3, n_samples=60, seed=3))
+    other = ProbabilityDataset(probs=ds.probs, labels=ds.labels.copy())
+    if case == "labeled_row_unlabeled":
+        other.labels[7] = -1
+    elif case == "test_unlabeled":
+        other.labels[:] = -1
+    else:
+        other = generate_synthetic(SyntheticConfig(n_classes=4, n_samples=60,
+                                                   seed=3))
+    paths = {}
+    for name, data in (("main", ds), ("other", other)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        save_dataset(data, paths[name])
+    source = DataSource(labeled_file=paths["main"], test_file=paths["other"]) \
+        if case == "test_unlabeled" else \
+        DataSource(labeled_file=paths["other"], unlabeled_file=paths["main"])
+    config = small_config(source=source, n=10, N=20, test_size=10, trials=2)
+    with mock.patch.object(runner, "run_trial") as no_trials, \
+            pytest.raises(DataError, match=f"^{message}$"):
+        run_experiment(config)
+    no_trials.assert_not_called()

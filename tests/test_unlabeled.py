@@ -114,9 +114,9 @@ def test_binary_search_equals_linear_scan():
         pseudo_q = queries(ProbabilityDataset(probs=probs), spec)
         got = nnm(pseudo_q, rec, spec)
         for i in range(m):
-            dists = np.abs(pseudo - pseudo_q.det[i])
+            dists = np.abs(pseudo - pseudo_q.at()[i])
             best = np.flatnonzero(dists == dists.min())[0]  # smallest index
-            assert got[i] == pseudo_q.det[i] + biases[best], (n, i)
+            assert got[i] == pseudo_q.at()[i] + biases[best], (n, i)
 
 
 def test_naive_scores():
@@ -507,7 +507,7 @@ def test_matching_across_score_tables_equals_the_two_walk_reference(data):
     unl = ProbabilityDataset(probs=_weight_rows(data, big_n, k_classes, False))
     rec, pseudo = records(lab, spec), queries(unl, spec)
     k = 1 if spec.randomized else data.draw(st.integers(1, n))
-    want = two_walk_reference(rec.pseudo_scores, pseudo.det, k)
+    want = two_walk_reference(rec.pseudo_scores, pseudo.at(), k)
     assert np.array_equal(neighbor_match(pseudo, rec, EstimatorSpec(k=k)), want)
     if spec.randomized:
         u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=big_n,
