@@ -86,13 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     _field_flag(p, "--classes", SyntheticConfig, "n_classes", required=True)
     _field_flag(p, "--samples", SyntheticConfig, "n_samples", required=True)
-    _field_flag(p, "--signal", SyntheticConfig, "signal",
+    group = p.add_mutually_exclusive_group()
+    _field_flag(group, "--signal", SyntheticConfig, "signal",
                 help="true-class logit boost")
+    group.add_argument("--target-accuracy", type=float,
+                       help="tune the signal to hit this pseudo-label accuracy")
     _field_flag(p, "--noise-sigma", SyntheticConfig, "noise_sigma")
     _field_flag(p, "--temperature", SyntheticConfig, "temperature")
     p.add_argument("--prior", help="comma-separated class probabilities")
-    p.add_argument("--target-accuracy", type=float,
-                   help="tune the signal to hit this pseudo-label accuracy")
     _add_universal(p)
 
     p = sub.add_parser("calibrate", help="compute a threshold from files")

@@ -14,8 +14,14 @@ applies to a logits-only file).  Every path works in blocks of about
 ``GEN_CELLS`` cells, so a block's (rows, K) temporaries stay in cache:
 
 * :func:`generate_synthetic` fills the dataset's arrays one block at a time;
-* :func:`tune_signal`, the signal bisection, draws its probe rows once and
-  measures each probe block by block in one scratch block, counting hits;
+* :func:`tune_signal`, the signal bisection, draws its probe rows once
+  with their signal-free margins (true-class logit minus the largest other
+  logit), sorted.  A probe at signal s counts the rows whose s + margin
+  lies outside a rounding window with one ``searchsorted`` and finishes,
+  checks and counts block by block only the rows inside it, whose outcome
+  rounding could flip.  A non-finite draw, or logits whose quotient by the
+  temperature could overflow, make the window infinite: every row is then
+  finished;
 * :func:`write_synthetic` generates, checks and writes one block at a time,
   so ``semicp gen`` holds one block (plus the probe draw when it tunes the
   signal) whatever the number of rows; at the probe size it finishes the
@@ -34,6 +40,9 @@ from .unlabeled import pseudo_labels
 
 # cells (rows x classes) generated per block, at most; see _bounds
 GEN_CELLS = 1 << 15
+
+# the signal bisection searches [0, SIGNAL_TOP]
+SIGNAL_TOP = 50.0
 
 
 @dataclass(frozen=True)
@@ -122,26 +131,25 @@ def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
                               features=logits)
 
 
-def _blocks(cfg: SyntheticConfig, draw=None, keep_draw=False):
+def _blocks(cfg: SyntheticConfig, draw=None, rows=None):
     """Yield (labels, logits, probs) for each block of the configured rows,
     checked against the row contract (rows numbered from 0).
 
     The rows are drawn block by block, or taken from ``draw`` (the labels
-    and signal-free logits of every row) and finished in place, or in a
-    scratch block when ``keep_draw``.  ``probs`` (and the scratch logits)
-    are one block reused by the next block.
+    and signal-free logits of every row) and finished in place.  With
+    ``rows`` (``cfg.n_samples`` indices into ``draw``, in row order) the
+    draw's rows at those indices are copied block by block and finished in
+    the copy, so the draw stays signal-free; they are numbered by their
+    position in ``rows``.  ``probs`` is one block reused by the next block.
     """
     bounds = _bounds(cfg)
     probs = np.empty((bounds[0][1] if bounds else 0, cfg.n_classes))
-    scratch = np.empty_like(probs) if keep_draw else None
     for start, stop in bounds:
         if draw is None:
             labels, logits = _draw_rows(cfg, start, stop)
         else:
-            labels, logits = draw[0][start:stop], draw[1][start:stop]
-            if keep_draw:
-                logits = scratch[:stop - start]
-                logits[...] = draw[1][start:stop]
+            take = slice(start, stop) if rows is None else rows[start:stop]
+            labels, logits = draw[0][take], draw[1][take]
         p = _finish_rows(logits, labels, cfg.signal, cfg.temperature,
                          probs[:stop - start])
         check_rows(p, labels, (logits,), start)
@@ -150,6 +158,93 @@ def _blocks(cfg: SyntheticConfig, draw=None, keep_draw=False):
 
 def _hits(labels, probs) -> int:
     return int(np.count_nonzero(pseudo_labels(probs) == labels))
+
+
+def _margins(labels, logits):
+    """Each row's true-class logit minus its largest other logit; the
+    logits are left as they were."""
+    rows = np.arange(len(labels))
+    true = logits[rows, labels]
+    logits[rows, labels] = -np.inf
+    # NaN comes only from a non-finite draw, whose window is infinite; a
+    # difference of finite logits that overflows is inf of the right sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = true - logits.max(axis=1)
+    logits[rows, labels] = true
+    return margins
+
+
+def _rounding_width(drawn, temperature: float) -> float:
+    """Half-width of the margin window of :func:`tune_signal`: a probe row
+    whose signal plus margin lies beyond it on either side has the outcome
+    of exact arithmetic.  Infinite when ``drawn`` is not finite or its
+    largest logit over the temperature could overflow.
+
+    Let u = 2**-53, A = max|drawn| + SIGNAL_TOP (a bound on every logit of
+    a probe), w the width and g = s + m a row's signal plus margin.  The
+    rounding of the margin (at most 2uA), of the window's edge s - w (at
+    most u(w + A)), of the logit plus s (uA) and of the two divisions by T
+    moves the row's gap between the true class and its largest other class
+    by less than (6uA + uw)/T after the division.  With w = T*1e-9 +
+    1e-14*A, a row with g >= w or g < -w keeps a gap above 1e-10 between
+    those two classes.  The larger is then the row max, which the softmax
+    shifts to exactly 0 and exponentiates to exactly 1; the smaller lies
+    below -1e-10 after the shift, so its exp, even a few ulp off, is below
+    1 - 1e-11, and dividing both by the row sum keeps a relative gap above
+    2u, which rounding cannot close.  So the true class is the argmax,
+    without a tie, when g >= w and is not when g < -w.  A non-finite draw
+    or an overflowing quotient makes rows non-finite, which the row check
+    must name in row order; the width is then infinite.  A huge T shrinks
+    every gap to rounding size and gets a width past every margin.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.maximum(-drawn.min(), drawn.max()) + SIGNAL_TOP
+        if not np.isfinite(reach / temperature):
+            return np.inf
+    return float(temperature * 1e-9 + 1e-14 * reach)
+
+
+def _probe_draw(probe: SyntheticConfig):
+    """((labels, logits), margins, width) of the probe rows: their draw,
+    drawn block by block, their signal-free margins, sorted, and the
+    :func:`_rounding_width` of the draw."""
+    labels = np.empty(probe.n_samples, dtype=np.int64)
+    drawn = np.empty((probe.n_samples, probe.n_classes))
+    margins = np.empty(probe.n_samples)
+    for start, stop in _bounds(probe):
+        labels[start:stop], drawn[start:stop] = _draw_rows(probe, start, stop)
+        margins[start:stop] = _margins(labels[start:stop], drawn[start:stop])
+    margins.sort()
+    return (labels, drawn), margins, _rounding_width(drawn, probe.temperature)
+
+
+def _probe_hits(probe: SyntheticConfig, draw, margins, width: float) -> int:
+    """Hits of the probe rows ``draw`` at ``probe.signal``; ``margins`` are
+    their margins, sorted, and ``width`` their :func:`_rounding_width`.
+
+    Rows with s + margin >= width are hits and rows with s + margin <
+    -width misses; the rows between, in row order, are finished and counted
+    through :func:`_blocks`, which checks them.  An infinite width puts
+    every row there.
+    """
+    labels, drawn = draw
+    n = probe.n_samples
+    if np.isinf(width):
+        hits, rows = 0, np.arange(n)
+    else:
+        lo, hi = -width - probe.signal, width - probe.signal
+        first, last = np.searchsorted(margins, (lo, hi))
+        hits = n - int(last)
+        if first == last:
+            return hits
+        found = []
+        for start, stop in _bounds(probe):
+            m = _margins(labels[start:stop], drawn[start:stop])
+            found.append(start + np.flatnonzero((m >= lo) & (m < hi)))
+        rows = np.concatenate(found)
+    window = replace(probe, n_samples=len(rows))
+    return hits + sum(_hits(block_labels, probs) for block_labels, _, probs
+                      in _blocks(window, draw, rows))
 
 
 def write_synthetic(cfg: SyntheticConfig, path, draw=None) -> float:
@@ -202,11 +297,19 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
 
     Probes use the first ``probe_samples`` rows of the configured seed; with
     common noise draws, accuracy is monotone in the signal, so bisection on
-    [0, 50] is exact.  The labels and the noise of those rows are drawn
-    once, block by block into two arrays.  Each probe finishes them one
-    block at a time in a scratch block, checks it against the row contract
-    and counts its hits, so it measures exactly the accuracy of
-    ``generate_synthetic`` at that signal.  ``draw`` is that (labels,
+    [0, SIGNAL_TOP] is exact.  The labels and the noise of those rows are
+    drawn once, block by block into two arrays, and with them each row's
+    signal-free margin m (true-class logit minus the largest other logit)
+    into one vector, which is then sorted.  Row i is a hit at signal s when
+    s + m_i is positive, unless rounding decides: a probe counts the rows
+    with s + m_i >= w as hits and those below -w as misses by one
+    ``searchsorted``, where w is :func:`_rounding_width` (derived there),
+    and finishes the rows inside the window block by block, checks them
+    against the row contract and counts their hits.  A non-finite draw, or
+    logits whose quotient by the temperature could overflow, make w
+    infinite, so every probe then finishes every row and fails at the first
+    bad one.  Each probe thus measures exactly the accuracy of
+    ``generate_synthetic`` at that signal.  ``draw`` is the (labels,
     logits) draw when ``cfg`` has the probe size, for
     :func:`write_synthetic` to finish at the found signal, else None.
     """
@@ -218,24 +321,18 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
         raise ConfigurationError("the signal bisection needs at least one "
                                  "probe row and one iteration")
     probe = replace(cfg, n_samples=probe_samples)
-    labels = np.empty(probe_samples, dtype=np.int64)
-    drawn = np.empty((probe_samples, k))
-    for start, stop in _bounds(probe):
-        labels[start:stop], drawn[start:stop] = _draw_rows(probe, start, stop)
-
-    lo, hi = 0.0, 50.0
+    draw, margins, width = _probe_draw(probe)
+    lo, hi = 0.0, SIGNAL_TOP
     best_signal, best_acc = None, None
     for _ in range(max_iters):
         mid = 0.5 * (lo + hi)
-        hits = sum(_hits(block_labels, probs) for block_labels, _, probs in
-                   _blocks(replace(probe, signal=mid), (labels, drawn),
-                           keep_draw=True))
+        hits = _probe_hits(replace(probe, signal=mid), draw, margins, width)
         acc = hits / probe_samples
         if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
             best_signal, best_acc = mid, acc
         if abs(acc - target_acc) <= tolerance:
             reuse = cfg.n_samples == probe_samples
-            return mid, acc, (labels, drawn) if reuse else None
+            return mid, acc, draw if reuse else None
         if acc < target_acc:
             lo = mid
         else:

@@ -6,9 +6,12 @@ them all).  Monte Carlo tolerances are fixed here, not tuned at runtime.
 
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,26 +73,51 @@ def test_criterion_01_quantile_oracle_equivalence():
            f"{mismatches} mismatches on 1000 pools in {elapsed:.2f}s (<5s)")
 
 
-def _coverage_trials(n, trials, test_size, k, seed, alpha=0.1,
-                     chunk_trials=100):
-    """Per-trial split-CP coverage on freshly drawn pools (thr scores)."""
-    spec = ScoreSpec("thr")
+def _coverage_chunk(n, test_size, k, seed, alpha, ct):
+    """Per-trial split-CP coverage of one chunk of ``ct`` trials, on pools
+    drawn from one dataset keyed by ``seed`` (thr scores)."""
     per_trial = n + test_size
-    covs = np.empty(trials)
-    done, chunk_idx = 0, 0
-    while done < trials:
-        ct = min(chunk_trials, trials - done)
-        cfg = SyntheticConfig(n_classes=k, n_samples=ct * per_trial,
-                              signal=2.0, seed=seed * 100_000 + chunk_idx)
-        ds = generate_synthetic(cfg)
-        scores = ScoreTables(ds, spec).true(
-            np.arange(len(ds))).reshape(ct, per_trial)
-        for i in range(ct):
-            t = conformal_quantile(scores[i, :n], alpha)
-            covs[done + i] = np.mean(scores[i, n:] <= t.value)
-        done += ct
-        chunk_idx += 1
+    cfg = SyntheticConfig(n_classes=k, n_samples=ct * per_trial, signal=2.0,
+                          seed=seed)
+    ds = generate_synthetic(cfg)
+    scores = ScoreTables(ds, ScoreSpec("thr")).true(
+        np.arange(len(ds))).reshape(ct, per_trial)
+    covs = np.empty(ct)
+    for i in range(ct):
+        t = conformal_quantile(scores[i, :n], alpha)
+        covs[i] = np.mean(scores[i, n:] <= t.value)
     return covs
+
+
+def _coverage_trials(n, trials, test_size, k, seed, alpha=0.1,
+                     chunk_trials=100, workers=2):
+    """Per-trial split-CP coverage on freshly drawn pools (thr scores).
+
+    Chunk ``i`` of ``chunk_trials`` trials draws its pools from a dataset
+    keyed by ``seed * 100_000 + i``, so the chunks are independent: they run
+    in a pool of ``workers`` processes (one process when one CPU is usable)
+    and are joined in chunk order, the same array at any worker count.
+    """
+    chunks = [(n, test_size, k, seed * 100_000 + i, alpha,
+               min(chunk_trials, trials - done))
+              for i, done in enumerate(range(0, trials, chunk_trials))]
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(workers, cpus, len(chunks)))
+    if workers == 1:
+        return np.concatenate([_coverage_chunk(*c) for c in chunks])
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        return np.concatenate(list(pool.map(_coverage_chunk, *zip(*chunks))))
+
+
+def test_coverage_trials_pooled_equal_serial():
+    kwargs = dict(n=10, trials=250, test_size=300, k=4, seed=7,
+                  chunk_trials=100)
+    pooled = _coverage_trials(**kwargs, workers=2)
+    assert pooled.shape == (250,)
+    assert np.array_equal(pooled, _coverage_trials(**kwargs, workers=1))
 
 
 def test_criterion_02_marginal_coverage_guarantee():

@@ -608,6 +608,10 @@ CLI_ERRORS = {
     "gen_jobs_not_a_flag": (lambda t: ["gen", "--classes", "3", "--samples",
                                        "10", "--jobs", "2", "--out",
                                        str(t / "g.csv")], 2),
+    # the tuned signal would replace --signal, so the two are exclusive
+    "gen_signal_with_target_accuracy": (lambda t: [
+        "gen", "--classes", "3", "--samples", "10", "--signal", "1",
+        "--target-accuracy", "0.8", "--out", str(t / "g.csv")], 2),
     "calibrate_without_labeled": (lambda t: ["calibrate"], 2),
     "run_format_xml": (lambda t: ["run", "--config", _config_file(t),
                                   "--format", "xml"], 2),

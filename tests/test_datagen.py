@@ -13,6 +13,7 @@ from semicp.datagen import (SyntheticConfig, calibrate_signal_for_accuracy,
 from semicp.dataio import save_dataset
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, ConvergenceError, InputError
+from semicp.unlabeled import pseudo_labels
 
 
 def test_same_seed_bit_identical():
@@ -274,6 +275,33 @@ def test_bisection_matches_full_generation_oracle(template, cells, data):
         with mock.patch.object(datagen, "GEN_CELLS", cells):
             got = calibrate_signal_for_accuracy(target, template, **kwargs)
         assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=synthetic_configs(), cells=block_cells, data=st.data())
+def test_probe_hits_equal_a_full_probe(cfg, cells, data):
+    # settled rows (counted from the sorted margins) plus the rounding
+    # window's rows (finished exactly) make a full probe's hit count, or
+    # fail at its first bad row; 1e6-1e12 give partial windows, 1e-300 a
+    # tiny finite width, 1e-310 an overflow and so an infinite width
+    temperature = data.draw(st.one_of(
+        st.just(cfg.temperature),
+        st.sampled_from((1e-310, 1e-300, 1e6, 1e9, 1e12))))
+    probe = replace(cfg, n_samples=max(1, cfg.n_samples),
+                    temperature=temperature)
+    with mock.patch.object(datagen, "GEN_CELLS", cells):
+        draw, margins, width = datagen._probe_draw(probe)
+        for signal in data.draw(st.lists(st.floats(0.0, datagen.SIGNAL_TOP),
+                                         min_size=1, max_size=4)):
+            at = replace(probe, signal=signal)
+            try:
+                ds = generate_synthetic(at)
+            except InputError as exc:
+                with pytest.raises(InputError, match=f"^{exc}$"):
+                    datagen._probe_hits(at, draw, margins, width)
+                continue
+            want = int(np.count_nonzero(pseudo_labels(ds.probs) == ds.labels))
+            assert datagen._probe_hits(at, draw, margins, width) == want
 
 
 def test_gen_blocks_fill_whole_format_calls(tmp_path, monkeypatch):
