@@ -29,8 +29,10 @@ class EstimationError(DataError):
     """Unlabeled score estimation failed (e.g. empty labeled set)."""
 
 
-class ConvergenceError(SemicpError):
-    """An iterative procedure failed to converge within its budget."""
+class ConvergenceError(ConfigurationError):
+    """An iterative procedure failed to converge within its budget, as when
+    a target accuracy is out of reach of the configured source (exit code
+    2); ``best`` is the closest result found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

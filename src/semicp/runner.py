@@ -24,8 +24,11 @@ a trial only gathers rows of its tables.  A sweep group runs trial by
 trial over all its values.  Each source is permuted once per trial, at the
 longest prefix any value takes from it, and every value slices its pools
 from that prefix.  Nor does a trial's draw (its pools, factors, gathered
-scores and calibration pools) depend on alpha, the calibration plan or the
-trial count: consecutive values that keep n, N and test_size share it.
+scores and calibration pools) depend on the method kinds, alpha, the
+calibration plan or the trial count: consecutive values that keep n, N
+and test_size share it.  A method's unlabeled scores are made where its
+pool is, and a kind's class view of the unlabeled pool where the group
+map is, so what each kind may read is decided in one place.
 
 Methods:
 
@@ -289,14 +292,15 @@ def _group_ids(tables: ScoreTables, rows, class_ids, plan: CalibrationPlan):
 
 def _draw_key(config: ExperimentConfig):
     """What a trial's draw depends on besides the group's source and score."""
-    return (config.n, config.N, config.test_size, config.base_seed,
-            tuple(m.kind for m in config.methods))
+    return config.n, config.N, config.test_size, config.base_seed
 
 
 class _Draw:
-    """One trial's draw: its pools' rows and labels, random factors and
-    gathered scores, the test samples' true-label scores, and each method's
-    calibration pool once made.  ``perms`` is passed to ``_split_indices``."""
+    """One trial's draw, which holds only what every method shares: its
+    pools' rows, the labeled and test labels, the random factors, the
+    labeled true scores and the test scores, and each method's calibration
+    pool once made (see :meth:`pool`).  It does not depend on the config's
+    method kinds.  ``perms`` is passed to ``_split_indices``."""
 
     def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int,
                  perms: dict = None):
@@ -314,32 +318,28 @@ class _Draw:
         self.lab_scores = ctx.labeled.true(self.lab, u_lab)
         self.test_scores = ctx.test.all_labels(self.test, u_test)
         self.test_true = ctx.test.true(self.test, u_test)
-        self.records = self.pseudo = None
-        if config.N > 0 and any(m.kind == "semicp" for m in config.methods):
-            self.records = ctx.labeled.records(self.lab)
-            self.pseudo = ctx.main.queries(self.unlab)
-        self.oracle_labels = self.oracle_scores = None
-        if any(m.kind == "oracle" for m in config.methods) and config.N:
-            self.oracle_labels = ctx.main.dataset.labels[self.unlab]
-            self.oracle_scores = ctx.main.true(self.unlab, self.u_unlab)
         self.pools = {}  # (method position, method) -> calibration pool
 
     def pool(self, config, position, method):
-        """The labeled true scores, then the method's unlabeled scores."""
+        """The labeled true scores, then the method's unlabeled scores:
+        none for ``standard``, the true scores for the oracle and the
+        estimates from the labeled records for semicp."""
         key = position, method
         if key not in self.pools:
+            ctx = self.ctx
             if method.kind == "standard" or config.N == 0:
                 unlab = _NO_SCORES
             elif method.kind == "oracle":
-                unlab = self.oracle_scores
+                unlab = ctx.main.true(self.unlab, self.u_unlab)
             else:
                 # random-match draws get a per-method substream so estimator
                 # variants in one run are not artificially correlated
                 rm_stream = rng.stream(config.base_seed, self.trial_index,
                                        _TAG_RANDOM_MATCH, position)
-                unlab = estimate_scores(self.pseudo, self.records, config.score,
-                                        method.estimator, stream_key=rm_stream,
-                                        u=self.u_unlab)
+                unlab = estimate_scores(ctx.main.queries(self.unlab),
+                                        ctx.labeled.records(self.lab),
+                                        config.score, method.estimator,
+                                        stream_key=rm_stream, u=self.u_unlab)
             self.pools[key] = np.concatenate([self.lab_scores, unlab])
         return self.pools[key]
 
@@ -430,9 +430,8 @@ class _GroupMap:
     cell of each test sample's true label, shape (t,).  ``coverage`` gives
     each test sample the group its coverage is reported under, one of
     ``n_coverage``: its sample group, or its true class.  ``unlabeled``
-    maps each method kind that has unlabeled scores to their group ids:
-    semicp sees pseudo-labels, the oracle true labels.  Id -1 is the
-    marginal pool.
+    maps each method kind that has unlabeled scores to their group ids,
+    from its class view (see ``_group_map``).  Id -1 is the marginal pool.
     """
     labeled: np.ndarray
     test_cells: np.ndarray
@@ -446,16 +445,20 @@ class _GroupMap:
 def _group_map(config, draw):
     """The trial's group map, or None in the marginal modes.
 
-    The draw's ``oracle_labels`` are the unlabeled pool's true labels when an
-    oracle method reads them, else None, so no other method can see them.
+    This is the one place where a method kind's class view of the unlabeled
+    pool is made: semicp sees its pseudo-labels and the oracle its true
+    labels.  A view is made only for the kinds the config lists, and only
+    when N > 0, so no other method can see the true labels.  The class modes
+    share one path: ``class_conditional`` is clustered CP with the identity
+    class map.
     """
     plan, ctx = config.calibration, draw.ctx
     if plan.mode in ("marginal", "interpolation"):
         return None
     k = draw.test_scores.shape[1]
-    views = {} if draw.oracle_labels is None else {"oracle": draw.oracle_labels}
-    if config.N and any(m.kind == "semicp" for m in config.methods):
-        views["semicp"] = ctx.main.hats[draw.unlab]
+    kinds = {m.kind for m in config.methods} if config.N else ()
+    seen = {"semicp": ctx.main.hats, "oracle": ctx.main.dataset.labels}
+    views = {kind: seen[kind][draw.unlab] for kind in seen if kind in kinds}
     if plan.mode == "group_conditional":
         test = _group_ids(ctx.test, draw.test, draw.test_labels, plan)
         if plan.group_rule == "true_label" or not views:
@@ -469,15 +472,13 @@ def _group_map(config, draw):
             test[:, None], test, test, plan.n_groups, plan.n_groups,
             unlabeled)
     if plan.mode == "class_conditional":
-        return _GroupMap(draw.lab_labels, np.arange(k), draw.test_labels,
-                         draw.test_labels, k, k, views)
-    # clustercp: the clusters depend only on the labeled scores, shared by
-    # all methods
-    cluster = cluster_classes(draw.lab_scores, draw.lab_labels, k,
-                              plan.n_clusters, plan.min_class_count)
+        cluster, n_groups = np.arange(k), k
+    else:  # the clusters depend only on the labeled scores
+        cluster = cluster_classes(draw.lab_scores, draw.lab_labels, k,
+                                  plan.n_clusters, plan.min_class_count)
+        n_groups = plan.n_clusters
     return _GroupMap(cluster[draw.lab_labels], cluster,
-                     cluster[draw.test_labels], draw.test_labels, k,
-                     plan.n_clusters,
+                     cluster[draw.test_labels], draw.test_labels, k, n_groups,
                      {kind: cluster[classes] for kind, classes in views.items()})
 
 

@@ -615,6 +615,10 @@ CLI_ERRORS = {
     "calibrate_without_labeled": (lambda t: ["calibrate"], 2),
     "run_format_xml": (lambda t: ["run", "--config", _config_file(t),
                                   "--format", "xml"], 2),
+    # noise dwarfs the largest signal, so the bisection cannot converge
+    "gen_target_accuracy_unreachable": (lambda t: [
+        "gen", "--classes", "10", "--samples", "100", "--target-accuracy",
+        "0.95", "--noise-sigma", "1000", "--out", str(t / "g.csv")], 2),
 }
 
 
@@ -697,6 +701,32 @@ def test_accuracy_sweep_errors_exit_2_with_one_line(tmp_path, capsys, data,
     assert main(["sweep", "--config", cfg, "--axis", "accuracy", "--values",
                  values]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_unreachable_accuracy_sweep_exits_2_before_any_trial(tmp_path, capsys,
+                                                             monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the sweep value was refused")
+
+    monkeypatch.setattr(runner, "_run_group", no_trials)
+    cfg = _config_file(tmp_path, data={"synthetic": {
+        "classes": 10, "samples": 100, "noise_sigma": 1000, "seed": 1}})
+    assert main(["sweep", "--config", cfg, "--axis", "accuracy", "--values",
+                 "0.95"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not reach accuracy 0.95 within ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_trial_errors_name_the_trial(tmp_path, capsys, jobs):
+    """An error raised inside a trial is re-raised with its index, in
+    process and from a pool worker alike."""
+    cfg = _config_file(tmp_path, n=3, trials=4,
+                       estimator={"kind": "nnm", "k": 5})
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == \
+        "error: trial 0: k=5 exceeds the 3 labeled records\n"
 
 
 def test_run_conditional_config_prints_group_coverage_gap(tmp_path, capsys):

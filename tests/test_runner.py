@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -721,6 +722,28 @@ def test_standard_and_semicp_never_read_unlabeled_pool_labels(plan, matrix_files
         outputs.append(json.dumps(results_records(config, run_experiment(config)),
                                   sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("plan", [
+    CalibrationPlan(),
+    CalibrationPlan(mode="group_conditional", n_groups=3, group_rule="true_label"),
+    CalibrationPlan(mode="class_conditional"),
+    CalibrationPlan(mode="clustercp", n_clusters=2),
+], ids=lambda plan: f"{plan.mode}-{plan.group_rule}")
+def test_draw_is_shared_across_method_kinds(plan):
+    """A trial's draw holds only what every method shares: configs that
+    list different method kinds reuse one draw, and each method's results
+    equal those of the config that lists them all."""
+    full = small_config(calibration=plan)
+    ctx = runner._build_context(full)
+    runner._validate_sources(full, ctx)
+    for t in range(3):
+        want, shared, draws = run_trial(full, t, ctx), {}, []
+        for i, method in enumerate(full.methods):
+            got = run_trial(replace(full, methods=(method,)), t, ctx, shared)
+            assert np.array_equal(got[0], want[i], equal_nan=True)
+            draws.append(shared["draw"])
+        assert all(draw is draws[0] for draw in draws)
 
 
 def test_n_sweep_never_reads_unlabeled_pool_labels(matrix_files, tmp_path):
