@@ -16,12 +16,12 @@ applies to a logits-only file).  Every path works in blocks of about
 * :func:`generate_synthetic` fills the dataset's arrays one block at a time;
 * :func:`tune_signal`, the signal bisection, draws its probe rows once
   with their signal-free margins (true-class logit minus the largest other
-  logit), sorted.  A probe at signal s counts the rows whose s + margin
-  lies outside a rounding window with one ``searchsorted`` and finishes,
-  checks and counts block by block only the rows inside it, whose outcome
-  rounding could flip.  A non-finite draw, or logits whose quotient by the
-  temperature could overflow, make the window infinite: every row is then
-  finished;
+  logit), sorted.  A probe at signal s whose rounding window holds no
+  s + margin counts its hits with one ``searchsorted``; a probe with a row
+  inside the window, whose outcome rounding could flip, finishes, checks
+  and counts every row block by block.  A non-finite draw, or logits whose
+  quotient by the temperature could overflow, make the window infinite, so
+  every probe then finishes every row;
 * :func:`write_synthetic` generates, checks and writes one block at a time,
   so ``semicp gen`` holds one block (plus the probe draw when it tunes the
   signal) whatever the number of rows; at the probe size it finishes the
@@ -143,7 +143,7 @@ def _blocks(cfg: SyntheticConfig, draw=None, rows=None):
     position in ``rows``.  ``probs`` is one block reused by the next block.
     """
     bounds = _bounds(cfg)
-    probs = np.empty((bounds[0][1] if bounds else 0, cfg.n_classes))
+    probs = np.empty((bounds[0][1], cfg.n_classes))
     for start, stop in bounds:
         if draw is None:
             labels, logits = _draw_rows(cfg, start, stop)
@@ -222,29 +222,19 @@ def _probe_hits(probe: SyntheticConfig, draw, margins, width: float) -> int:
     """Hits of the probe rows ``draw`` at ``probe.signal``; ``margins`` are
     their margins, sorted, and ``width`` their :func:`_rounding_width`.
 
-    Rows with s + margin >= width are hits and rows with s + margin <
-    -width misses; the rows between, in row order, are finished and counted
-    through :func:`_blocks`, which checks them.  An infinite width puts
-    every row there.
+    When no row has s + margin in [-width, width), every row's outcome is
+    settled and the rows with s + margin >= width are the hits.  Otherwise,
+    as always at an infinite width, every row is finished and counted
+    through :func:`_blocks`, which checks them in row order.
     """
-    labels, drawn = draw
     n = probe.n_samples
-    if np.isinf(width):
-        hits, rows = 0, np.arange(n)
-    else:
-        lo, hi = -width - probe.signal, width - probe.signal
-        first, last = np.searchsorted(margins, (lo, hi))
-        hits = n - int(last)
+    if np.isfinite(width):
+        first, last = np.searchsorted(margins, (-width - probe.signal,
+                                                width - probe.signal))
         if first == last:
-            return hits
-        found = []
-        for start, stop in _bounds(probe):
-            m = _margins(labels[start:stop], drawn[start:stop])
-            found.append(start + np.flatnonzero((m >= lo) & (m < hi)))
-        rows = np.concatenate(found)
-    window = replace(probe, n_samples=len(rows))
-    return hits + sum(_hits(block_labels, probs) for block_labels, _, probs
-                      in _blocks(window, draw, rows))
+            return n - int(last)
+    return sum(_hits(labels, probs)
+               for labels, _, probs in _blocks(probe, draw, np.arange(n)))
 
 
 def write_synthetic(cfg: SyntheticConfig, path, draw=None) -> float:
@@ -301,17 +291,17 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
     drawn once, block by block into two arrays, and with them each row's
     signal-free margin m (true-class logit minus the largest other logit)
     into one vector, which is then sorted.  Row i is a hit at signal s when
-    s + m_i is positive, unless rounding decides: a probe counts the rows
-    with s + m_i >= w as hits and those below -w as misses by one
-    ``searchsorted``, where w is :func:`_rounding_width` (derived there),
-    and finishes the rows inside the window block by block, checks them
-    against the row contract and counts their hits.  A non-finite draw, or
-    logits whose quotient by the temperature could overflow, make w
-    infinite, so every probe then finishes every row and fails at the first
-    bad one.  Each probe thus measures exactly the accuracy of
-    ``generate_synthetic`` at that signal.  ``draw`` is the (labels,
-    logits) draw when ``cfg`` has the probe size, for
-    :func:`write_synthetic` to finish at the found signal, else None.
+    s + m_i is positive, unless rounding decides: when no s + m_i lies in
+    [-w, w), where w is :func:`_rounding_width` (derived there), a probe
+    counts the rows with s + m_i >= w as hits by one ``searchsorted``;
+    otherwise it finishes every row block by block, checks them against
+    the row contract and counts their hits.  A non-finite draw, or logits
+    whose quotient by the temperature could overflow, make w infinite, so
+    every probe then finishes every row and fails at the first bad one.
+    Each probe thus measures exactly the accuracy of ``generate_synthetic``
+    at that signal.  ``draw`` is the (labels, logits) draw when ``cfg`` has
+    the probe size, for :func:`write_synthetic` to finish at the found
+    signal, else None.
     """
     k = cfg.n_classes
     if not 1.0 / k < target_acc < 1.0:

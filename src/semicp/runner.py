@@ -327,7 +327,7 @@ class _Draw:
         key = position, method
         if key not in self.pools:
             ctx = self.ctx
-            if method.kind == "standard" or config.N == 0:
+            if method.kind == "standard":
                 unlab = _NO_SCORES
             elif method.kind == "oracle":
                 unlab = ctx.main.true(self.unlab, self.u_unlab)
@@ -447,26 +447,22 @@ def _group_map(config, draw):
 
     This is the one place where a method kind's class view of the unlabeled
     pool is made: semicp sees its pseudo-labels and the oracle its true
-    labels.  A view is made only for the kinds the config lists, and only
-    when N > 0, so no other method can see the true labels.  The class modes
-    share one path: ``class_conditional`` is clustered CP with the identity
-    class map.
+    labels.  A view is made only for the kinds the config lists, and
+    ``seen`` holds the only kinds that get one, so no other method can see
+    the true labels.  The class modes share one path: ``class_conditional``
+    is clustered CP with the identity class map.
     """
     plan, ctx = config.calibration, draw.ctx
     if plan.mode in ("marginal", "interpolation"):
         return None
     k = draw.test_scores.shape[1]
-    kinds = {m.kind for m in config.methods} if config.N else ()
+    kinds = {m.kind for m in config.methods}
     seen = {"semicp": ctx.main.hats, "oracle": ctx.main.dataset.labels}
     views = {kind: seen[kind][draw.unlab] for kind in seen if kind in kinds}
     if plan.mode == "group_conditional":
         test = _group_ids(ctx.test, draw.test, draw.test_labels, plan)
-        if plan.group_rule == "true_label" or not views:
-            unlabeled = {kind: _group_ids(ctx.main, draw.unlab, classes, plan)
-                         for kind, classes in views.items()}
-        else:  # the other rules give every method the same ids
-            unlabeled = dict.fromkeys(
-                views, _group_ids(ctx.main, draw.unlab, None, plan))
+        unlabeled = {kind: _group_ids(ctx.main, draw.unlab, classes, plan)
+                     for kind, classes in views.items()}
         return _GroupMap(
             _group_ids(ctx.labeled, draw.lab, draw.lab_labels, plan),
             test[:, None], test, test, plan.n_groups, plan.n_groups,

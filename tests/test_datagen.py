@@ -280,10 +280,11 @@ def test_bisection_matches_full_generation_oracle(template, cells, data):
 @settings(max_examples=100, deadline=None)
 @given(cfg=synthetic_configs(), cells=block_cells, data=st.data())
 def test_probe_hits_equal_a_full_probe(cfg, cells, data):
-    # settled rows (counted from the sorted margins) plus the rounding
-    # window's rows (finished exactly) make a full probe's hit count, or
-    # fail at its first bad row; 1e6-1e12 give partial windows, 1e-300 a
-    # tiny finite width, 1e-310 an overflow and so an infinite width
+    # a probe whose rounding window holds no row (counted from the sorted
+    # margins) or that finishes every row makes a full probe's hit count,
+    # or fails at its first bad row; 1e6-1e12 give partial windows, whose
+    # probes finish every row, 1e-300 a tiny finite width, 1e-310 an
+    # overflow and so an infinite width
     temperature = data.draw(st.one_of(
         st.just(cfg.temperature),
         st.sampled_from((1e-310, 1e-300, 1e6, 1e9, 1e12))))

@@ -37,13 +37,31 @@ def small_config(**kw):
     return ExperimentConfig(**args)
 
 
-def test_semicp_with_zero_unlabeled_equals_standard():
-    config = small_config(N=0)
+@pytest.mark.parametrize("plan, score, estimator", [
+    *(pytest.param(plan, ScoreSpec(), EstimatorSpec(),
+                   id=f"{plan.mode}-{plan.group_rule}") for plan in (
+        CalibrationPlan(),
+        CalibrationPlan(mode="interpolation"),
+        CalibrationPlan(mode="group_conditional", n_groups=3),
+        CalibrationPlan(mode="group_conditional", n_groups=3,
+                        group_rule="true_label"),
+        CalibrationPlan(mode="class_conditional"),
+        CalibrationPlan(mode="clustercp", n_clusters=2))),
+    pytest.param(CalibrationPlan(mode="group_conditional", n_groups=3),
+                 ScoreSpec("raps", randomized=True), EstimatorSpec("nnm_r"),
+                 id="group_conditional-raps_randomized-nnm_r"),
+])
+def test_semicp_with_zero_unlabeled_equals_standard(plan, score, estimator):
+    # at N = 0 semicp and the oracle calibrate on the labeled scores alone,
+    # through the same pool and group-map paths as at N > 0
+    methods = (MethodSpec("standard", "standard"),
+               MethodSpec("semicp", "semicp", estimator),
+               MethodSpec("oracle", "oracle"))
+    config = small_config(N=0, calibration=plan, score=score, methods=methods)
     for t in range(3):
-        res = observed(config, run_trial(config, t))
-        assert res["semicp"].coverage == res["standard"].coverage
-        assert res["semicp"].avg_size == res["standard"].avg_size
-        assert res["oracle"].coverage == res["standard"].coverage
+        res = run_trial(config, t)
+        for row in res[1:]:
+            assert np.array_equal(row, res[0], equal_nan=True)
 
 
 def test_semicp_equals_oracle_with_perfect_pseudo_labels():
