@@ -12,7 +12,11 @@ Four score families are supported, in deterministic and randomized forms:
 Every family is affine in the random factor u, ``score = A + B * u``, and
 the deterministic variant is the randomized one evaluated at u = 1.  This
 module computes the parts A and B of a batch; ``unlabeled.ScoreTables``
-keeps them per dataset and is the one place scores are read from.
+keeps them per dataset and is the one place scores are read from.  The
+rank-based families are computed one block of about ``SCORE_CELLS`` cells
+(rows x classes) at a time, written into A (and for saps into B) allocated
+once, so scoring a source holds one block of temporaries besides the
+tables; every score is a per-row computation, so blocking changes no bit.
 
 Classes are ranked by descending probability with ties broken by ascending
 class index, so ranks are deterministic.
@@ -25,6 +29,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 SCORE_KINDS = ("thr", "aps", "raps", "saps")
+
+# cells (rows x classes) scored per block, at most
+SCORE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,22 +88,30 @@ def score_components_batch(probs, spec: ScoreSpec):
     """Affine decomposition score = A + B * u for all (sample, label) pairs.
 
     Returns (A, B), each of shape (m, K).  Deterministic scores are A + B
-    (u = 1).  For thr, B is identically zero.
+    (u = 1).  For thr, B is a read-only zero view, not a filled array; for
+    aps and raps, B is ``probs`` itself.  A, and saps's B, are new arrays,
+    filled one row block at a time.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if spec.kind == "thr":
-        return 1.0 - probs, np.zeros_like(probs)
-    ranks, rho = rank_and_cummass_batch(probs)
-    if spec.kind == "aps":
-        return rho, probs
-    if spec.kind == "raps":
-        penalty = spec.lam * np.maximum(0, ranks - spec.k_reg)
-        return rho + penalty, probs
-    # saps
-    p_max = probs.max(axis=1, keepdims=True)
-    a = p_max + spec.weight * (ranks - 2)
-    b = np.full_like(probs, spec.weight)
-    top = ranks == 1
-    a[top] = 0.0
-    b[top] = np.broadcast_to(p_max, probs.shape)[top]
+        return 1.0 - probs, np.broadcast_to(0.0, probs.shape)
+    m, k = probs.shape
+    a = np.empty((m, k))
+    b = np.empty((m, k)) if spec.kind == "saps" else probs
+    step = max(1, SCORE_CELLS // k)
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        p, a_rows, b_rows = probs[rows], a[rows], b[rows]
+        ranks, rho = rank_and_cummass_batch(p)
+        if spec.kind == "aps":
+            a_rows[...] = rho
+        elif spec.kind == "raps":
+            np.add(rho, spec.lam * np.maximum(0, ranks - spec.k_reg), out=a_rows)
+        else:  # saps
+            p_max = p.max(axis=1, keepdims=True)
+            top = ranks == 1
+            np.add(p_max, spec.weight * (ranks - 2), out=a_rows)
+            np.copyto(a_rows, 0.0, where=top)
+            b_rows[...] = spec.weight
+            np.copyto(b_rows, p_max, where=top)
     return a, b

@@ -138,7 +138,10 @@ class ScoreTables:
 
     A deterministic spec keeps the single (m, K) table A + B; a randomized
     spec keeps A and B, so a score at random factor u is A + B * u.  Both
-    keep the pseudo-labels and take 1x or 2x the memory of ``dataset.probs``.
+    keep the pseudo-labels.  The new tables take 1x the memory of
+    ``dataset.probs``, except randomized saps at 2x: randomized aps and raps
+    keep the probability array itself as B.  Building them holds one block
+    of temporaries (see :mod:`semicp.scores`), not more (m, K) arrays.
     Each part also keeps two vectors, every row's score at its true label
     (NaN for an unlabeled row) and at its pseudo-label, so a pool gathers
     1-D: 16 (deterministic) or 32 (randomized) more bytes a row.  The first
@@ -157,7 +160,7 @@ class ScoreTables:
             else:
                 a += b  # a is a fresh array for every score kind
                 self._tables = (a,)
-        del b  # a deterministic B is freed before the vectors are made
+        del b  # a deterministic saps B is freed before the vectors are made
         # NaN passes through min and max, so no (m, K) isfinite temporary
         if any(t.size and not (np.isfinite(t.min()) and np.isfinite(t.max()))
                for t in self._tables):

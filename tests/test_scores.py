@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from semicp import scores
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, InputError
-from semicp.scores import ScoreSpec, rank_and_cummass_batch
+from semicp.scores import ScoreSpec, rank_and_cummass_batch, score_components_batch
 from semicp.unlabeled import ScoreTables
 
 
@@ -143,3 +146,82 @@ def test_error_cases():
         ScoreSpec("nope")
     with pytest.raises(ConfigurationError):
         ScoreSpec("thr", randomized=True)
+
+
+def one_shot_components(probs, spec):
+    # the whole-batch computation, before scores were built in row blocks,
+    # kept as the oracle of the blocked one
+    probs = np.asarray(probs, dtype=np.float64)
+    if spec.kind == "thr":
+        return 1.0 - probs, np.zeros_like(probs)
+    ranks, rho = rank_and_cummass_batch(probs)
+    if spec.kind == "aps":
+        return rho, probs
+    if spec.kind == "raps":
+        penalty = spec.lam * np.maximum(0, ranks - spec.k_reg)
+        return rho + penalty, probs
+    p_max = probs.max(axis=1, keepdims=True)
+    a = p_max + spec.weight * (ranks - 2)
+    b = np.full_like(probs, spec.weight)
+    top = ranks == 1
+    a[top] = 0.0
+    b[top] = np.broadcast_to(p_max, probs.shape)[top]
+    return a, b
+
+
+BLOCK_SPECS = [ScoreSpec("thr")] + [
+    ScoreSpec(kind, k_reg=1, lam=0.3, weight=0.2, randomized=randomized)
+    for kind in ("aps", "raps", "saps") for randomized in (False, True)]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS,
+                         ids=lambda s: s.kind + ("_rand" if s.randomized else ""))
+@pytest.mark.parametrize("rows_per_block", [1, 2])
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_block_edges_change_no_bit(monkeypatch, spec, rows_per_block, m):
+    k = 5
+    rs = np.random.RandomState(m)
+    probs = random_prob_rows(rs, m, k)
+    probs[1::2, 1] = probs[1::2, 0]  # tied classes in every other row
+    probs /= probs.sum(axis=1, keepdims=True)
+    # at two rows a block, 7 rows end in a partial block of one
+    monkeypatch.setattr(scores, "SCORE_CELLS", rows_per_block * k + 1)
+    a, b = score_components_batch(probs, spec)
+    a_ref, b_ref = one_shot_components(probs, spec)
+    assert a.shape == b.shape == (m, k)
+    assert a.tobytes() == a_ref.tobytes()
+    assert np.ascontiguousarray(b).tobytes() == b_ref.tobytes()
+
+
+def test_thr_b_is_a_read_only_zero_view():
+    rs = np.random.RandomState(5)
+    probs = random_prob_rows(rs, 40, 6)
+    a, b = score_components_batch(probs, ScoreSpec("thr"))
+    assert b.shape == (40, 6) and not b.flags.writeable
+    assert np.all(b == 0.0)
+    assert (a + b).tobytes() == (1.0 - probs).tobytes()
+
+
+@pytest.mark.parametrize("spec", [ScoreSpec("raps", randomized=True),
+                                  ScoreSpec("thr")], ids=["raps_rand", "thr"])
+def test_score_tables_build_holds_one_block_not_whole_arrays(spec):
+    # 60,000 x 10 rows: one (m, K) array is 4.8 MB and one block 0.26 MB.
+    # Whole-batch scoring held two to three more (m, K) arrays while it ran
+    # (one for thr, its zero B); blocked scoring holds one block of them.
+    m, k = 60_000, 10
+    rs = np.random.RandomState(6)
+    dataset = ProbabilityDataset(random_prob_rows(rs, m, k),
+                                 rs.randint(k, size=m))
+    ScoreTables(ProbabilityDataset(dataset.probs[:100], dataset.labels[:100]),
+                spec)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tables = ScoreTables(dataset, spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = (1 << 15) * 8  # one block of float64 cells
+    assert kept - start >= m * k * 8  # A is kept
+    assert peak - kept < 4 * block_bytes < m * k * 8 / 4
+    del tables
