@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``gen``       write a synthetic dataset to a CSV file
-* ``calibrate`` one-shot threshold from dataset files, with the coverage
-  bias diagnostic
+* ``calibrate`` one-shot threshold from dataset files, with a plug-in
+  estimate of the coverage bias
 * ``predict``   prediction sets for a test file given a threshold
 * ``run``       full multi-trial experiment from a JSON config
 * ``sweep``     grid of experiments over one config axis
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", help="comma-separated class probabilities")
     _add_universal(p)
 
-    p = sub.add_parser("calibrate", help="compute a threshold from files")
+    p = sub.add_parser("calibrate", help="compute a threshold from files",
+                       description=_cmd_calibrate.__doc__)
     p.add_argument("--labeled", required=True, help="labeled calibration CSV")
     p.add_argument("--unlabeled", help="unlabeled pool CSV (labels ignored)")
     _field_flag(p, "--alpha", runner.ExperimentConfig, "alpha")
@@ -164,6 +165,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    """Compute a threshold from files.  The printed epsilon is a plug-in
+    estimate of N/(N+n) (F_true(t) - F_est(t)) that uses the labeled
+    scores' CDF in place of F_true, so its standard error is about
+    N/(N+n) sqrt(F (1 - F) / n), F the labeled CDF at t: 0.066 at n=20
+    and alpha=0.1."""
     spec = _score_spec(args)
     labeled = load_dataset(args.labeled)
     tables = ScoreTables(labeled, spec)
@@ -175,8 +181,7 @@ def _cmd_calibrate(args) -> int:
     u_lab = rng.factors(spec.randomized, n, _seed(args), 0, 1)
     lab_scores = tables.true(rows, u_lab)
 
-    est_scores = np.empty(0)
-    big_n = 0
+    est_scores, big_n = np.empty(0), 0
     if args.unlabeled:
         unlabeled = load_dataset(args.unlabeled)
         if unlabeled.n_classes != labeled.n_classes:

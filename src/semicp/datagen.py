@@ -11,17 +11,18 @@ output is independent of generation order and blocking.  Generation is two
 steps: a draw (labels and scaled noise, which do not depend on the signal)
 and a finish (the signal, then ``dataset.softmax``, which the loader also
 applies to a logits-only file).  Every path works in blocks of about
-``GEN_CELLS`` cells, so a block's (rows, K) temporaries stay in cache:
+``dataset.BLOCK_CELLS`` cells, so a block's (rows, K) temporaries stay in
+cache:
 
 * :func:`generate_synthetic` fills the dataset's arrays one block at a time;
 * :func:`tune_signal`, the signal bisection, draws its probe rows once
   with their signal-free margins (true-class logit minus the largest other
   logit), sorted.  A probe at signal s whose rounding window holds no
   s + margin counts its hits with one ``searchsorted``; a probe with a row
-  inside the window, whose outcome rounding could flip, finishes, checks
-  and counts every row block by block.  A non-finite draw, or logits whose
-  quotient by the temperature could overflow, make the window infinite, so
-  every probe then finishes every row;
+  inside the window, whose outcome rounding could flip, draws its rows
+  again and finishes, checks and counts them block by block.  A non-finite
+  draw, or logits whose quotient by the temperature could overflow, make
+  the window infinite, so every probe then finishes every row;
 * :func:`write_synthetic` generates, checks and writes one block at a time,
   so ``semicp gen`` holds one block (plus the probe draw when it tunes the
   signal) whatever the number of rows; at the probe size it finishes the
@@ -34,12 +35,10 @@ import numpy as np
 
 from . import rng
 from .dataio import save_rows, write_dataset
-from .dataset import ProbabilityDataset, check_rows, softmax
+from .dataset import (BLOCK_CELLS, PROB_SUM_TOL, ProbabilityDataset,
+                      check_rows, softmax)
 from .errors import ConfigurationError, ConvergenceError, InputError
 from .unlabeled import pseudo_labels
-
-# cells (rows x classes) generated per block, at most; see _bounds
-GEN_CELLS = 1 << 15
 
 # the signal bisection searches [0, SIGNAL_TOP]
 SIGNAL_TOP = 50.0
@@ -69,7 +68,7 @@ class SyntheticConfig:
         if self.prior is not None:
             p = np.asarray(self.prior, dtype=np.float64)
             if p.shape != (self.n_classes,) or not np.all(np.isfinite(p)) \
-                    or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
+                    or np.any(p < 0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
                 raise InputError("prior must be K nonnegative reals summing to 1")
             object.__setattr__(self, "prior", tuple(float(x) for x in p))
 
@@ -102,11 +101,11 @@ def _finish_rows(logits, labels, signal: float, temperature: float, out):
 
 def _bounds(cfg: SyntheticConfig):
     """(start, stop) of each block of the configured rows: about
-    ``GEN_CELLS`` cells, rounded down to whole ``write_dataset`` format
+    ``BLOCK_CELLS`` cells, rounded down to whole ``write_dataset`` format
     calls of a ``semicp gen`` row (label, probs, logits and the logits again
     as features) when a block holds one."""
     k = cfg.n_classes
-    rows, per_call = max(1, GEN_CELLS // k), save_rows(k, True, k)
+    rows, per_call = max(1, BLOCK_CELLS // k), save_rows(k, True, k)
     if rows >= per_call:
         rows -= rows % per_call
     return [(start, min(start + rows, cfg.n_samples))
@@ -131,16 +130,15 @@ def generate_synthetic(cfg: SyntheticConfig) -> ProbabilityDataset:
                               features=logits)
 
 
-def _blocks(cfg: SyntheticConfig, draw=None, rows=None):
+def _blocks(cfg: SyntheticConfig, draw=None):
     """Yield (labels, logits, probs) for each block of the configured rows,
     checked against the row contract (rows numbered from 0).
 
     The rows are drawn block by block, or taken from ``draw`` (the labels
-    and signal-free logits of every row) and finished in place.  With
-    ``rows`` (``cfg.n_samples`` indices into ``draw``, in row order) the
-    draw's rows at those indices are copied block by block and finished in
-    the copy, so the draw stays signal-free; they are numbered by their
-    position in ``rows``.  ``probs`` is one block reused by the next block.
+    and signal-free logits of every row) and finished in place.  A probe
+    that must finish its rows (see :func:`_probe_hits`) passes no draw, so
+    it draws them again and the probe draw stays signal-free.  ``probs`` is
+    one block reused by the next block.
     """
     bounds = _bounds(cfg)
     probs = np.empty((bounds[0][1], cfg.n_classes))
@@ -148,8 +146,7 @@ def _blocks(cfg: SyntheticConfig, draw=None, rows=None):
         if draw is None:
             labels, logits = _draw_rows(cfg, start, stop)
         else:
-            take = slice(start, stop) if rows is None else rows[start:stop]
-            labels, logits = draw[0][take], draw[1][take]
+            labels, logits = draw[0][start:stop], draw[1][start:stop]
         p = _finish_rows(logits, labels, cfg.signal, cfg.temperature,
                          probs[:stop - start])
         check_rows(p, labels, (logits,), start)
@@ -218,23 +215,23 @@ def _probe_draw(probe: SyntheticConfig):
     return (labels, drawn), margins, _rounding_width(drawn, probe.temperature)
 
 
-def _probe_hits(probe: SyntheticConfig, draw, margins, width: float) -> int:
-    """Hits of the probe rows ``draw`` at ``probe.signal``; ``margins`` are
-    their margins, sorted, and ``width`` their :func:`_rounding_width`.
+def _probe_hits(probe: SyntheticConfig, margins, width: float) -> int:
+    """Hits of the probe rows at ``probe.signal``; ``margins`` are their
+    margins, sorted, and ``width`` their :func:`_rounding_width`.
 
     When no row has s + margin in [-width, width), every row's outcome is
     settled and the rows with s + margin >= width are the hits.  Otherwise,
-    as always at an infinite width, every row is finished and counted
-    through :func:`_blocks`, which checks them in row order.
+    as always at an infinite width, the rows are drawn again (the draw is a
+    pure function of the seed and the row range, so they are the probe
+    rows) and finished and counted through :func:`_blocks`, which checks
+    them in row order.
     """
-    n = probe.n_samples
     if np.isfinite(width):
         first, last = np.searchsorted(margins, (-width - probe.signal,
                                                 width - probe.signal))
         if first == last:
-            return n - int(last)
-    return sum(_hits(labels, probs)
-               for labels, _, probs in _blocks(probe, draw, np.arange(n)))
+            return probe.n_samples - int(last)
+    return sum(_hits(labels, probs) for labels, _, probs in _blocks(probe))
 
 
 def write_synthetic(cfg: SyntheticConfig, path, draw=None) -> float:
@@ -270,13 +267,11 @@ def measure_top1_accuracy(dataset: ProbabilityDataset) -> float:
 
 
 def calibrate_signal_for_accuracy(target_acc: float, template: SyntheticConfig,
-                                  tolerance: float = 0.01,
-                                  probe_samples: int = 50_000,
-                                  max_iters: int = 60):
+                                  **search):
     """Bisect the signal strength until pseudo-label accuracy hits a target;
-    returns (signal, achieved).  See :func:`tune_signal`."""
-    return tune_signal(target_acc, template, tolerance, probe_samples,
-                       max_iters)[:2]
+    returns (signal, achieved).  ``search`` holds :func:`tune_signal`'s
+    keywords."""
+    return tune_signal(target_acc, template, **search)[:2]
 
 
 def tune_signal(target_acc: float, cfg: SyntheticConfig,
@@ -294,10 +289,11 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
     s + m_i is positive, unless rounding decides: when no s + m_i lies in
     [-w, w), where w is :func:`_rounding_width` (derived there), a probe
     counts the rows with s + m_i >= w as hits by one ``searchsorted``;
-    otherwise it finishes every row block by block, checks them against
-    the row contract and counts their hits.  A non-finite draw, or logits
-    whose quotient by the temperature could overflow, make w infinite, so
-    every probe then finishes every row and fails at the first bad one.
+    otherwise it draws the rows again and finishes them block by block,
+    checks them against the row contract and counts their hits.  A
+    non-finite draw, or logits whose quotient by the temperature could
+    overflow, make w infinite, so every probe then finishes every row and
+    fails at the first bad one.
     Each probe thus measures exactly the accuracy of ``generate_synthetic``
     at that signal.  ``draw`` is the (labels, logits) draw when ``cfg`` has
     the probe size, for :func:`write_synthetic` to finish at the found
@@ -316,7 +312,7 @@ def tune_signal(target_acc: float, cfg: SyntheticConfig,
     best_signal, best_acc = None, None
     for _ in range(max_iters):
         mid = 0.5 * (lo + hi)
-        hits = _probe_hits(replace(probe, signal=mid), draw, margins, width)
+        hits = _probe_hits(replace(probe, signal=mid), margins, width)
         acc = hits / probe_samples
         if best_acc is None or abs(acc - target_acc) < abs(best_acc - target_acc):
             best_signal, best_acc = mid, acc

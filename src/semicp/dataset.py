@@ -10,6 +10,10 @@ UNLABELED = -1
 
 PROB_SUM_TOL = 1e-6
 
+# the cells a row block holds: scoring and generation size their
+# blocks by K cells a row, brute-force matching by n * d
+BLOCK_CELLS = 1 << 15
+
 
 def row_breach(values, labels, probs, k: int):
     """The first row that breaks the row contract and its breach, as

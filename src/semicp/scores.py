@@ -13,10 +13,11 @@ Every family is affine in the random factor u, ``score = A + B * u``, and
 the deterministic variant is the randomized one evaluated at u = 1.  This
 module computes the parts A and B of a batch; ``unlabeled.ScoreTables``
 keeps them per dataset and is the one place scores are read from.  The
-rank-based families are computed one block of about ``SCORE_CELLS`` cells
-(rows x classes) at a time, written into A (and for saps into B) allocated
-once, so scoring a source holds one block of temporaries besides the
-tables; every score is a per-row computation, so blocking changes no bit.
+rank-based families are computed one block of about
+``dataset.BLOCK_CELLS`` cells (rows x classes) at a time, written into A
+(and for saps into B) allocated once, so scoring a source holds one block
+of temporaries besides the tables; every score is a per-row computation,
+so blocking changes no bit.
 
 Classes are ranked by descending probability with ties broken by ascending
 class index, so ranks are deterministic.
@@ -26,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import BLOCK_CELLS
 from .errors import ConfigurationError
 
 SCORE_KINDS = ("thr", "aps", "raps", "saps")
-
-# cells (rows x classes) scored per block, at most
-SCORE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def score_components_batch(probs, spec: ScoreSpec):
     m, k = probs.shape
     a = np.empty((m, k))
     b = np.empty((m, k)) if spec.kind == "saps" else probs
-    step = max(1, SCORE_CELLS // k)
+    step = max(1, BLOCK_CELLS // k)
     for start in range(0, m, step):
         rows = slice(start, start + step)
         p, a_rows, b_rows = probs[rows], a[rows], b[rows]

@@ -37,7 +37,10 @@ k = 1 match.
 ``confidence`` is a spelling of ``pseudo_score``: at the pseudo-label every
 deterministic score is p_max or 1 - p_max, which order records alike.  The
 vector criteria (full score vector, logits, features) rank squared
-Euclidean distances, ties again by index, by brute force in O(n N) and are
+Euclidean distances, ties again by index, by brute force in O(n N d) time.
+They take the queries a chunk at a time, so that the chunk's (queries,
+records, d) differences and (queries, records) distances each hold about
+``dataset.BLOCK_CELLS`` cells (one query's when those are more), and are
 intended for desk-scale ablations.
 """
 
@@ -46,14 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataset import ProbabilityDataset
+from .dataset import BLOCK_CELLS, ProbabilityDataset
 from .errors import ConfigurationError, DataError, EstimationError, InputError
 from .scores import ScoreSpec, score_components_batch
 
 ESTIMATOR_KINDS = ("nnm", "nnm_r", "naive", "debias", "random_match")
 CRITERION_KINDS = ("pseudo_score", "confidence", "score_vector", "logit", "feature")
 
-_CHUNK_CELLS = 1 << 25  # cap on brute-force distance-matrix cells per chunk
 _BELOW_AT = np.array([[-1], [0]])  # the table values either side of a cut
 
 
@@ -141,7 +143,8 @@ class ScoreTables:
     keep the pseudo-labels.  The new tables take 1x the memory of
     ``dataset.probs``, except randomized saps at 2x: randomized aps and raps
     keep the probability array itself as B.  Building them holds one block
-    of temporaries (see :mod:`semicp.scores`), not more (m, K) arrays.
+    of about ``dataset.BLOCK_CELLS`` cells of temporaries (see
+    :mod:`semicp.scores`), not more (m, K) arrays.
     Each part also keeps two vectors, every row's score at its true label
     (NaN for an unlabeled row) and at its pseudo-label, so a pool gathers
     1-D: 16 (deterministic) or 32 (randomized) more bytes a row.  The first
@@ -304,7 +307,8 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
 
     The pseudo score criterion reads the owner table over the query
     source's value table, then for k > 1 merges two sorted walks; the
-    vector criteria rank squared Euclidean distances by brute force.
+    vector criteria rank squared Euclidean distances by brute force, one
+    chunk of queries at a time (see the module docstring).
     """
     k = estimator.k
     if len(records) == 0:
@@ -319,14 +323,15 @@ def neighbor_match(pseudo: PseudoScores, records: LabeledRecords,
     r = _criterion_vectors(records.tables, records.rows, estimator.criterion)
     if q.shape[1] != r.shape[1]:
         raise InputError("query and record vectors differ in dimension")
-    n = len(records)
+    n, d = r.shape
     out = np.empty((q.shape[0], k), dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // n)
+    # a zero-width channel still makes (chunk, n) distances
+    chunk = max(1, BLOCK_CELLS // (n * max(1, d)))
     for start in range(0, q.shape[0], chunk):
         diff = q[start:start + chunk, None, :] - r[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        index = np.broadcast_to(np.arange(n), d2.shape)
-        out[start:start + chunk] = np.lexsort((index, d2), axis=-1)[:, :k]
+        # a stable sort ranks equal distances by record index
+        out[start:start + chunk] = np.argsort(d2, axis=-1, kind="stable")[:, :k]
     return out
 
 

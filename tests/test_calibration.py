@@ -7,15 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantile_oracle import exact_quantile_oracle
+from semicp import rng
 from semicp.calibration import (Threshold, _class_deciles, cluster_classes,
                                 conditional_thresholds, conformal_quantile,
                                 epsilon_bias, interpolated_quantile,
                                 quantile_level)
+from semicp.datagen import SyntheticConfig, generate_synthetic
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import CalibrationError, ConfigurationError, InputError
+from semicp.metrics import empirical_cdf
 from semicp.runner import CalibrationPlan
 from semicp.scores import ScoreSpec
-from semicp.unlabeled import ScoreTables
+from semicp.unlabeled import ScoreTables, estimate_scores
 
 
 def test_conformal_quantile_examples():
@@ -344,6 +347,34 @@ def test_epsilon_bias():
     assert epsilon_bias([0.1, 0.9], [0.5, 0.9], t, 2, 2) == pytest.approx(0.25)
     t_all = Threshold(math.nan, True, 9, 4, 0.1)
     assert epsilon_bias([0.1], [0.5], t_all, 1, 1) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["aps", "thr"])
+def test_calibrate_epsilon_errs_by_its_stated_standard_error(kind):
+    # semicp calibrate prints epsilon_bias(labeled true scores, estimates):
+    # the n labeled scores' CDF stands in for the pool's true-score CDF,
+    # so the plug-in errs from the pool's own epsilon by about its stated
+    # standard error N/(N+n) sqrt(F (1 - F) / n), F the labeled CDF at t.
+    # The example source at 20,000 rows, n=20, N=2,000, alpha=0.1, nnm k=1
+    n, big_n, alpha, draws = 20, 2000, 0.1, 400
+    spec = ScoreSpec(kind)
+    tables = ScoreTables(generate_synthetic(SyntheticConfig(
+        n_classes=10, n_samples=20_000, signal=2.4414, temperature=0.5,
+        seed=7)), spec)
+    errors, stated = np.empty(draws), np.empty(draws)
+    for d in range(draws):
+        perm = rng.permutation(rng.stream(31, d), len(tables.dataset),
+                               n + big_n)
+        records, pool = tables.records(perm[:n]), perm[n:]
+        est = estimate_scores(tables.queries(pool), records, spec)
+        t = conformal_quantile(np.concatenate([records.true_scores, est]),
+                               alpha)
+        errors[d] = (epsilon_bias(records.true_scores, est, t, n, big_n)
+                     - epsilon_bias(tables.true(pool), est, t, n, big_n))
+        f = empirical_cdf(records.true_scores, t.value)
+        stated[d] = big_n / (big_n + n) * math.sqrt(f * (1 - f) / n)
+    rms_error, rms_stated = (np.sqrt(np.mean(v ** 2)) for v in (errors, stated))
+    assert abs(rms_error / rms_stated - 1) <= 0.15, (rms_error, rms_stated)
 
 
 def test_threshold_roundtrip_and_mask():

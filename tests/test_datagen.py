@@ -30,7 +30,7 @@ def test_chunked_rows_equal_full_generation(monkeypatch):
     cfg = SyntheticConfig(n_classes=4, n_samples=500, signal=2.0, seed=5)
     full = generate_synthetic(cfg)
     for cells in (1, 28, 400):  # blocks of 1, 7 and 100 rows
-        monkeypatch.setattr(datagen, "GEN_CELLS", cells)
+        monkeypatch.setattr(datagen, "BLOCK_CELLS", cells)
         blocked = generate_synthetic(cfg)
         for name in ("labels", "logits", "probs"):
             assert getattr(blocked, name).tobytes() == \
@@ -151,7 +151,7 @@ def test_blocks_name_the_first_bad_row_across_block_edges(tmp_path,
                                                           monkeypatch, bad_row):
     # blocks of 5 rows; a NaN noise value drawn for one row must stop both
     # the bisection's probes and the writer at that row's global number
-    monkeypatch.setattr(datagen, "GEN_CELLS", 15)
+    monkeypatch.setattr(datagen, "BLOCK_CELLS", 15)
     draw_rows = datagen._draw_rows
 
     def poisoned(cfg, start, stop):
@@ -247,7 +247,7 @@ block_cells = st.integers(1, 1000)
 @settings(max_examples=100, deadline=None)
 @given(cfg=synthetic_configs(), cells=block_cells)
 def test_generate_synthetic_matches_one_step_rows(cfg, cells):
-    with mock.patch.object(datagen, "GEN_CELLS", cells):
+    with mock.patch.object(datagen, "BLOCK_CELLS", cells):
         ds = generate_synthetic(cfg)
     labels, logits, probs = one_step_rows(cfg, 0, cfg.n_samples)
     assert ds.labels.tobytes() == labels.tobytes()
@@ -268,11 +268,11 @@ def test_bisection_matches_full_generation_oracle(template, cells, data):
         want = bisection_oracle(target, template, **kwargs)
     except ConvergenceError as exc:
         with pytest.raises(ConvergenceError) as got, \
-                mock.patch.object(datagen, "GEN_CELLS", cells):
+                mock.patch.object(datagen, "BLOCK_CELLS", cells):
             calibrate_signal_for_accuracy(target, template, **kwargs)
         assert got.value.best == exc.best
     else:
-        with mock.patch.object(datagen, "GEN_CELLS", cells):
+        with mock.patch.object(datagen, "BLOCK_CELLS", cells):
             got = calibrate_signal_for_accuracy(target, template, **kwargs)
         assert got == want
 
@@ -290,7 +290,7 @@ def test_probe_hits_equal_a_full_probe(cfg, cells, data):
         st.sampled_from((1e-310, 1e-300, 1e6, 1e9, 1e12))))
     probe = replace(cfg, n_samples=max(1, cfg.n_samples),
                     temperature=temperature)
-    with mock.patch.object(datagen, "GEN_CELLS", cells):
+    with mock.patch.object(datagen, "BLOCK_CELLS", cells):
         draw, margins, width = datagen._probe_draw(probe)
         for signal in data.draw(st.lists(st.floats(0.0, datagen.SIGNAL_TOP),
                                          min_size=1, max_size=4)):
@@ -299,10 +299,10 @@ def test_probe_hits_equal_a_full_probe(cfg, cells, data):
                 ds = generate_synthetic(at)
             except InputError as exc:
                 with pytest.raises(InputError, match=f"^{exc}$"):
-                    datagen._probe_hits(at, draw, margins, width)
+                    datagen._probe_hits(at, margins, width)
                 continue
             want = int(np.count_nonzero(pseudo_labels(ds.probs) == ds.labels))
-            assert datagen._probe_hits(at, draw, margins, width) == want
+            assert datagen._probe_hits(at, margins, width) == want
 
 
 def test_gen_blocks_fill_whole_format_calls(tmp_path, monkeypatch):

@@ -185,7 +185,7 @@ def test_block_edges_change_no_bit(monkeypatch, spec, rows_per_block, m):
     probs[1::2, 1] = probs[1::2, 0]  # tied classes in every other row
     probs /= probs.sum(axis=1, keepdims=True)
     # at two rows a block, 7 rows end in a partial block of one
-    monkeypatch.setattr(scores, "SCORE_CELLS", rows_per_block * k + 1)
+    monkeypatch.setattr(scores, "BLOCK_CELLS", rows_per_block * k + 1)
     a, b = score_components_batch(probs, spec)
     a_ref, b_ref = one_shot_components(probs, spec)
     assert a.shape == b.shape == (m, k)

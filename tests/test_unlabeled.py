@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gathered import queries, records
+from semicp import unlabeled
 from semicp.calibration import conformal_quantile
 from semicp.dataset import ProbabilityDataset
 from semicp.errors import ConfigurationError, EstimationError, InputError
@@ -604,3 +607,82 @@ def test_thr_confidences_closer_than_the_pseudo_score_resolution_tie():
         got = neighbor_match(queries(unl, spec), records(lab, spec),
                              EstimatorSpec(criterion=criterion))
         assert got.tolist() == [[0]]
+
+
+def tied_vector_dataset(rs, m, d):
+    """Rows whose probabilities, logits and d-wide features repeat in
+    pairs, so vector distances tie between records."""
+    half = rand_dataset(rs, (m + 1) // 2, 4)
+    rows = np.repeat(np.arange(len(half)), 2)[:m]
+    probs = half.probs[rows]
+    return ProbabilityDataset(probs=probs, labels=half.labels[rows],
+                              logits=np.log(probs),
+                              features=rs.randn(len(half), d)[rows])
+
+
+@pytest.mark.parametrize("criterion", ["score_vector", "logit", "feature"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_brute_force_chunks_change_no_match(monkeypatch, criterion, k,
+                                            per_chunk):
+    # 7 queries in chunks of one, or of two ending in a partial chunk,
+    # match byte for byte as one chunk does, and rank equal distances by
+    # record index
+    rs = np.random.RandomState(11)
+    spec = ScoreSpec("aps")
+    rec = records(tied_vector_dataset(rs, 12, 3), spec)
+    lab, unl = rec.tables.dataset, tied_vector_dataset(rs, 7, 3)
+    pseudo = queries(unl, spec)
+    estimator = EstimatorSpec(k=k, criterion=criterion)
+    cells = 12 * {"score_vector": 4, "logit": 4, "feature": 3}[criterion]
+    monkeypatch.setattr(unlabeled, "BLOCK_CELLS", 7 * cells)
+    whole = neighbor_match(pseudo, rec, estimator)
+    monkeypatch.setattr(unlabeled, "BLOCK_CELLS", per_chunk * cells + 1)
+    assert neighbor_match(pseudo, rec, estimator).tobytes() == whole.tobytes()
+    vectors = {"score_vector": lambda ds: ScoreTables(ds, spec).all_labels(
+                   np.arange(len(ds))),
+               "logit": lambda ds: ds.logits,
+               "feature": lambda ds: ds.features}[criterion]
+    d2 = ((vectors(unl)[:, None, :] - vectors(lab)[None, :, :]) ** 2).sum(-1)
+    index = np.broadcast_to(np.arange(12), d2.shape)
+    assert np.array_equal(whole, np.lexsort((index, d2), axis=-1)[:, :k])
+
+
+def test_zero_width_features_match_the_first_records(monkeypatch):
+    # every distance is 0 without feature columns, so each query takes the
+    # k smallest record indices, in chunks of one query as in one chunk
+    rs = np.random.RandomState(12)
+    spec = ScoreSpec("thr")
+    lab, unl = rand_dataset(rs, 6, 3), rand_dataset(rs, 5, 3)
+    rec = records(ProbabilityDataset(lab.probs, lab.labels,
+                                     features=np.empty((6, 0))), spec)
+    pseudo = queries(ProbabilityDataset(unl.probs,
+                                        features=np.empty((5, 0))), spec)
+    for cells in (6, 1 << 15):
+        monkeypatch.setattr(unlabeled, "BLOCK_CELLS", cells)
+        got = neighbor_match(pseudo, rec, EstimatorSpec(k=2, criterion="feature"))
+        assert got.tolist() == [[0, 1]] * 5
+
+
+def test_brute_force_matching_holds_one_block_not_all_differences():
+    # n=200 records, N=4,000 queries of d=10 score vectors: the (N, n, d)
+    # differences are 64 MB, all in one chunk when chunks are sized by the
+    # (chunk, n) distances alone.  One block is 0.26 MB; besides it the
+    # matcher holds the (N, d) query vectors and the (N, k) result
+    n, big_n, k = 200, 4000, 3
+    rs = np.random.RandomState(13)
+    ds = rand_dataset(rs, n + big_n, 10)
+    tables = ScoreTables(ds, ScoreSpec("aps"))
+    estimator = EstimatorSpec(k=k, criterion="score_vector")
+    rec = tables.records(np.arange(n))
+    pseudo = tables.queries(np.arange(n, n + big_n))
+    neighbor_match(tables.queries(np.arange(5)), rec, estimator)  # warm up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        neighbor_match(pseudo, rec, estimator)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    held = big_n * 10 * 8 + big_n * k * 8
+    assert peak < 4 * unlabeled.BLOCK_CELLS * 8 + held < n * big_n * 10 * 8 / 20
