@@ -257,13 +257,15 @@ def epsilon_bias(true_scores_sample, estimated_scores_sample,
                  threshold: Threshold, n: int, N: int) -> float:
     """Coverage-bias diagnostic N/(N+n) * (F_true(t) - F_est(t)).
 
-    Empirical CDFs use the <= convention.  An include-all threshold puts
-    both CDFs at 1, so the diagnostic is 0 by convention.
+    Empirical CDFs use the <= convention.  It is 0.0 without unlabeled
+    samples (N = 0), whose weight is then 0, and at an include-all
+    threshold, which puts both CDFs at 1; either holds before the samples
+    are checked, so an empty estimate sample at N = 0 gives 0.0.
     """
-    if np.size(true_scores_sample) == 0 or np.size(estimated_scores_sample) == 0:
-        raise InputError("epsilon_bias requires nonempty score samples")
     if N == 0 or threshold.include_all:
         return 0.0
+    if np.size(true_scores_sample) == 0 or np.size(estimated_scores_sample) == 0:
+        raise InputError("epsilon_bias requires nonempty score samples")
     t = threshold.value
     return N / (N + n) * (empirical_cdf(true_scores_sample, t)
                           - empirical_cdf(estimated_scores_sample, t))

@@ -26,7 +26,7 @@ from .datagen import SyntheticConfig, tune_signal, write_synthetic
 from .dataio import check_writable, load_dataset, load_threshold, \
     save_threshold, write_prediction_sets, write_results
 from .errors import ConfigurationError, DataError, EstimationError, \
-    InputError, SemicpError, exit_code_for
+    InputError, SemicpError
 from .metrics import avg_size, coverage
 from .scores import SCORE_KINDS, ScoreSpec
 from .unlabeled import (CRITERION_KINDS, ESTIMATOR_KINDS, EstimatorSpec,
@@ -192,13 +192,12 @@ def _cmd_calibrate(args) -> int:
         u_unlab = rng.factors(spec.randomized, big_n, _seed(args), 0, 2)
         pseudo = ScoreTables(unlabeled, spec).queries(np.arange(big_n))
         est_scores = estimate_scores(
-            pseudo, tables.records(rows), spec, estimator,
+            pseudo, tables.records(rows), estimator,
             stream_key=rng.stream(_seed(args), 0, 3), u=u_unlab)
 
     threshold = conformal_quantile(np.concatenate([lab_scores, est_scores]),
                                    args.alpha)
-    eps = epsilon_bias(lab_scores, est_scores, threshold, n, big_n) \
-        if big_n else 0.0
+    eps = epsilon_bias(lab_scores, est_scores, threshold, n, big_n)
 
     print(f"n={n} N={big_n} alpha={args.alpha} pool={threshold.pool_size}")
     if threshold.include_all:
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SemicpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,10 @@ cache:
 * :func:`write_synthetic` generates, checks and writes one block at a time,
   so ``semicp gen`` holds one block (plus the probe draw when it tunes the
   signal) whatever the number of rows; at the probe size it finishes the
-  drawn rows in place instead of drawing them again.
+  drawn rows in place instead of drawing them again.  The blocks are sized
+  by ``BLOCK_CELLS`` alone: ``dataio.write_dataset`` cuts each into format
+  calls by its own budget, so this module knows neither that budget nor
+  the file's column layout.
 """
 
 from dataclasses import dataclass, replace
@@ -34,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dataio import save_rows, write_dataset
+from .dataio import write_dataset
 from .dataset import (BLOCK_CELLS, PROB_SUM_TOL, ProbabilityDataset,
                       check_rows, softmax)
 from .errors import ConfigurationError, ConvergenceError, InputError
@@ -100,14 +103,11 @@ def _finish_rows(logits, labels, signal: float, temperature: float, out):
 
 
 def _bounds(cfg: SyntheticConfig):
-    """(start, stop) of each block of the configured rows: about
-    ``BLOCK_CELLS`` cells, rounded down to whole ``write_dataset`` format
-    calls of a ``semicp gen`` row (label, probs, logits and the logits again
-    as features) when a block holds one."""
-    k = cfg.n_classes
-    rows, per_call = max(1, BLOCK_CELLS // k), save_rows(k, True, k)
-    if rows >= per_call:
-        rows -= rows % per_call
+    """(start, stop) of each block of the configured rows: ``BLOCK_CELLS``
+    // K rows, at least one, so a block's (rows, K) arrays hold about
+    ``BLOCK_CELLS`` cells.  How a block is cut into format calls is the
+    writer's own decision (see ``dataio.write_dataset``)."""
+    rows = max(1, BLOCK_CELLS // cfg.n_classes)
     return [(start, min(start + rows, cfg.n_samples))
             for start in range(0, cfg.n_samples, rows)]
 

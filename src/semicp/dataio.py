@@ -130,7 +130,9 @@ def write_dataset(path, blocks):
     features are the logits array itself (synthetic data), the logits cells
     are formatted once and placed in both column ranges; the test is object
     identity, since equal arrays may still format differently (-0.0 == 0.0).
-    Rows are formatted about ``SAVE_CELLS`` output cells at a time.  Once
+    Rows are formatted about ``SAVE_CELLS`` output cells at a time: each
+    format call takes ``SAVE_CELLS`` // (the header's column count) rows,
+    at least one, and the last call of a block takes the rest.  Once
     the file is open, any failure, also one raised while making a block,
     removes it.
     """
@@ -144,7 +146,7 @@ def write_dataset(path, blocks):
     width = len(cols) - (feat_dim if aliased else 0)  # formatted columns
     columns = np.r_[0:width, width - k:width] if aliased else np.arange(width)
 
-    rows = save_rows(k, logits is not None, feat_dim)
+    rows = max(1, SAVE_CELLS // len(cols))
     with _output(path) as fh:
         fh.write(f"#semicp,v1,K={k},features={feat_dim}\n")
         fh.write(",".join(cols) + "\n")
@@ -155,12 +157,6 @@ def write_dataset(path, blocks):
                 block = np.hstack([labels[start:start + rows, None]]
                                   + [c[start:start + rows] for c in channels])
                 fh.write(format_rows(block, columns).decode("ascii"))
-
-
-def save_rows(k, have_logits, feat_dim):
-    """Rows that ``write_dataset`` formats per call for a file of these
-    channels (probabilities always): about ``SAVE_CELLS`` output cells."""
-    return max(1, SAVE_CELLS // len(_columns(k, True, have_logits, feat_dim)))
 
 
 def _columns(k, have_probs, have_logits, feat_dim):

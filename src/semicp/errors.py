@@ -1,20 +1,24 @@
-"""Exception hierarchy and CLI exit codes."""
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
+"""Exception hierarchy.  Each class carries the exit code that ``semicp``
+returns for it: 1 for an error of no narrower class, 2 for a configuration
+error and 3 for a data error; subclasses inherit their parent's."""
 
 
 class SemicpError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 1
+
 
 class ConfigurationError(SemicpError):
-    """Invalid configuration or incompatible option combination (exit code 2)."""
+    """Invalid configuration or incompatible option combination."""
+
+    exit_code = 2
 
 
 class DataError(SemicpError):
-    """Invalid or unusable data (exit code 3)."""
+    """Invalid or unusable data."""
+
+    exit_code = 3
 
 
 class InputError(DataError):
@@ -31,17 +35,9 @@ class EstimationError(DataError):
 
 class ConvergenceError(ConfigurationError):
     """An iterative procedure failed to converge within its budget, as when
-    a target accuracy is out of reach of the configured source (exit code
-    2); ``best`` is the closest result found."""
+    a target accuracy is out of reach of the configured source; ``best`` is
+    the closest result found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, ConfigurationError):
-        return EXIT_CONFIG
-    if isinstance(exc, DataError):
-        return EXIT_DATA
-    return 1

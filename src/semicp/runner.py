@@ -164,13 +164,14 @@ class ExperimentConfig:
 
 @dataclass
 class _Context:
-    """Score tables of the data sources, built once per run or sweep group.
+    """Score tables of the data sources, built once per run or sweep group
+    by ``_build_context``.
 
     ``main`` is the source of the unlabeled pool.  A source that serves
     several roles is one tables object, so that the pools drawn from it
     come from one permutation.  ``prefix`` maps each source's tables to the
-    rows of its permutation that a trial draws: the most that any config
-    checked by ``_validate_sources`` takes from it.
+    rows of its permutation that a trial draws: the most that any config of
+    the group takes from it, set as ``_build_context`` checks each config.
     """
     main: ScoreTables
     labeled: ScoreTables
@@ -178,23 +179,29 @@ class _Context:
     prefix: dict = field(default_factory=dict)
 
 
-def _build_context(config: ExperimentConfig) -> _Context:
-    """The config's sources, loaded and scored; see ``_validate_sources``."""
-    src = config.source
+def _build_context(configs) -> _Context:
+    """The sources of a group of configs that share one source and score,
+    loaded and scored once, then checked against every config by
+    ``_validate_sources`` before any trial runs."""
+    src, score = configs[0].source, configs[0].score
     if src.synthetic is not None:
-        return _Context(*[ScoreTables(generate_synthetic(src.synthetic),
-                                      config.score)] * 3)
-    main_file = src.labeled_file if src.unlabeled_file is None \
-        else src.unlabeled_file
-    files = (src.labeled_file, main_file,
-             main_file if src.test_file is None else src.test_file)
-    tables = {}  # each file once, however many roles name it
-    for path in files:
-        if os.path.realpath(path) not in tables:
-            tables[os.path.realpath(path)] = ScoreTables(load_dataset(path),
-                                                         config.score)
-    labeled, main, test = (tables[os.path.realpath(p)] for p in files)
-    return _Context(main, labeled, test)
+        ctx = _Context(*[ScoreTables(generate_synthetic(src.synthetic),
+                                     score)] * 3)
+    else:
+        main_file = src.labeled_file if src.unlabeled_file is None \
+            else src.unlabeled_file
+        files = (src.labeled_file, main_file,
+                 main_file if src.test_file is None else src.test_file)
+        tables = {}  # each file once, however many roles name it
+        for path in files:
+            if os.path.realpath(path) not in tables:
+                tables[os.path.realpath(path)] = ScoreTables(
+                    load_dataset(path), score)
+        labeled, main, test = (tables[os.path.realpath(p)] for p in files)
+        ctx = _Context(main, labeled, test)
+    for config in configs:
+        _validate_sources(config, ctx)
+    return ctx
 
 
 def _pool_sizes(config: ExperimentConfig, ctx: _Context):
@@ -234,7 +241,8 @@ def _validate_sources(config: ExperimentConfig, ctx: _Context):
     plan = config.calibration
     if plan.mode == "group_conditional" and plan.group_rule == "external_column":
         col, g = plan.external_column, plan.n_groups
-        for ds in (main, labeled, test):
+        # each distinct source once: a synthetic one fills all three roles
+        for ds in {id(ds): ds for ds in (main, labeled, test)}.values():
             if ds.features is None or ds.features.shape[1] <= col:
                 raise ConfigurationError(
                     f"external_column group rule needs feature column {col}")
@@ -247,7 +255,7 @@ def _validate_sources(config: ExperimentConfig, ctx: _Context):
 
 
 def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int,
-                   perms: dict = None):
+                   perms: dict):
     """Row indices of the trial's labeled, unlabeled and test pools.
 
     The pools drawn from one source are consecutive slices, in that order,
@@ -256,22 +264,20 @@ def _split_indices(config: ExperimentConfig, ctx: _Context, trial_index: int,
     else test.  ``perms`` holds the trial's permutation prefixes by source
     tables, so every config that shares it must have the same base seed,
     as the configs of a sweep group do: a missing one is drawn at the
-    source's ``ctx.prefix`` rows and added.  A prefix of a longer prefix is
-    the same rows, so configs that take fewer rows from a source share its
+    source's ``ctx.prefix`` rows, which ``_build_context`` set for every
+    config of the group, and added.  A prefix of a longer prefix is the
+    same rows, so configs that take fewer rows from a source share its
     permutation.
     """
-    perms = {} if perms is None else perms
-    sizes = _pool_sizes(config, ctx)
     taken = {}  # source tables -> rows taken so far
     pools = []
-    for tables, size in sizes:
+    for tables, size in _pool_sizes(config, ctx):
         if tables not in perms:
             tag = _TAG_SPLIT_MAIN if tables is ctx.main else \
                 _TAG_SPLIT_LABELED if tables is ctx.labeled else _TAG_SPLIT_TEST
             perms[tables] = rng.permutation(
                 rng.stream(config.base_seed, trial_index, tag),
-                len(tables.dataset),
-                max(ctx.prefix.get(tables, 0), _need(sizes, tables)))
+                len(tables.dataset), ctx.prefix[tables])
         start = taken.get(tables, 0)
         pools.append(perms[tables][start:start + size])
         taken[tables] = start + size
@@ -300,10 +306,11 @@ class _Draw:
     pools' rows, the labeled and test labels, the random factors, the
     labeled true scores and the test scores, and each method's calibration
     pool once made (see :meth:`pool`).  It does not depend on the config's
-    method kinds.  ``perms`` is passed to ``_split_indices``."""
+    method kinds.  ``perms``, the trial's permutation prefixes, is passed
+    to ``_split_indices``."""
 
     def __init__(self, config: ExperimentConfig, ctx: _Context, trial_index: int,
-                 perms: dict = None):
+                 perms: dict):
         self.ctx, self.trial_index = ctx, trial_index
         self.lab, self.unlab, self.test = _split_indices(config, ctx,
                                                          trial_index, perms)
@@ -338,7 +345,7 @@ class _Draw:
                                        _TAG_RANDOM_MATCH, position)
                 unlab = estimate_scores(ctx.main.queries(self.unlab),
                                         ctx.labeled.records(self.lab),
-                                        config.score, method.estimator,
+                                        method.estimator,
                                         stream_key=rm_stream, u=self.u_unlab)
             self.pools[key] = np.concatenate([self.lab_scores, unlab])
         return self.pools[key]
@@ -361,8 +368,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, ctx: _Context = None,
     """
     try:
         if ctx is None:
-            ctx = _build_context(config)
-            _validate_sources(config, ctx)
+            ctx = _build_context([config])
         shared = {} if shared is None else shared
         key = _draw_key(config)
         if shared.get("key") != key:
@@ -511,9 +517,7 @@ def _run_group(configs, jobs):
     workers get the context through ``initargs`` (inherited memory under
     fork).  When only one worker would start, the chunks run in process.
     """
-    ctx = _build_context(configs[0])
-    for config in configs:
-        _validate_sources(config, ctx)
+    ctx = _build_context(configs)
     trials = max(config.trials for config in configs)
     cpus = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

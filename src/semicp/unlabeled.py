@@ -135,8 +135,10 @@ def _affine(parts, rows, u):
 
 
 class ScoreTables:
-    """Score tables of one dataset, computed once so that every pool drawn
-    from it only gathers rows.
+    """Score tables of one dataset under ``spec``, computed once so that
+    every pool drawn from it only gathers rows.  ``spec`` is kept: it is
+    the one statement of how the tables were scored, which the estimators
+    read (see :func:`estimate_scores`).
 
     A deterministic spec keeps the single (m, K) table A + B; a randomized
     spec keeps A and B, so a score at random factor u is A + B * u.  Both
@@ -153,7 +155,7 @@ class ScoreTables:
     """
 
     def __init__(self, dataset: ProbabilityDataset, spec: ScoreSpec):
-        self.dataset = dataset
+        self.dataset, self.spec = dataset, spec
         # a score that overflows is refused below, so numpy's warnings
         # would only lengthen the error
         with np.errstate(over="ignore"):
@@ -351,17 +353,20 @@ def check_estimator(spec: ScoreSpec, estimator: EstimatorSpec):
 
 
 def estimate_scores(pseudo: PseudoScores, records: LabeledRecords,
-                    spec: ScoreSpec, estimator: EstimatorSpec = EstimatorSpec(),
+                    estimator: EstimatorSpec = EstimatorSpec(),
                     stream_key=None, u=None) -> np.ndarray:
     """Estimated true scores of the unlabeled samples.
 
-    ``u`` holds one random factor per sample and is read only for a
-    randomized spec.  ``random_match`` draws one record per sample, with
+    The score spec is the one ``pseudo``'s tables were scored with; the
+    records are expected to come from tables of the same spec.  ``u``
+    holds one random factor per sample and is read only for a randomized
+    spec.  ``random_match`` draws one record per sample, with
     replacement, indexed by sample position on ``stream_key``.  The matching
     estimators add the mean bias of the k matched records; ``nnm_r`` matches
     on deterministic pseudo scores and then evaluates all three terms at the
     sample's own u: S(x, y_hat, u) + S(x_j, y_j, u) - S(x_j, y_hat_j, u).
     """
+    spec = pseudo.tables.spec
     check_estimator(spec, estimator)
     kind = estimator.kind
     if spec.randomized:

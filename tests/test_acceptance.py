@@ -29,8 +29,8 @@ from semicp.dataset import ProbabilityDataset
 from semicp.metrics import (cov_gap, improvement, ks_distance, over_under_gaps,
                             summarize)
 from semicp.runner import (CalibrationPlan, DataSource, ExperimentConfig,
-                           MethodSpec, _build_context, _validate_sources,
-                           run_experiment, run_trial)
+                           MethodSpec, _build_context, run_experiment,
+                           run_trial)
 from semicp.scores import ScoreSpec
 from semicp.unlabeled import EstimatorSpec, ScoreTables, estimate_scores
 
@@ -160,15 +160,15 @@ def test_criterion_04_coverage_variance_formula():
     report(4, "coverage variance formula", ok, "; ".join(details))
 
 
-def _ks_pair(tables, spec, n, big_n, trial, seed):
+def _ks_pair(tables, n, big_n, trial, seed):
     perm = rng.permutation(rng.stream(seed, trial, 77), len(tables.dataset))
     rec = tables.records(perm[:n])
     unl = perm[n:n + big_n]
     pseudo = tables.queries(unl)
     true = tables.true(unl)
-    return (ks_distance(estimate_scores(pseudo, rec, spec), true),
-            ks_distance(estimate_scores(pseudo, rec, spec,
-                                        EstimatorSpec("naive")), true))
+    return (ks_distance(estimate_scores(pseudo, rec), true),
+            ks_distance(estimate_scores(pseudo, rec, EstimatorSpec("naive")),
+                        true))
 
 
 def test_criterion_05_nnm_distribution_matching():
@@ -177,11 +177,11 @@ def test_criterion_05_nnm_distribution_matching():
     tables = ScoreTables(generate_synthetic(cfg), spec)
     wins = 0
     for t in range(200):
-        k_nnm, k_naive = _ks_pair(tables, spec, 100, 4000, t, seed=0)
+        k_nnm, k_naive = _ks_pair(tables, 100, 4000, t, seed=0)
         wins += k_nnm < k_naive
-    med10 = np.median([_ks_pair(tables, spec, 10, 4000, t, 1)[0]
+    med10 = np.median([_ks_pair(tables, 10, 4000, t, 1)[0]
                        for t in range(120)])
-    med1000 = np.median([_ks_pair(tables, spec, 1000, 4000, t, 1)[0]
+    med1000 = np.median([_ks_pair(tables, 1000, 4000, t, 1)[0]
                          for t in range(120)])
     report(5, "NNM distribution matching",
            wins >= 190 and med1000 < med10,
@@ -243,10 +243,10 @@ def test_criterion_08_reductions_are_bit_identical():
     lab, unl = np.arange(200), np.arange(200, 900)
     det, rand = ScoreSpec("aps"), ScoreSpec("aps", randomized=True)
     det_t, rand_t = ScoreTables(ds, det), ScoreTables(ds, rand)
-    r_scores = estimate_scores(rand_t.queries(unl), rand_t.records(lab), rand,
+    r_scores = estimate_scores(rand_t.queries(unl), rand_t.records(lab),
                                EstimatorSpec("nnm_r"), u=np.ones(len(unl)))
     ok_b = np.array_equal(r_scores, estimate_scores(det_t.queries(unl),
-                                                    det_t.records(lab), det))
+                                                    det_t.records(lab)))
 
     perfect = ExperimentConfig(
         n=30, N=1000,
@@ -270,7 +270,7 @@ def test_criterion_09_group_conditional_coverage():
         methods=(MethodSpec("standard", "standard"),
                  MethodSpec("semicp", "semicp")),
         calibration=CalibrationPlan(mode="group_conditional", n_groups=5))
-    ctx = _build_context(config)
+    ctx = _build_context([config])
     sums = {m: np.zeros(5) for m in ("standard", "semicp")}
     counts = {m: np.zeros(5) for m in ("standard", "semicp")}
     for t in range(config.trials):
@@ -342,15 +342,15 @@ def test_criterion_12_matching_complexity():
         n_classes=10, n_samples=1_000_000, signal=ACC80_SIGNAL, seed=5))
     big2 = generate_synthetic(SyntheticConfig(
         n_classes=10, n_samples=2_000_000, signal=ACC80_SIGNAL, seed=6))
-    estimate_scores(queries(ProbabilityDataset(big1.probs[:1000]), spec), rec,
-                    spec)  # warm-up
+    estimate_scores(queries(ProbabilityDataset(big1.probs[:1000]), spec),
+                    rec)  # warm-up
 
     # the timed work scores the whole pool, then matches it
     start = time.perf_counter()
-    estimate_scores(queries(big1, spec), rec, spec)
+    estimate_scores(queries(big1, spec), rec)
     t1 = time.perf_counter() - start
     start = time.perf_counter()
-    estimate_scores(queries(big2, spec), rec, spec)
+    estimate_scores(queries(big2, spec), rec)
     t2 = time.perf_counter() - start
     report(12, "matching complexity", t1 < 2.0 and t2 / t1 <= 2.5,
            f"n=1000, N=1e6 in {t1:.3f}s (<2s); doubling N scales by "
@@ -373,7 +373,7 @@ def test_criterion_13_exact_coverage_gap_law():
                 source=acc80_source(), n=n, N=big_n, test_size=test_size,
                 alpha=alpha, trials=trials, score=ScoreSpec(kind),
                 methods=methods, base_seed=20240601)
-            ctx = _build_context(config)
+            ctx = _build_context([config])
             devs = {m.name: np.empty(trials) for m in methods}
             for t in range(trials):
                 for name, res in observed(
@@ -409,8 +409,7 @@ def _epsilon_residuals(kind, trials, base_seed, n=20, big_n=2000, alpha=0.1):
         source=acc80_source(), n=n, N=big_n, test_size=500, alpha=alpha,
         trials=trials, score=ScoreSpec(kind), methods=methods,
         base_seed=base_seed)
-    ctx = _build_context(config)
-    _validate_sources(config, ctx)
+    ctx = _build_context([config])
     oracle = len(methods) - 1
     residuals = {e: np.empty(trials) for e in SEMICP_ESTIMATORS}
     for t in range(trials):
@@ -451,10 +450,10 @@ def test_criterion_14_epsilon_identity_through_the_runner():
            + "; ".join(details))
 
 
-def _epsilon(tables, spec, records, rows, alpha=0.1):
+def _epsilon(tables, records, rows, alpha=0.1):
     """epsilon of one unlabeled pool of ``rows``, whose scores nnm
     estimates from ``records``."""
-    est = estimate_scores(tables.queries(rows), records, spec)
+    est = estimate_scores(tables.queries(rows), records)
     threshold = conformal_quantile(np.concatenate([records.true_scores, est]),
                                    alpha)
     return epsilon_bias(tables.true(rows), est, threshold, len(records),
@@ -473,8 +472,7 @@ def test_criterion_15_epsilon_converges_at_root_n():
     n, sizes, pools, draws = 20, (250, 1000, 4000), 400, 9
     ds = generate_synthetic(acc80_source(samples=40_000).synthetic)
     kinds = ("thr", "aps")
-    specs = [ScoreSpec(kind) for kind in kinds]
-    tables = [ScoreTables(ds, spec) for spec in specs]
+    tables = [ScoreTables(ds, ScoreSpec(kind)) for kind in kinds]
     slopes, gaps = np.empty((2, len(kinds), draws))
     for draw in range(draws):
         perm = rng.permutation(rng.stream(15, draw), len(ds))
@@ -484,14 +482,14 @@ def test_criterion_15_epsilon_converges_at_root_n():
         for p in range(pools):  # the pools of one p are nested
             rows = rest[rng.permutation(rng.stream(15, draw, p), len(rest),
                                         sizes[-1])]
-            eps[:, :, p] = [[_epsilon(t, spec, rec, rows[:big_n])
+            eps[:, :, p] = [[_epsilon(t, rec, rows[:big_n])
                              for big_n in sizes]
-                            for t, spec, rec in zip(tables, specs, records)]
-        for i, (t, spec, rec) in enumerate(zip(tables, specs, records)):
+                            for t, rec in zip(tables, records)]
+        for i, (t, rec) in enumerate(zip(tables, records)):
             slopes[i, draw] = np.polyfit(
                 np.log(sizes), np.log(eps[i].std(axis=1, ddof=1)), 1)[0]
             gaps[i, draw] = abs(eps[i, -1].mean()
-                                - _epsilon(t, spec, rec, rest))
+                                - _epsilon(t, rec, rest))
     slope, gap = np.median(slopes, axis=1), np.median(gaps, axis=1)
     ok = bool(np.all((-0.6 <= slope) & (slope <= -0.4) & (gap <= 0.002)))
     details = [f"{kind}: median slope {slope[i]:.3f}, median |mean - "

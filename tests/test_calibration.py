@@ -349,6 +349,18 @@ def test_epsilon_bias():
     assert epsilon_bias([0.1], [0.5], t_all, 1, 1) == 0.0
 
 
+def test_epsilon_bias_is_zero_before_the_sample_check():
+    # no unlabeled samples (N = 0), or an include-all threshold: 0.0 before
+    # the samples are checked, so semicp calibrate without --unlabeled
+    # calls it as it is
+    t = Threshold(0.4, False, 1, 4, 0.5)
+    t_all = Threshold(math.nan, True, 9, 4, 0.1)
+    assert epsilon_bias([0.1, 0.9], [], t, 2, 0) == 0.0
+    assert epsilon_bias([0.1, 0.9], [], t_all, 2, 3) == 0.0
+    with pytest.raises(InputError, match="nonempty"):
+        epsilon_bias([0.1, 0.9], [], t, 2, 3)
+
+
 @pytest.mark.parametrize("kind", ["aps", "thr"])
 def test_calibrate_epsilon_errs_by_its_stated_standard_error(kind):
     # semicp calibrate prints epsilon_bias(labeled true scores, estimates):
@@ -366,7 +378,7 @@ def test_calibrate_epsilon_errs_by_its_stated_standard_error(kind):
         perm = rng.permutation(rng.stream(31, d), len(tables.dataset),
                                n + big_n)
         records, pool = tables.records(perm[:n]), perm[n:]
-        est = estimate_scores(tables.queries(pool), records, spec)
+        est = estimate_scores(tables.queries(pool), records)
         t = conformal_quantile(np.concatenate([records.true_scores, est]),
                                alpha)
         errors[d] = (epsilon_bias(records.true_scores, est, t, n, big_n)

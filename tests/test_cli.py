@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semicp import runner
+from semicp import cli, errors, runner
 from semicp.cli import main
 from semicp.calibration import conformal_quantile
 from semicp.datagen import SyntheticConfig, generate_synthetic
@@ -70,9 +70,9 @@ def test_gen_with_target_accuracy(tmp_path, capsys):
 
 
 # sha256 of `gen` stdout, with its tmp directory written "{tmp}", and of its
-# --out file; the generation blocks (datagen._bounds) are 8,190 rows at K=4,
-# 10,647 at K=3, 3,168 at K=10 and 324 at K=100, so each case crosses
-# block edges, and 50,000 rows are the signal bisection's probe rows
+# --out file; the generation blocks (datagen._bounds) are 8,192 rows at K=4,
+# 10,922 at K=3, 5,461 at K=6, 3,276 at K=10 and 327 at K=100, so each case
+# crosses block edges, and 50,000 rows are the signal bisection's probe rows
 GEN_DIGESTS = {
     "signal_k4": (
         ["--classes", "4", "--samples", "12345", "--signal", "1.7", "--seed",
@@ -156,6 +156,24 @@ def test_invalid_alpha_exits_with_config_code(tmp_path, capsys):
 
 def test_missing_data_file_exits_with_data_code(capsys):
     assert main(["calibrate", "--labeled", "/no/such/file.csv"]) == 3
+
+
+@pytest.mark.parametrize("name, code", [
+    ("SemicpError", 1), ("ConfigurationError", 2), ("ConvergenceError", 2),
+    ("DataError", 3), ("InputError", 3), ("CalibrationError", 3),
+    ("EstimationError", 3)])
+def test_each_error_class_carries_its_exit_code(name, code, capsys,
+                                                monkeypatch):
+    cls = getattr(errors, name)
+    assert cls.exit_code == code
+
+    def fail(args):
+        raise cls("boom")
+
+    # main returns the code of the error it catches, with one line
+    monkeypatch.setitem(cli._COMMANDS, "run", fail)
+    assert main(["run", "--config", "unread.json"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_argparse_usage_error_exit_code(capsys):

@@ -302,6 +302,17 @@ def test_infeasible_partition_rejected_before_trials():
         run_experiment(config)
 
 
+def test_build_context_checks_every_config_of_the_group():
+    # the group's source is scored once and checked against each config,
+    # and the context draws each source at the longest prefix of any
+    ok, wide = small_config(), small_config(N=600)
+    ctx = runner._build_context([ok, wide])
+    assert ctx.prefix == {ctx.main: 20 + 600 + 200}
+    with pytest.raises(ConfigurationError, match="infeasible partition"):
+        # 20 + 5000 + 200 > 4000 source samples
+        runner._build_context([ok, small_config(N=5000)])
+
+
 def test_oracle_requires_labels(tmp_path):
     from semicp.dataio import save_dataset
     from semicp.dataset import ProbabilityDataset
@@ -701,9 +712,9 @@ def test_pools_drawn_from_one_source_are_disjoint(layout, matrix_files):
     unlabeled_file = source.unlabeled_file or source.labeled_file
     pool_files = [os.path.realpath(f) for f in (
         source.labeled_file, unlabeled_file, source.test_file or unlabeled_file)]
-    ctx = runner._build_context(config)
+    ctx = runner._build_context([config])
     for t in range(config.trials):
-        pools = runner._split_indices(config, ctx, t)
+        pools = runner._split_indices(config, ctx, t, {})
         assert [len(p) for p in pools] == [config.n, config.N, config.test_size]
         for path in set(pool_files):
             rows = np.concatenate([p for p, f in zip(pools, pool_files)
@@ -753,8 +764,7 @@ def test_draw_is_shared_across_method_kinds(plan):
     list different method kinds reuse one draw, and each method's results
     equal those of the config that lists them all."""
     full = small_config(calibration=plan)
-    ctx = runner._build_context(full)
-    runner._validate_sources(full, ctx)
+    ctx = runner._build_context([full])
     for t in range(3):
         want, shared, draws = run_trial(full, t, ctx), {}, []
         for i, method in enumerate(full.methods):

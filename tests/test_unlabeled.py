@@ -38,16 +38,16 @@ def records_from_arrays(pseudo, biases):
 NO_RECORDS = records_from_arrays([], [])
 
 
-def naive(unl, spec):
-    return estimate_scores(unl, NO_RECORDS, spec, EstimatorSpec("naive"))
+def naive(unl):
+    return estimate_scores(unl, NO_RECORDS, EstimatorSpec("naive"))
 
 
-def nnm(unl, rec, spec, estimator=EstimatorSpec()):
-    return estimate_scores(unl, rec, spec, estimator)
+def nnm(unl, rec, estimator=EstimatorSpec()):
+    return estimate_scores(unl, rec, estimator)
 
 
-def nnm_r(unl, rec, spec, u):
-    return estimate_scores(unl, rec, spec, EstimatorSpec("nnm_r"), u=u)
+def nnm_r(unl, rec, u):
+    return estimate_scores(unl, rec, EstimatorSpec("nnm_r"), u=u)
 
 
 def test_pseudo_label_ties():
@@ -88,17 +88,17 @@ def test_nnm_examples_against_bruteforce():
     spec = ScoreSpec("thr")
     # unlabeled with pseudo score 0.35: p_max = 0.65
     ds = ProbabilityDataset(probs=[[0.65, 0.35]])
-    got = nnm(queries(ds, spec), rec, spec)
+    got = nnm(queries(ds, spec), rec)
     assert got[0] == pytest.approx(0.35 + 0.2)
     assert linear_scan_match(rec.pseudo_scores, 0.35) == 1
 
     # exact pseudo-score match adds that record's bias
     ds = ProbabilityDataset(probs=[[0.6, 0.4]])
-    assert nnm(queries(ds, spec), rec, spec)[0] == pytest.approx(0.4 + 0.2)
+    assert nnm(queries(ds, spec), rec)[0] == pytest.approx(0.4 + 0.2)
 
     # equidistant between 0.1 and 0.4: the smaller original index wins
     ds = ProbabilityDataset(probs=[[0.75, 0.25]])
-    assert nnm(queries(ds, spec), rec, spec)[0] == pytest.approx(0.25 + 0.0)
+    assert nnm(queries(ds, spec), rec)[0] == pytest.approx(0.25 + 0.0)
 
 
 def test_binary_search_equals_linear_scan():
@@ -115,7 +115,7 @@ def test_binary_search_equals_linear_scan():
         q = np.round(rs.rand(m) * 0.5, 2)
         probs = np.stack([1 - q, q], axis=1)
         pseudo_q = queries(ProbabilityDataset(probs=probs), spec)
-        got = nnm(pseudo_q, rec, spec)
+        got = nnm(pseudo_q, rec)
         for i in range(m):
             dists = np.abs(pseudo - pseudo_q.at()[i])
             best = np.flatnonzero(dists == dists.min())[0]  # smallest index
@@ -125,12 +125,12 @@ def test_binary_search_equals_linear_scan():
 def test_naive_scores():
     spec = ScoreSpec("thr")
     ds = ProbabilityDataset(probs=[[0.7, 0.2, 0.1]])
-    assert naive(queries(ds, spec), spec)[0] == pytest.approx(0.3)
+    assert naive(queries(ds, spec))[0] == pytest.approx(0.3)
 
     rs = np.random.RandomState(2)
     unl = queries(rand_dataset(rs, 50, 4), spec)
     rec = records_from_arrays([0.2, 0.5], [0.0, 0.0])
-    assert np.array_equal(naive(unl, spec), nnm(unl, rec, spec))
+    assert np.array_equal(naive(unl), nnm(unl, rec))
 
 
 def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
@@ -138,7 +138,7 @@ def test_naive_never_exceeds_true_scores_for_deterministic_kinds():
     ds = rand_dataset(rs, 300, 6)
     for kind in ("thr", "aps", "raps"):
         spec = ScoreSpec(kind)
-        plain = naive(queries(ds, spec), spec)
+        plain = naive(queries(ds, spec))
         true = ScoreTables(ds, spec).true(np.arange(len(ds)))
         assert np.all(plain <= true + 1e-12)
 
@@ -151,36 +151,36 @@ def test_nnm_at_least_naive_for_deterministic_kinds():
         spec = ScoreSpec(kind)
         rec = records(lab, spec)
         assert np.all(rec.biases >= -1e-12)
-        matched = nnm(queries(unl, spec), rec, spec)
-        plain = naive(queries(unl, spec), spec)
+        matched = nnm(queries(unl, spec), rec)
+        plain = naive(queries(unl, spec))
         assert np.all(matched >= plain - 1e-12)
         assert plain.min() <= matched.min() + 1e-12
 
 
-def debias(unl, rec, spec):
-    return estimate_scores(unl, rec, spec, EstimatorSpec("debias"))
+def debias(unl, rec):
+    return estimate_scores(unl, rec, EstimatorSpec("debias"))
 
 
 def test_debias_scores():
     spec = ScoreSpec("thr")
     rec = records_from_arrays([0.1, 0.5, 0.9], [0.0, 0.2, 0.4])
     ds = ProbabilityDataset(probs=[[0.7, 0.3]])
-    assert debias(queries(ds, spec), rec, spec)[0] == pytest.approx(0.3 + 0.2)
+    assert debias(queries(ds, spec), rec)[0] == pytest.approx(0.3 + 0.2)
 
     single = records_from_arrays([0.5], [0.3])
     rs = np.random.RandomState(5)
     unl = queries(rand_dataset(rs, 30, 3), spec)
-    assert np.allclose(debias(unl, single, spec), nnm(unl, single, spec))
+    assert np.allclose(debias(unl, single), nnm(unl, single))
 
     rec = records_from_arrays(rs.rand(20), rs.rand(20))
-    got = debias(unl, rec, spec)
-    plain = naive(unl, spec)
+    got = debias(unl, rec)
+    plain = naive(unl)
     expected = [plain[i] + np.mean(rec.biases) for i in range(len(unl))]
     assert np.allclose(got, expected)
 
 
-def random_match(unl, rec, spec, key):
-    return estimate_scores(unl, rec, spec, EstimatorSpec("random_match"),
+def random_match(unl, rec, key):
+    return estimate_scores(unl, rec, EstimatorSpec("random_match"),
                            stream_key=key)
 
 
@@ -191,18 +191,18 @@ def test_random_match_scores():
 
     single = records_from_arrays([0.5], [0.3])
     key = stream(123, 1)
-    assert np.array_equal(random_match(unl, single, spec, key),
-                          nnm(unl, single, spec))
+    assert np.array_equal(random_match(unl, single, key),
+                          nnm(unl, single))
 
     rec = records_from_arrays(rs.rand(10), rs.rand(10))
-    a = random_match(unl, rec, spec, key)
-    b = random_match(unl, rec, spec, key)
+    a = random_match(unl, rec, key)
+    b = random_match(unl, rec, key)
     assert np.array_equal(a, b)
 
     # law of large numbers: mean over many unlabeled points ~ mean bias
     big = queries(rand_dataset(rs, 10_000, 3), spec)
-    got = random_match(big, rec, spec, stream(9, 2))
-    centered = got - naive(big, spec)
+    got = random_match(big, rec, stream(9, 2))
+    centered = got - naive(big)
     assert abs(centered.mean() - rec.biases.mean()) < 0.01
 
 
@@ -212,8 +212,8 @@ def test_nnm_r_reduces_to_nnm_at_u_one():
     unl = rand_dataset(rs, 60, 4)
     det = ScoreSpec("aps")
     rand = ScoreSpec("aps", randomized=True)
-    got = nnm_r(queries(unl, rand), records(lab, rand), rand, np.ones(60))
-    assert np.array_equal(got, nnm(queries(unl, det), records(lab, det), det))
+    got = nnm_r(queries(unl, rand), records(lab, rand), np.ones(60))
+    assert np.array_equal(got, nnm(queries(unl, det), records(lab, det)))
 
 
 def test_nnm_r_hand_built_case_u_zero():
@@ -223,7 +223,7 @@ def test_nnm_r_hand_built_case_u_zero():
     rec = records(lab, rand)
     unl = queries(ProbabilityDataset(probs=[[0.8, 0.2]]), rand)
     # u=0: own = rho(hat)=0; record true (y=1, rank2): rho=0.6; pseudo: rho=0
-    got = nnm_r(unl, rec, rand, np.zeros(1))
+    got = nnm_r(unl, rec, np.zeros(1))
     assert got[0] == pytest.approx(0.0 + 0.6 - 0.0)
 
 
@@ -235,8 +235,7 @@ def test_nnm_r_matching_is_u_invariant():
     rand = ScoreSpec("raps", randomized=True)
     matched = neighbor_match(queries(unl, det), records(lab, det))[:, 0]
     for u_val in (0.0, 0.3, 0.9):
-        got = nnm_r(queries(unl, rand), records(lab, rand), rand,
-                    np.full(50, u_val))
+        got = nnm_r(queries(unl, rand), records(lab, rand), np.full(50, u_val))
         assert np.allclose(got, _nnm_r_reference(unl, lab, det, matched, u_val))
 
 
@@ -294,41 +293,64 @@ def test_knn_mean_bias():
     rec = records_from_arrays([0.1, 0.2, 0.9], [0.0, 0.4, 1.0])
     spec = ScoreSpec("thr")
     ds = ProbabilityDataset(probs=[[0.85, 0.15]])  # pseudo score 0.15
-    got = nnm(queries(ds, spec), rec, spec,
+    got = nnm(queries(ds, spec), rec,
               EstimatorSpec(criterion="pseudo_score", k=2))
     assert got[0] == pytest.approx(0.15 + (0.0 + 0.4) / 2)
 
 
 def test_estimator_dispatch_and_errors():
+    # each case scores its tables under the spec it names: the estimator
+    # reads the spec of the query tables
     rs = np.random.RandomState(10)
+    lab, pool = rand_dataset(rs, 10, 3), rand_dataset(rs, 20, 3)
     spec = ScoreSpec("thr")
     rand = ScoreSpec("aps", randomized=True)
-    rec = records(rand_dataset(rs, 10, 3), spec)
-    unl = queries(rand_dataset(rs, 20, 3), spec)
+    rec, unl = records(lab, spec), queries(pool, spec)
+    rand_rec, rand_unl = records(lab, rand), queries(pool, rand)
     for kind in ("nnm", "naive", "debias", "random_match"):
-        got = estimate_scores(unl, rec, spec, EstimatorSpec(kind),
+        got = estimate_scores(unl, rec, EstimatorSpec(kind),
                               stream_key=stream(1, 2))
         assert got.shape == (20,)
     with pytest.raises(ConfigurationError, match="deterministic-only"):
-        nnm(unl, rec, rand)
+        nnm(rand_unl, rand_rec)
     with pytest.raises(ConfigurationError, match="randomized"):
-        nnm_r(unl, rec, spec, np.ones(20))
+        nnm_r(unl, rec, np.ones(20))
     with pytest.raises(ConfigurationError, match="single"):
-        estimate_scores(unl, rec, rand, EstimatorSpec("nnm_r", k=2), u=np.ones(20))
+        estimate_scores(rand_unl, rand_rec, EstimatorSpec("nnm_r", k=2),
+                        u=np.ones(20))
     with pytest.raises(InputError):
-        estimate_scores(unl, rec, rand, EstimatorSpec("naive"))
+        estimate_scores(rand_unl, rand_rec, EstimatorSpec("naive"))
     with pytest.raises(InputError):
-        nnm_r(unl, rec, rand, np.ones(19))
+        nnm_r(rand_unl, rand_rec, np.ones(19))
     with pytest.raises(ConfigurationError, match="stream"):
-        estimate_scores(unl, rec, spec, EstimatorSpec("random_match"))
+        estimate_scores(unl, rec, EstimatorSpec("random_match"))
     empty = records(ProbabilityDataset(
         probs=np.empty((0, 3)), labels=np.empty(0, dtype=int)), spec)
     for kind in ("nnm", "debias", "random_match"):
         with pytest.raises(EstimationError):
-            estimate_scores(unl, empty, spec, EstimatorSpec(kind),
+            estimate_scores(unl, empty, EstimatorSpec(kind),
                             stream_key=stream(1, 2))
     with pytest.raises(ConfigurationError):
         neighbor_match(unl, rec, EstimatorSpec(criterion="pseudo_score", k=11))
+
+
+def test_estimator_reads_the_spec_its_tables_were_scored_with():
+    rs = np.random.RandomState(11)
+    lab, pool = rand_dataset(rs, 10, 3), rand_dataset(rs, 20, 3)
+    rand = ScoreSpec("aps", randomized=True)
+    unl, rec = queries(pool, rand), records(lab, rand)
+    assert unl.tables.spec is rand
+    # randomized tables need one random factor per sample
+    with pytest.raises(InputError, match="random factor"):
+        estimate_scores(unl, rec, EstimatorSpec("naive"))
+    u = rs.rand(20)
+    assert np.array_equal(estimate_scores(unl, rec, EstimatorSpec("naive"),
+                                          u=u), unl.at(u))
+    # deterministic tables of the same kind ignore u
+    det = queries(pool, ScoreSpec("aps"))
+    assert np.array_equal(estimate_scores(det, NO_RECORDS,
+                                          EstimatorSpec("naive"), u=u),
+                          det.at())
 
 
 def test_check_estimator_decides_spec_and_estimator_fit():
@@ -519,7 +541,7 @@ def test_matching_across_score_tables_equals_the_two_walk_reference(data):
         matched = rec.tables.all_labels(rows, u)
         bias = matched[np.arange(big_n), lab.labels[rows]] - \
             matched[np.arange(big_n), pseudo_labels(lab.probs)[rows]]
-        assert np.array_equal(nnm_r(pseudo, rec, spec, u), pseudo.at(u) + bias)
+        assert np.array_equal(nnm_r(pseudo, rec, u), pseudo.at(u) + bias)
 
 
 def test_unlabeled_rows_score_nan_at_their_true_label():
